@@ -204,8 +204,7 @@ def effective_channel(
     k = channel.dims.subcarriers if num_subcarriers is None else int(num_subcarriers)
     taps = circular_convolve(combiner.taps, channel.taps, k)
     spectrum = dft_of_taps(combiner.taps, k)
-    cov = np.einsum("kum,kvm->kuv", spectrum, np.conj(spectrum))
-    return EffectiveChannel(taps, cov)
+    return EffectiveChannel(taps, spectrum @ np.conj(np.swapaxes(spectrum, -1, -2)))
 
 
 def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:

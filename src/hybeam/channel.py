@@ -226,7 +226,10 @@ def dump_channel(channel: ChannelRealization, path, seed: int, model: str) -> No
 
 
 def load_channel_dump(path) -> tuple[dict, TapSequence]:
-    """Read a dump back as (header fields, tap sequence)."""
+    """Read a dump back as (header fields, tap sequence).
+
+    Every in-range (tap, antenna, user) must appear on exactly one line.
+    """
     meta: dict = {}
     entries = []
     with open(path, "r", encoding="ascii") as fh:
@@ -243,14 +246,21 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
             fields = line.split()
             if len(fields) != 5:
                 raise ValueError(f"malformed dump line: {line!r}")
-            entries.append(
-                (int(fields[0]), int(fields[1]), int(fields[2]),
-                 float(fields[3]) + 1j * float(fields[4]))
-            )
+            index = tuple(int(f) for f in fields[:3])
+            entries.append((index, float(fields[3]) + 1j * float(fields[4])))
     for field in ("antennas", "users", "taps"):
         if field not in meta:
             raise ValueError(f"dump header is missing {field}")
-    taps = np.zeros((meta["taps"], meta["antennas"], meta["users"]), dtype=complex)
-    for l, m, u, value in entries:
-        taps[l, m, u] = value
+    shape = (meta["taps"], meta["antennas"], meta["users"])
+    taps = np.zeros(shape, dtype=complex)
+    seen = np.zeros(shape, dtype=bool)
+    for index, value in entries:
+        if not all(0 <= i < n for i, n in zip(index, shape)):
+            raise ValueError(f"dump entry {index} outside (taps, antennas, users) = {shape}")
+        if seen[index]:
+            raise ValueError(f"duplicate dump entry {index}")
+        seen[index] = True
+        taps[index] = value
+    if not seen.all():
+        raise ValueError(f"dump lacks {seen.size - int(seen.sum())} of {seen.size} entries")
     return meta, TapSequence(0, taps)

@@ -13,6 +13,7 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -98,10 +99,15 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"SNR range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        try:
+            start, stop, step = (Decimal(p.strip()) for p in parts)
+        except InvalidOperation:
+            raise ValueError(f"bad SNR range {text!r}") from None
+        if not all(d.is_finite() for d in (start, stop, step)) or step <= 0 or stop < start:
             raise ValueError(f"bad SNR range {text!r}")
-        return tuple(np.arange(start, stop + 0.5 * step, step))
+        # exact decimal arithmetic: 0:1:0.1 ends at 0.7, not 0.7000000000000001
+        count = int((stop - start) // step) + 1
+        return tuple(float(start + i * step) for i in range(count))
     values = tuple(float(token) for token in text.split(",") if token.strip())
     if not values:
         raise ValueError("empty SNR list")

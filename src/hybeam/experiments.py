@@ -17,6 +17,7 @@ import numpy as np
 
 from .beamforming import (
     CombinerIR,
+    EffectiveChannel,
     combiner_noise_power,
     decompose_to_phase_banks,
     effective_channel,
@@ -48,12 +49,12 @@ from .closed_forms import (
 )
 from .metrics import (
     LinkBudget,
-    achievable_rate_hybrid,
-    capacity,
+    combined_terms,
     delay_spread_report,
+    hybrid_terms,
     pdp_of_effective,
-    rate_spectral,
     sinr_from_pdp,
+    spectral_rates,
     sum_rate_from_sinr,
 )
 from .numerics import SingularMatrixError, dft_of_taps
@@ -93,6 +94,8 @@ class Scenario:
             raise ValueError("need at least one realization")
         if not self.snr_db:
             raise ValueError("SNR grid is empty")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"SNR grid has non-finite points: {self.snr_db}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid: {', '.join(SCHEMES)}")
@@ -184,12 +187,16 @@ def _build_combiner(base: str, channel: ChannelRealization) -> CombinerIR:
 
 
 def _evaluate_realization(scenario: Scenario, index: int) -> dict:
-    """All (scheme, metric, snr) values for one shared channel draw."""
+    """All (scheme, metric, snr) values for one shared channel draw.
+
+    Every log-det rate covers the whole SNR grid in one kernel call.
+    """
     channel = draw_realization(scenario, index)
     k = scenario.dims.subcarriers
     links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
+    snrs = [link.snr for link in links]
     raw_grid = None
-    effs: dict[str, object] = {}
+    built: dict[str, tuple[CombinerIR, EffectiveChannel]] = {}
     values: dict[tuple[str, str, float], float] = {}
 
     def raw() -> np.ndarray:
@@ -198,39 +205,37 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
             raw_grid = channel_spectrum(channel, k)
         return raw_grid
 
-    def eff(base: str):
-        if base not in effs:
-            effs[base] = effective_channel(_build_combiner(base, channel), channel, k)
-        return effs[base]
+    def build(base: str) -> tuple[CombinerIR, EffectiveChannel]:
+        if base not in built:
+            combiner = _build_combiner(base, channel)
+            built[base] = combiner, effective_channel(combiner, channel, k)
+        return built[base]
+
+    def record(scheme: str, metric: str, series) -> None:
+        for snr, value in zip(scenario.snr_db, series):
+            values[(scheme, metric, snr)] = float(value)
 
     for scheme in scenario.schemes:
         if scheme == "capacity":
-            for snr, link in zip(scenario.snr_db, links):
-                values[(scheme, "capacity", snr)] = capacity(raw(), link)
+            record(scheme, "capacity", spectral_rates(raw(), None, snrs))
             continue
         if scheme == "zf":
-            inverse = zf_spectrum(raw())
-            for snr, link in zip(scenario.snr_db, links):
-                values[(scheme, "rate", snr)] = rate_spectral(inverse, raw(), link)
+            terms = combined_terms(zf_spectrum(raw()), raw())
+            record(scheme, "rate", spectral_rates(*terms, snrs))
             continue
         base, with_zf = _parse_scheme(scheme)
-        effective = eff(base)
+        combiner, effective = build(base)
         if with_zf:
-            baseband = zf_baseband(effective)
-            for snr, link in zip(scenario.snr_db, links):
-                values[(scheme, "rate", snr)] = achievable_rate_hybrid(
-                    effective, baseband, link
-                )
+            terms = hybrid_terms(effective, zf_baseband(effective))
+            record(scheme, "rate", spectral_rates(*terms, snrs))
         else:
-            combiner = _build_combiner(base, channel)
+            # every link of the grid has unit noise variance
+            noise = combiner_noise_power(combiner, 1.0)
             pdp = pdp_of_effective(effective)
+            rates = [sum_rate_from_sinr(sinr_from_pdp(pdp, noise, link)) for link in links]
+            record(scheme, "rate", rates)
             eff_grid = dft_of_taps(effective.taps, k)
-            for snr, link in zip(scenario.snr_db, links):
-                noise = combiner_noise_power(combiner, link.noise_variance)
-                breakdown = sinr_from_pdp(pdp, noise, link)
-                values[(scheme, "rate", snr)] = sum_rate_from_sinr(breakdown)
-            for snr, link in zip(scenario.snr_db, links):
-                values[(scheme, "capacity", snr)] = capacity(eff_grid, link)
+            record(scheme, "capacity", spectral_rates(eff_grid, None, snrs))
     return values
 
 

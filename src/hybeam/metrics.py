@@ -1,8 +1,10 @@
 """Rate and dispersion metrics for raw and effective channels.
 
-Spectral rates average a per-subcarrier log-det over the grid.  Colored
-effective noise is handled exactly: the noise covariance is whitened with a
-Cholesky factor before the log-det, never approximated as white.
+Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
+SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them: it
+whitens colored noise exactly with a Cholesky factor (never approximating it
+as white), takes one eigendecomposition per subcarrier, and evaluates the
+whole SNR grid from those eigenvalues.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import EffectiveChannel
-from .numerics import SingularMatrixError, TapSequence, dft_of_taps, logdet_psd_stack
+from .numerics import SingularMatrixError, TapSequence, dft_of_taps
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,8 @@ class LinkBudget:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if not self.transmit_power > 0.0 or not self.noise_variance > 0.0:
-            raise ValueError("transmit power and noise variance must be positive")
+        if not 0.0 < self.transmit_power < np.inf or not 0.0 < self.noise_variance < np.inf:
+            raise ValueError("transmit power and noise variance must be positive and finite")
 
     @property
     def snr(self) -> float:
@@ -35,32 +37,51 @@ class LinkBudget:
         return cls(10.0 ** (snr_db / 10.0) * noise_variance, noise_variance)
 
 
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mats, -1, -2))
+
+
+def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
+
+    ``signal`` is a ``(K, rows, cols)`` grid; ``A(k)`` is ``signal[k]``
+    itself in white noise (``noise_cov=None``) and ``L(k)^{-1} signal[k]``
+    when the noise has covariance ``L(k) L(k)^H``.  One eigendecomposition
+    per subcarrier serves the whole SNR grid.
+    """
+    a = np.asarray(signal, dtype=complex)
+    if a.ndim != 3:
+        raise ValueError("expected a (K, rows, cols) signal grid")
+    if noise_cov is not None:
+        cov = np.asarray(noise_cov, dtype=complex)
+        try:
+            chol = np.linalg.cholesky(0.5 * (cov + _adjoint(cov)))
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("singular noise covariance") from None
+        a = np.linalg.solve(chol, a)
+    eigvals = np.linalg.eigvalsh(_adjoint(a) @ a)
+    snr = np.asarray(snrs, dtype=float)[:, None, None]
+    return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
+
+
 def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:
     """Subcarrier-averaged log-det capacity of a channel spectrum in white noise.
 
     ``spectrum`` is ``(K, rows, users)``; the result is
     ``mean_k log2 det(I + snr * H(k)^H H(k))`` in bits per channel use.
     """
-    grid = np.asarray(spectrum, dtype=complex)
-    if grid.ndim != 3:
-        raise ValueError("expected a (K, rows, users) spectrum grid")
-    users = grid.shape[2]
-    gram = np.einsum("kmu,kmv->kuv", np.conj(grid), grid)
-    eye = np.eye(users)
-    return float(np.mean(logdet_psd_stack(eye + link.snr * gram)))
+    return float(spectral_rates(spectrum, None, [link.snr])[0])
 
 
-def _whitened_rate(signal: np.ndarray, noise_cov: np.ndarray, link: LinkBudget) -> float:
-    """Rate of per-subcarrier channels ``signal`` under noise covariance ``noise_cov``."""
-    cov = 0.5 * (noise_cov + np.conj(np.swapaxes(noise_cov, -1, -2)))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("singular noise covariance") from None
-    whitened = np.linalg.solve(chol, signal)
-    gram = whitened @ np.conj(np.swapaxes(whitened, -1, -2))
-    eye = np.eye(signal.shape[1])
-    return float(np.mean(logdet_psd_stack(eye + link.snr * gram)))
+def combined_terms(
+    combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signal ``W(k) H(k)`` and noise covariance ``W(k) W(k)^H`` of a linear combiner."""
+    w = np.asarray(combiner_spectrum, dtype=complex)
+    h = np.asarray(channel_spectrum, dtype=complex)
+    if w.ndim != 3 or h.ndim != 3 or w.shape[0] != h.shape[0] or w.shape[2] != h.shape[1]:
+        raise ValueError("combiner and channel grids do not align")
+    return w @ h, w @ _adjoint(w)
 
 
 def rate_spectral(combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray, link: LinkBudget) -> float:
@@ -70,13 +91,24 @@ def rate_spectral(combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray, l
     ``(K, M, U)``; the combined noise keeps its exact covariance
     ``W(k) W(k)^H``.
     """
-    w = np.asarray(combiner_spectrum, dtype=complex)
-    h = np.asarray(channel_spectrum, dtype=complex)
-    if w.ndim != 3 or h.ndim != 3 or w.shape[0] != h.shape[0] or w.shape[2] != h.shape[1]:
-        raise ValueError("combiner and channel grids do not align")
-    signal = w @ h
-    cov = np.einsum("kum,kvm->kuv", w, np.conj(w))
-    return _whitened_rate(signal, cov, link)
+    signal, cov = combined_terms(combiner_spectrum, channel_spectrum)
+    return float(spectral_rates(signal, cov, [link.snr])[0])
+
+
+def hybrid_terms(
+    effective: EffectiveChannel, baseband: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and noise covariance grids after an optional baseband stage."""
+    k = effective.num_subcarriers
+    signal = dft_of_taps(effective.taps, k)
+    cov = effective.noise_cov_spectrum
+    if baseband is not None:
+        bb = np.asarray(baseband, dtype=complex)
+        if bb.shape[0] != k or bb.shape[2] != signal.shape[1]:
+            raise ValueError("baseband grid does not align with the effective channel")
+        signal = bb @ signal
+        cov = bb @ cov @ _adjoint(bb)
+    return signal, cov
 
 
 def achievable_rate_hybrid(
@@ -90,16 +122,8 @@ def achievable_rate_hybrid(
     the per-subcarrier baseband matrices multiply both signal and noise, so
     an invertible baseband leaves the rate unchanged.
     """
-    k = effective.num_subcarriers
-    signal = dft_of_taps(effective.taps, k)
-    cov = effective.noise_cov_spectrum
-    if baseband is not None:
-        bb = np.asarray(baseband, dtype=complex)
-        if bb.shape[0] != k or bb.shape[2] != signal.shape[1]:
-            raise ValueError("baseband grid does not align with the effective channel")
-        signal = bb @ signal
-        cov = bb @ cov @ np.conj(np.swapaxes(bb, -1, -2))
-    return _whitened_rate(signal, cov, link)
+    signal, cov = hybrid_terms(effective, baseband)
+    return float(spectral_rates(signal, cov, [link.snr])[0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Matrix-valued tap sequences and the dense linear algebra they lean on.
+"""Matrix-valued tap sequences, their transforms, and the checked pseudoinverse.
 
 A tap sequence is a finite matrix-valued impulse response: one matrix per
 integer delay on a contiguous range.  Everything downstream (channels,
 combiners, effective responses) is a tap sequence, so the transforms here
-carry explicit delay offsets instead of assuming causal indexing.
+carry explicit delay offsets instead of assuming causal indexing.  Log-dets
+live in ``metrics.spectral_rates``, the one rate kernel.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative thresholds shared by the rank and symmetry checks below.
+# Relative threshold of the rank check in ``pinv_tall``.
 SINGULARITY_RTOL = 1e-10
-HERMITICITY_RTOL = 1e-10
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -79,7 +79,7 @@ def dft_of_taps(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
             f"spectral aliasing: {seq.span} taps do not fit on a {k}-point grid"
         )
     phases = np.exp(-2j * np.pi * np.outer(seq.delays, np.arange(k)) / k)
-    return np.einsum("nk,nrc->krc", phases, seq.taps)
+    return (phases.T @ seq.taps.reshape(seq.span, -1)).reshape(k, *seq.shape)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
@@ -105,55 +105,6 @@ def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> T
         for j in range(b.span):
             out[i + j] += a.taps[i] @ b.taps[j]
     return TapSequence(a.offset + b.offset, out)
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
-
-
-def logdet_psd(mat: np.ndarray) -> float:
-    """Base-2 log-determinant of a Hermitian positive semidefinite matrix.
-
-    Asymmetry beyond ``HERMITICITY_RTOL`` (relative to the Frobenius norm) or
-    a negative eigenvalue beyond the same tolerance is an error; smaller
-    asymmetry is folded away before the Cholesky factorization.
-    """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("logdet_psd expects a square matrix")
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return -np.inf
-    if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    h = _hermitize(m)
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        eigvals = np.linalg.eigvalsh(h)
-        if eigvals[0] < -HERMITICITY_RTOL * scale:
-            raise ValueError("matrix is indefinite") from None
-        positive = eigvals[eigvals > 0.0]
-        if positive.size < eigvals.size:
-            return -np.inf
-        return float(np.sum(np.log2(positive)))
-    return float(2.0 * np.sum(np.log2(np.diagonal(chol).real)))
-
-
-def logdet_psd_stack(mats: np.ndarray) -> np.ndarray:
-    """Base-2 log-determinants of a stack of Hermitian PSD matrices.
-
-    Fast path for matrices that are positive definite by construction; any
-    slice that defeats the batched Cholesky is retried through the scalar
-    routine with its full checks.
-    """
-    h = _hermitize(np.asarray(mats, dtype=complex))
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return np.array([logdet_psd(m) for m in mats])
-    diag = np.einsum("...ii->...i", chol).real
-    return 2.0 * np.sum(np.log2(diag), axis=-1)
 
 
 def pinv_tall(mat: np.ndarray) -> np.ndarray:

@@ -251,6 +251,31 @@ class TestSpectrumAndDump:
         body = [line for line in lines if not line.startswith("#")]
         assert len(body) == DIMS.taps * DIMS.antennas * DIMS.users
 
+    def _dump_lines(self, tmp_path):
+        ch = draw_rich(DIMS, exponential_pdp(DIMS.taps, DIMS.users), seed=5)
+        path = tmp_path / "chan.txt"
+        dump_channel(ch, path, seed=5, model="rich")
+        return path, path.read_text().splitlines()
+
+    def test_dump_rejects_out_of_range_index(self, tmp_path):
+        path, lines = self._dump_lines(tmp_path)
+        for bad in ("-1 0 0 1 0", f"0 {DIMS.antennas} 0 1 0", f"0 0 {DIMS.users} 1 0"):
+            path.write_text("\n".join(lines + [bad]) + "\n")
+            with pytest.raises(ValueError, match="outside"):
+                load_channel_dump(path)
+
+    def test_dump_rejects_duplicate_entry(self, tmp_path):
+        path, lines = self._dump_lines(tmp_path)
+        path.write_text("\n".join(lines + ["0 0 0 1 0"]) + "\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            load_channel_dump(path)
+
+    def test_dump_rejects_missing_entry(self, tmp_path):
+        path, lines = self._dump_lines(tmp_path)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="lacks 1 of"):
+            load_channel_dump(path)
+
     def test_realization_validation(self):
         pdp = exponential_pdp(DIMS.taps, DIMS.users)
         taps = complex_normal(stream(1), (DIMS.taps, DIMS.antennas, DIMS.users))

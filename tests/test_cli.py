@@ -1,10 +1,21 @@
 """Command-line behavior: artifacts, determinism, config grammar, exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hybeam import cli
-from hybeam.experiments import ResultRow, RunResult
+from hybeam.channel import load_channel_dump
+from hybeam.experiments import (
+    DEFAULT_DIMS,
+    DEFAULT_SNR_GRID,
+    PRESETS,
+    ResultRow,
+    RunResult,
+    draw_realization,
+    realization_seed,
+)
 
 RUN_FAST = ["--realizations", "3", "--snr", "0,10"]
 
@@ -18,12 +29,16 @@ class TestParseSnrSpec:
         assert cli.parse_snr_spec("-10:20:5") == (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
         assert cli.parse_snr_spec("0:1:0.5") == (0.0, 0.5, 1.0)
 
+    def test_range_is_exact_in_decimal(self):
+        assert cli.parse_snr_spec("0:1:0.1") == tuple(i / 10 for i in range(11))
+        assert cli.parse_snr_spec("-10:20:5") == DEFAULT_SNR_GRID
+
     def test_comma_list(self):
         assert cli.parse_snr_spec("-10, 0, 10") == (-10.0, 0.0, 10.0)
         assert cli.parse_snr_spec("5") == (5.0,)
 
     def test_bad_specs(self):
-        for text in ("1:2", "10:0:5", "0:10:-1", "", "a,b"):
+        for text in ("1:2", "10:0:5", "0:10:-1", "", "a,b", "0:10:0", "0:inf:1", "0:1:nan"):
             with pytest.raises(ValueError):
                 cli.parse_snr_spec(text)
 
@@ -98,6 +113,12 @@ class TestRunCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_snr_is_config_error(self, tmp_path, capsys):
+        for spec in ("inf", "0,nan", "-inf"):
+            assert run_cli("run", "fig2", f"--snr={spec}", "--outdir", str(tmp_path)) == 2
+            assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "fig2.csv").exists()
+
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "nosuch", "--outdir", str(tmp_path)) == 2
 
@@ -118,6 +139,13 @@ class TestRunCommand:
         assert code == 0
         dumps = sorted((outdir / "fig2_channels").iterdir())
         assert [p.name for p in dumps] == ["fig2_r0000.txt", "fig2_r0001.txt"]
+        scenario = replace(
+            PRESETS["fig2"].scenario, dims=replace(DEFAULT_DIMS, antennas=8), realizations=2
+        )
+        for index, path in enumerate(dumps):
+            meta, taps = load_channel_dump(path)
+            assert meta["seed"] == realization_seed(scenario, index)
+            np.testing.assert_array_equal(taps.taps, draw_realization(scenario, index).taps.taps)
 
     def test_validate_appends_report(self, tmp_path, capsys):
         outdir = tmp_path / "res"

@@ -43,6 +43,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             small_scenario(snr_db=())
 
+    def test_non_finite_snr_rejected(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="non-finite"):
+                small_scenario(snr_db=(0.0, bad))
+
     def test_sparse_config_only_for_sparse_model(self):
         with pytest.raises(ValueError):
             small_scenario(sparse=SparseChannelConfig())

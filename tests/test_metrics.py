@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybeam.beamforming import (
     CombinerIR,
@@ -35,6 +37,7 @@ from hybeam.metrics import (
     rate_spectral,
     rms_delay_spread,
     sinr_from_pdp,
+    spectral_rates,
     sum_rate_from_sinr,
 )
 from hybeam.numerics import SingularMatrixError, TapSequence, dft_of_taps
@@ -62,6 +65,94 @@ class TestLinkBudget:
             LinkBudget(transmit_power=0.0)
         with pytest.raises(ValueError):
             LinkBudget(noise_variance=-1.0)
+
+    def test_rejects_non_finite(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                LinkBudget(transmit_power=bad)
+            with pytest.raises(ValueError, match="finite"):
+                LinkBudget(noise_variance=bad)
+            with pytest.raises(ValueError):
+                LinkBudget.from_snr_db(bad)
+
+
+def slogdet_rates(signal, noise_cov, snrs):
+    """Per-subcarrier ``slogdet`` of ``I + snr * C^{-1} S S^H``, averaged over k."""
+    k, rows, _ = signal.shape
+    out = []
+    for snr in snrs:
+        total = 0.0
+        for sub in range(k):
+            inner = signal[sub] @ signal[sub].conj().T
+            if noise_cov is not None:
+                inner = np.linalg.inv(noise_cov[sub]) @ inner
+            sign, logabs = np.linalg.slogdet(np.eye(rows) + snr * inner)
+            assert sign.real > 0.0
+            total += logabs / math.log(2.0)
+        out.append(total / k)
+    return np.array(out)
+
+
+class TestSpectralRates:
+    def test_zero_signal_is_zero_rate(self):
+        rates = spectral_rates(np.zeros((3, 4, 2)), None, [0.1, 1.0, 100.0])
+        np.testing.assert_array_equal(rates, 0.0)
+
+    def test_diagonal(self):
+        signal = np.broadcast_to(np.diag([1.0, math.sqrt(3.0)]), (2, 2, 2))
+        assert spectral_rates(signal, None, [1.0])[0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_matches_eigenvalue_oracle(self):
+        for key in range(5):
+            a = complex_normal(stream(500 + key), (1, 5, 3))
+            expected = float(np.sum(np.log2(1.0 + np.linalg.eigvalsh(a[0].conj().T @ a[0]))))
+            assert spectral_rates(a, None, [1.0])[0] == pytest.approx(expected, rel=1e-10)
+
+    def test_grid_agrees_with_single_points(self):
+        signal = complex_normal(stream(510), (6, 3, 3))
+        b = complex_normal(stream(511), (6, 3, 3))
+        cov = b @ np.conj(np.swapaxes(b, -1, -2)) + np.eye(3)
+        snrs = [0.1, 1.0, 10.0, 100.0]
+        grid = spectral_rates(signal, cov, snrs)
+        for snr, rate in zip(snrs, grid):
+            assert rate == spectral_rates(signal, cov, [snr])[0]
+
+    def test_rank_deficient_signal_counts_only_its_rank(self):
+        column = complex_normal(stream(520), (4, 5, 1))
+        signal = np.concatenate([column, column, np.zeros((4, 5, 1))], axis=2)
+        expected = np.mean(np.log2(1.0 + 2.0 * np.sum(np.abs(column) ** 2, axis=(1, 2))))
+        assert spectral_rates(signal, None, [1.0])[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_indefinite_noise_covariance(self):
+        signal = complex_normal(stream(530), (2, 2, 2))
+        cov = np.broadcast_to(np.diag([1.0, -1.0]), (2, 2, 2))
+        with pytest.raises(SingularMatrixError, match="singular noise covariance"):
+            spectral_rates(signal, cov, [1.0])
+
+    def test_rejects_misshaped_signal(self):
+        with pytest.raises(ValueError, match="signal grid"):
+            spectral_rates(np.ones((2, 3)), None, [1.0])
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        snr_db=st.lists(st.floats(-20.0, 30.0), min_size=2, max_size=6),
+        colored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_subcarrier_slogdet(self, k, rows, cols, snr_db, colored, seed):
+        rng = stream(540, seed)
+        signal = complex_normal(rng, (k, rows, cols))
+        cov = None
+        if colored:
+            b = complex_normal(rng, (k, rows, rows))
+            cov = b @ np.conj(np.swapaxes(b, -1, -2)) + 0.5 * np.eye(rows)
+        snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+        np.testing.assert_allclose(
+            spectral_rates(signal, cov, snrs), slogdet_rates(signal, cov, snrs), rtol=1e-10
+        )
 
 
 class TestCapacity:

@@ -9,8 +9,6 @@ from hybeam.numerics import (
     TapSequence,
     circular_convolve,
     dft_of_taps,
-    logdet_psd,
-    logdet_psd_stack,
     pinv_tall,
 )
 
@@ -170,44 +168,6 @@ class TestCircularConvolve:
         lhs = circular_convolve(a, TapSequence(0, b.taps + c.taps), 8)
         rhs = circular_convolve(a, b, 8).taps + circular_convolve(a, c, 8).taps
         np.testing.assert_allclose(lhs.taps, rhs, atol=1e-12)
-
-
-class TestLogdetPsd:
-    def test_identity_is_zero(self):
-        assert logdet_psd(np.eye(4)) == 0.0
-
-    def test_diagonal(self):
-        assert logdet_psd(np.diag([2.0, 2.0])) == pytest.approx(2.0, abs=1e-12)
-
-    def test_matches_eigenvalue_oracle(self):
-        for key in range(5):
-            a = complex_normal(stream(500 + key), (5, 3))
-            m = a.conj().T @ a + np.eye(3)
-            expected = float(np.sum(np.log2(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))))
-            assert logdet_psd(m) == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            logdet_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="indefinite"):
-            logdet_psd(np.diag([1.0, -1.0]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            logdet_psd(np.ones((2, 3)))
-
-    def test_singular_psd_is_minus_infinity(self):
-        assert logdet_psd(np.diag([1.0, 0.0])) == -np.inf
-        assert logdet_psd(np.zeros((3, 3))) == -np.inf
-
-    def test_stack_agrees_with_scalar(self):
-        a = complex_normal(stream(510), (6, 4, 3))
-        mats = np.einsum("kmu,kmv->kuv", np.conj(a), a) + np.eye(3)
-        stacked = logdet_psd_stack(mats)
-        for k in range(6):
-            assert stacked[k] == pytest.approx(logdet_psd(mats[k]), rel=1e-12)
 
 
 class TestPinvTall:
