@@ -9,6 +9,7 @@ the composite response concentrates at delay 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,20 @@ def mf_combiner(channel: ChannelRealization) -> CombinerIR:
     return CombinerIR(TapSequence(-(channel.dims.taps - 1), taps))
 
 
+def _phase_only(target: np.ndarray, offset: int) -> CombinerIR:
+    """Constant-modulus ``1/sqrt(M)`` combiner conjugating the phases of ``target``.
+
+    ``target`` is ``(span, U, M)``; tap ``i`` of the result sits at delay
+    ``offset + i``.
+    """
+    root_m = np.sqrt(target.shape[-1])
+    return CombinerIR(
+        TapSequence(offset, np.exp(-1j * np.angle(target)) / root_m),
+        constant_modulus=True,
+        modulus=1.0 / root_m,
+    )
+
+
 def rf_ltap(channel: ChannelRealization) -> CombinerIR:
     """Constant-modulus combiner with one RF tap per channel delay.
 
@@ -73,15 +88,7 @@ def rf_ltap(channel: ChannelRealization) -> CombinerIR:
     ``1/sqrt(M)``: the closest phase-only network to the matched filter,
     equivalently per-entry equal-gain combining.
     """
-    h = channel.taps.taps
-    m = channel.dims.antennas
-    phases = np.angle(h[::-1].transpose(0, 2, 1))
-    taps = np.exp(-1j * phases) / np.sqrt(m)
-    return CombinerIR(
-        TapSequence(-(channel.dims.taps - 1), taps),
-        constant_modulus=True,
-        modulus=1.0 / np.sqrt(m),
-    )
+    return _phase_only(channel.taps.taps[::-1].transpose(0, 2, 1), -(channel.dims.taps - 1))
 
 
 def rf_1tap(
@@ -105,13 +112,7 @@ def rf_1tap(
         if not 0 <= tap_index < num_taps:
             raise ValueError(f"tap_index {tap_index} outside 0..{num_taps - 1}")
         columns = h[tap_index].T
-    m = channel.dims.antennas
-    taps = np.exp(-1j * np.angle(columns)) / np.sqrt(m)
-    return CombinerIR(
-        TapSequence(0, taps[None]),
-        constant_modulus=True,
-        modulus=1.0 / np.sqrt(m),
-    )
+    return _phase_only(columns[None], 0)
 
 
 def rf_1tap_sum_heuristic(channel: ChannelRealization) -> CombinerIR:
@@ -120,14 +121,7 @@ def rf_1tap_sum_heuristic(channel: ChannelRealization) -> CombinerIR:
     A cheaper rule than per-tap alignment; the taps it mixes add with random
     relative phases, which costs array gain on frequency-selective channels.
     """
-    m = channel.dims.antennas
-    summed = channel.taps.taps.sum(axis=0).T
-    taps = np.exp(-1j * np.angle(summed)) / np.sqrt(m)
-    return CombinerIR(
-        TapSequence(0, taps[None]),
-        constant_modulus=True,
-        modulus=1.0 / np.sqrt(m),
-    )
+    return _phase_only(channel.taps.taps.sum(axis=0).T[None], 0)
 
 
 @dataclass
@@ -182,17 +176,27 @@ def decompose_to_phase_banks(combiner: CombinerIR) -> PhaseNetworkBank:
 class EffectiveChannel:
     """Combined combiner-plus-channel response seen by the baseband stage.
 
-    ``taps`` holds the ``(U x U)`` composite impulse response;
-    ``noise_cov_spectrum`` is the per-subcarrier covariance of the combined
-    noise, ``W(k) W(k)^H`` for the combiner's frequency response ``W(k)``.
+    ``taps`` holds the ``(U x U)`` composite impulse response of ``combiner``
+    and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
+    views are computed on first read and kept, so each is computed at most
+    once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
+    DFT of the taps, and ``noise_cov_spectrum`` is the per-subcarrier
+    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
+    frequency response ``W(k)``.
     """
 
+    combiner: CombinerIR
     taps: TapSequence
-    noise_cov_spectrum: np.ndarray
+    num_subcarriers: int
 
-    @property
-    def num_subcarriers(self) -> int:
-        return self.noise_cov_spectrum.shape[0]
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return dft_of_taps(self.taps, self.num_subcarriers)
+
+    @cached_property
+    def noise_cov_spectrum(self) -> np.ndarray:
+        w = dft_of_taps(self.combiner.taps, self.num_subcarriers)
+        return w @ np.conj(np.swapaxes(w, -1, -2))
 
 
 def effective_channel(
@@ -200,11 +204,13 @@ def effective_channel(
     channel: ChannelRealization,
     num_subcarriers: int | None = None,
 ) -> EffectiveChannel:
-    """Convolve a combiner with a channel and attach the noise covariance."""
+    """Convolve a combiner with a channel; no spectrum is computed here.
+
+    The grid defaults to the channel's subcarrier count and must hold the
+    combined span without aliasing.
+    """
     k = channel.dims.subcarriers if num_subcarriers is None else int(num_subcarriers)
-    taps = circular_convolve(combiner.taps, channel.taps, k)
-    spectrum = dft_of_taps(combiner.taps, k)
-    return EffectiveChannel(taps, spectrum @ np.conj(np.swapaxes(spectrum, -1, -2)))
+    return EffectiveChannel(combiner, circular_convolve(combiner.taps, channel.taps, k), k)
 
 
 def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:
@@ -212,15 +218,11 @@ def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:
     grid = np.asarray(spectrum, dtype=complex)
     if grid.ndim != 3:
         raise ValueError("expected a (K, rows, cols) spectrum grid")
-    out = np.empty((grid.shape[0], grid.shape[2], grid.shape[1]), dtype=complex)
-    for k in range(grid.shape[0]):
-        try:
-            out[k] = pinv_tall(grid[k])
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"singular channel at subcarrier {k}", subcarrier=k
-            ) from exc
-    return out
+    try:
+        return pinv_tall(grid)
+    except SingularMatrixError as exc:
+        k = exc.subcarrier
+        raise SingularMatrixError(f"singular channel at subcarrier {k}", subcarrier=k) from exc
 
 
 def zf_baseband(effective: EffectiveChannel) -> np.ndarray:
@@ -230,8 +232,7 @@ def zf_baseband(effective: EffectiveChannel) -> np.ndarray:
     spectrum, so baseband-times-effective is the identity on every
     subcarrier.
     """
-    spectrum = dft_of_taps(effective.taps, effective.num_subcarriers)
-    return zf_spectrum(spectrum)
+    return zf_spectrum(effective.spectrum)
 
 
 def rf_orthogonality_defect(combiner: CombinerIR) -> float:

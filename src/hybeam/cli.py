@@ -228,10 +228,16 @@ def cmd_run(args) -> int:
         presets = load_config(args.target)
     else:
         raise ValueError(f"unknown preset or missing config file: {args.target!r}")
+    presets = [_apply_overrides(preset, args) for preset in presets]
+    if args.validate:
+        sparse = [p.scenario.name for p in presets if p.scenario.channel_model != "rich"]
+        if sparse:
+            raise ValueError(
+                f"closed-form validation assumes the rich channel model: {', '.join(sparse)}"
+            )
     os.makedirs(args.outdir, exist_ok=True)
     status = EXIT_OK
     for preset in presets:
-        preset = _apply_overrides(preset, args)
         scenario = preset.scenario
         dump_dir = None
         if args.dump_channels:

@@ -42,14 +42,13 @@ from .channel import (
 from .closed_forms import (
     MODEL_1TAP,
     MODEL_LTAP,
-    capacity_limit,
     delay_spread_envelopes,
-    sinr_limit_1tap,
-    sinr_limit_ltap,
+    predict,
 )
 from .metrics import (
     LinkBudget,
     combined_terms,
+    delay_moments,
     delay_spread_report,
     hybrid_terms,
     pdp_of_effective,
@@ -57,7 +56,7 @@ from .metrics import (
     spectral_rates,
     sum_rate_from_sinr,
 )
-from .numerics import SingularMatrixError, dft_of_taps
+from .numerics import SingularMatrixError
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
@@ -234,8 +233,7 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
             pdp = pdp_of_effective(effective)
             rates = [sum_rate_from_sinr(sinr_from_pdp(pdp, noise, link)) for link in links]
             record(scheme, "rate", rates)
-            eff_grid = dft_of_taps(effective.taps, k)
-            record(scheme, "capacity", spectral_rates(eff_grid, None, snrs))
+            record(scheme, "capacity", spectral_rates(effective.spectrum, None, snrs))
     return values
 
 
@@ -359,13 +357,8 @@ def _rms_block(args) -> list:
                 _build_combiner(base, channel), channel, scenario.dims.subcarriers
             )
             samples[base] = delay_spread_report(pdp_of_effective(effective)).rms
-        power = np.abs(channel.taps.taps) ** 2
-        delays = np.arange(power.shape[0], dtype=float)
-        total = power.sum(axis=0)
-        mean = np.einsum("l,lmu->mu", delays, power) / total
-        second = np.einsum("l,lmu->mu", delays**2, power) / total
-        spread = np.sqrt(np.maximum(second - mean**2, 0.0))
-        samples["siso"] = spread.ravel()
+        power = np.abs(channel.taps.taps.transpose(1, 2, 0)) ** 2
+        samples["siso"] = delay_moments(power, channel.taps.offset)[1].ravel()
         out.append((index, samples))
     return out
 
@@ -495,24 +488,9 @@ def validate_closed_forms(
     checks: list[ClosedFormCheck] = []
     for snr in scenario.snr_db:
         link = LinkBudget.from_snr_db(snr)
-        targets = {
-            "rf_ltap": (
-                sum(
-                    np.log2(1.0 + sinr_limit_ltap(link, dims.antennas, dims.users, pdp.column(u)))
-                    for u in range(dims.users)
-                ),
-                capacity_limit(link, dims.antennas, pdp, MODEL_LTAP),
-            ),
-            "rf_1tap": (
-                sum(
-                    np.log2(1.0 + sinr_limit_1tap(link, dims.antennas, dims.users, pdp.column(u)))
-                    for u in range(dims.users)
-                ),
-                capacity_limit(link, dims.antennas, pdp, MODEL_1TAP),
-            ),
-        }
-        for scheme, (rate_target, cap_target) in targets.items():
-            rate_target = float(rate_target)
+        for scheme, model in (("rf_ltap", MODEL_LTAP), ("rf_1tap", MODEL_1TAP)):
+            target = predict(link, dims.antennas, pdp, model)
+            rate_target, cap_target = target.sum_rate, target.capacity
             checks.append(
                 ClosedFormCheck(
                     name=f"{scheme}_rate@{snr:g}dB",

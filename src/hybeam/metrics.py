@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import EffectiveChannel
-from .numerics import SingularMatrixError, TapSequence, dft_of_taps
+from .numerics import SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,11 @@ def hybrid_terms(
     effective: EffectiveChannel, baseband: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signal and noise covariance grids after an optional baseband stage."""
-    k = effective.num_subcarriers
-    signal = dft_of_taps(effective.taps, k)
+    signal = effective.spectrum
     cov = effective.noise_cov_spectrum
     if baseband is not None:
         bb = np.asarray(baseband, dtype=complex)
-        if bb.shape[0] != k or bb.shape[2] != signal.shape[1]:
+        if bb.shape[0] != effective.num_subcarriers or bb.shape[2] != signal.shape[1]:
             raise ValueError("baseband grid does not align with the effective channel")
         signal = bb @ signal
         cov = bb @ cov @ _adjoint(bb)
@@ -205,27 +204,37 @@ class DelaySpread:
     rms: float
 
 
-def rms_delay_spread(profile: np.ndarray, first_delay: int = 0) -> DelaySpread:
-    """Power-weighted mean delay and RMS spread of a nonnegative profile.
+def delay_moments(power: np.ndarray, first_delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power-weighted mean delay and RMS spread over the last axis of ``power``.
 
-    The variance radicand is clamped at zero against roundoff; a profile
-    without positive mass is an error.  The RMS value is invariant to delay
-    shifts, so ``first_delay`` only moves the mean.
+    Delays run from ``first_delay`` up.  The variance radicand is clamped at
+    zero against roundoff; negative powers, a profile without positive mass
+    and a radicand below ``-1e-12`` are errors.
+    """
+    if np.any(power < 0.0):
+        raise ValueError("profile powers must be nonnegative")
+    total = power.sum(axis=-1)
+    if not np.all(total > 0.0):
+        raise ValueError("profile has no positive mass")
+    delays = np.arange(first_delay, first_delay + power.shape[-1], dtype=float)
+    mean = (power * delays).sum(axis=-1) / total
+    radicand = (power * delays**2).sum(axis=-1) / total - mean**2
+    if np.any(radicand < -1e-12):
+        raise ValueError("negative delay-spread radicand beyond roundoff")
+    return mean, np.sqrt(np.maximum(radicand, 0.0))
+
+
+def rms_delay_spread(profile: np.ndarray, first_delay: int = 0) -> DelaySpread:
+    """Power-weighted mean delay and RMS spread of a nonnegative 1-D profile.
+
+    The RMS value is invariant to delay shifts, so ``first_delay`` only
+    moves the mean; see ``delay_moments`` for the rejected profiles.
     """
     power = np.asarray(profile, dtype=float)
     if power.ndim != 1 or power.size < 1:
         raise ValueError("profile must be a nonempty 1-D array")
-    if np.any(power < 0.0):
-        raise ValueError("profile powers must be nonnegative")
-    total = power.sum()
-    if not total > 0.0:
-        raise ValueError("profile has no positive mass")
-    delays = np.arange(first_delay, first_delay + power.size, dtype=float)
-    mean = float((power * delays).sum() / total)
-    radicand = float((power * delays**2).sum() / total - mean**2)
-    if radicand < -1e-12:
-        raise ValueError("negative delay-spread radicand beyond roundoff")
-    return DelaySpread(mean_delay=mean, rms=float(np.sqrt(max(radicand, 0.0))))
+    mean, rms = delay_moments(power, first_delay)
+    return DelaySpread(mean_delay=float(mean), rms=float(rms))
 
 
 @dataclass(frozen=True)
@@ -238,10 +247,5 @@ class DelaySpreadReport:
 
 def delay_spread_report(pdp: EffectivePdp) -> DelaySpreadReport:
     """Per-user RMS delay spread of the same-user effective profiles."""
-    means = np.empty(pdp.num_users)
-    spreads = np.empty(pdp.num_users)
-    for user in range(pdp.num_users):
-        stats = rms_delay_spread(pdp.user_profile(user), pdp.offset)
-        means[user] = stats.mean_delay
-        spreads[user] = stats.rms
-    return DelaySpreadReport(mean_delay=means, rms=spreads)
+    mean, rms = delay_moments(np.einsum("uun->un", pdp.power), pdp.offset)
+    return DelaySpreadReport(mean_delay=mean, rms=rms)

@@ -108,16 +108,22 @@ def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> T
 
 
 def pinv_tall(mat: np.ndarray) -> np.ndarray:
-    """Left pseudoinverse of a tall full-column-rank matrix.
+    """Left pseudoinverse of a tall full-column-rank matrix, or of a stack of them.
 
-    Solves the normal equations after an SVD-based rank check: the smallest
-    singular value must exceed ``SINGULARITY_RTOL`` times the largest.
+    ``mat`` is ``(rows, cols)`` or ``(..., rows, cols)``; the result has the
+    last two axes swapped.  One batched SVD checks every rank (the smallest
+    singular value must exceed ``SINGULARITY_RTOL`` times the largest) and
+    one batched solve of the normal equations gives every inverse.  For a
+    stack, the raised ``SingularMatrixError.subcarrier`` is the flat index
+    of the first rank-deficient matrix.
     """
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise ValueError("pinv_tall expects a tall matrix (rows >= cols)")
     singvals = np.linalg.svd(m, compute_uv=False)
-    if singvals[0] == 0.0 or singvals[-1] < SINGULARITY_RTOL * singvals[0]:
-        raise SingularMatrixError("singular channel: matrix is rank deficient")
-    gram = m.conj().T @ m
-    return np.linalg.solve(gram, m.conj().T)
+    bad = (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * singvals[..., 0])
+    if np.any(bad):
+        first = int(np.flatnonzero(bad)[0]) if m.ndim > 2 else None
+        raise SingularMatrixError("singular channel: matrix is rank deficient", subcarrier=first)
+    adjoint = np.conj(np.swapaxes(m, -1, -2))
+    return np.linalg.solve(adjoint @ m, adjoint)

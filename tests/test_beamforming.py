@@ -31,6 +31,8 @@ from hybeam.channel import (
 from hybeam.numerics import SingularMatrixError, TapSequence, dft_of_taps
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
+# identity combiner on two antennas: white combined noise
+WHITE = CombinerIR(TapSequence(0, np.eye(2, dtype=complex)[None]))
 
 
 def rich(seed, dims=DIMS):
@@ -260,7 +262,7 @@ class TestEffectiveChannel:
 class TestZeroForcing:
     def test_diagonal_effective_channel(self):
         taps = np.diag([2.0, 4.0j]).astype(complex)[None]
-        eff = EffectiveChannel(TapSequence(0, taps), np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
+        eff = EffectiveChannel(WHITE, TapSequence(0, taps), 4)
         bb = zf_baseband(eff)
         for k in range(4):
             np.testing.assert_allclose(bb[k], np.diag([0.5, -0.25j]), atol=1e-12)
@@ -284,13 +286,23 @@ class TestZeroForcing:
     def test_singular_subcarrier_named(self):
         # taps A and -A cancel exactly at subcarrier 0 and nowhere else
         a = complex_normal(stream(40), (2, 2))
-        eff = EffectiveChannel(
-            TapSequence(0, np.stack([a, -a])),
-            np.broadcast_to(np.eye(2), (8, 2, 2)).copy(),
-        )
+        eff = EffectiveChannel(WHITE, TapSequence(0, np.stack([a, -a])), 8)
         with pytest.raises(SingularMatrixError, match="subcarrier 0") as info:
             zf_baseband(eff)
         assert info.value.subcarrier == 0
+
+    def test_singular_subcarrier_inside_the_grid(self):
+        # taps A + R and A, with R of rank one: at subcarrier 4 of 8 the second
+        # tap turns by e^{-j pi}, leaving R plus roundoff, rank deficient there only
+        a = complex_normal(stream(41), (2, 2))
+        u, v = complex_normal(stream(42), (2, 2))
+        r = np.outer(u, v.conj())
+        eff = EffectiveChannel(WHITE, TapSequence(0, np.stack([a + r, a])), 8)
+        with pytest.raises(SingularMatrixError, match="subcarrier 4") as info:
+            zf_baseband(eff)
+        assert info.value.subcarrier == 4
+        healthy = np.delete(eff.spectrum, 4, axis=0)
+        assert np.max(np.abs(zf_spectrum(healthy) @ healthy - np.eye(2))) < 1e-9
 
 
 class TestDefectAndNoisePower:

@@ -161,6 +161,16 @@ class TestRunCommand:
         assert rows
         assert "checks passed" in capsys.readouterr().out
 
+    def test_sparse_validate_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        outdir = tmp_path / "res"
+        assert run_cli("run", "fig8", "--validate", "--outdir", str(outdir)) == 2
+        assert "rich" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         def fake_run(scenario, workers=None, dump_dir=None):
             return RunResult(rows=(), realizations=100, failures=5)
@@ -216,6 +226,37 @@ class TestConfigFiles:
             "schemes = rf_ltap+zf\n"
         )
         assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 0
+
+    def test_validate_checks_every_section_first(self, tmp_path, monkeypatch):
+        # the rich section comes first and would run if sections were checked lazily
+        def never_run(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = tmp_path / "mixed.ini"
+        config.write_text(
+            "[rich_first]\n"
+            "M = 16\n"
+            "users = 2\n"
+            "L = 2\n"
+            "K = 16\n"
+            "realizations = 2\n"
+            "snr = 10\n"
+            "schemes = rf_1tap\n"
+            "\n"
+            "[sparse_second]\n"
+            "M = 16\n"
+            "users = 2\n"
+            "L = 2\n"
+            "K = 16\n"
+            "realizations = 2\n"
+            "snr = 10\n"
+            "model = sparse\n"
+            "schemes = rf_1tap\n"
+        )
+        outdir = tmp_path / "res"
+        assert run_cli("run", str(config), "--validate", "--outdir", str(outdir)) == 2
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from hybeam import beamforming, channel, numerics
 from hybeam.channel import SparseChannelConfig, SystemDims, channel_spectrum
 from hybeam.experiments import (
     PRESETS,
+    _evaluate_realization,
     ClosedFormCheck,
     Scenario,
     ValidationReport,
@@ -96,6 +98,24 @@ class TestRunScenario:
             assert row.stderr == 0.0
             assert row.realizations == 1
             assert row.seed == 99
+
+    def test_each_spectrum_computed_once(self, monkeypatch):
+        # raw channel, plus the effective spectrum of both RF bases and the
+        # noise covariance of each base that feeds a ZF stage
+        calls = []
+        original = numerics.dft_of_taps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (numerics, channel, beamforming):
+            monkeypatch.setattr(module, "dft_of_taps", counted)
+        s = small_scenario(
+            realizations=1, schemes=PRESETS["fig8"].scenario.schemes, channel_model="sparse"
+        )
+        _evaluate_realization(s, 0)
+        assert len(calls) == 5
 
     def test_runs_reproducible(self):
         s = small_scenario()

@@ -32,6 +32,7 @@ from hybeam.metrics import (
     SinrBreakdown,
     achievable_rate_hybrid,
     capacity,
+    delay_moments,
     delay_spread_report,
     pdp_of_effective,
     rate_spectral,
@@ -43,6 +44,8 @@ from hybeam.metrics import (
 from hybeam.numerics import SingularMatrixError, TapSequence, dft_of_taps
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
+# identity combiner on two antennas: white combined noise
+WHITE = CombinerIR(TapSequence(0, np.eye(2, dtype=complex)[None]))
 
 
 def rich(seed, dims=DIMS):
@@ -262,9 +265,9 @@ class TestHybridRate:
         assert achievable_rate_hybrid(eff, None, link) == pytest.approx(via_grids, rel=1e-10)
 
     def test_singular_noise_covariance_rejected(self):
+        # a zero combiner leaves an all-zero noise covariance
         taps = TapSequence(0, np.ones((1, 2, 2), dtype=complex))
-        cov = np.zeros((4, 2, 2), dtype=complex)
-        eff = EffectiveChannel(taps, cov)
+        eff = EffectiveChannel(CombinerIR(TapSequence(0, np.zeros((1, 2, 2)))), taps, 4)
         with pytest.raises(SingularMatrixError, match="noise covariance"):
             achievable_rate_hybrid(eff, None, LinkBudget())
 
@@ -280,14 +283,14 @@ class TestPdpAndSinr:
         taps = np.zeros((2, 2, 2), dtype=complex)
         taps[0] = [[1.0, 2.0], [3.0, 4.0]]
         taps[1] = [[5.0, 6.0], [7.0, 8.0]]
-        pdp = pdp_of_effective(EffectiveChannel(TapSequence(-1, taps), np.eye(2)[None]))
+        pdp = pdp_of_effective(EffectiveChannel(WHITE, TapSequence(-1, taps), 2))
         assert pdp.offset == -1
         assert pdp.zero_index == 1
         np.testing.assert_allclose(pdp.power[0, 1], [4.0, 36.0])
         np.testing.assert_allclose(pdp.user_profile(1), [16.0, 64.0])
 
     def test_single_tap_identity_channel(self):
-        eff = EffectiveChannel(TapSequence(0, np.eye(2, dtype=complex)[None]), np.eye(2)[None])
+        eff = EffectiveChannel(WHITE, TapSequence(0, np.eye(2, dtype=complex)[None]), 1)
         link = LinkBudget(transmit_power=2.0, noise_variance=0.5)
         got = sinr_from_pdp(pdp_of_effective(eff), np.array([0.5, 0.5]), link)
         np.testing.assert_allclose(got.signal, 2.0)
@@ -322,7 +325,7 @@ class TestPdpAndSinr:
             sinr_from_pdp(pdp, np.array([1.0]), LinkBudget())
 
     def test_noise_must_be_positive(self):
-        eff = EffectiveChannel(TapSequence(0, np.eye(2, dtype=complex)[None]), np.eye(2)[None])
+        eff = EffectiveChannel(WHITE, TapSequence(0, np.eye(2, dtype=complex)[None]), 1)
         with pytest.raises(ValueError):
             sinr_from_pdp(pdp_of_effective(eff), np.array([1.0, 0.0]), LinkBudget())
 
@@ -415,6 +418,14 @@ class TestRmsDelaySpread:
             rms_delay_spread(np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             rms_delay_spread(np.ones((2, 2)))
+
+    def test_moments_over_last_axis_match_single_profiles(self):
+        power = np.abs(complex_normal(stream(62), (3, 2, 5))) ** 2
+        mean, rms = delay_moments(power, -2)
+        for index in np.ndindex(3, 2):
+            single = rms_delay_spread(power[index], -2)
+            assert mean[index] == pytest.approx(single.mean_delay, abs=1e-14)
+            assert rms[index] == pytest.approx(single.rms, abs=1e-14)
 
     def test_report_matches_per_user_loop(self):
         ch = rich(60)

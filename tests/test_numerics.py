@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybeam.channel import complex_normal, stream
 from hybeam.numerics import (
@@ -200,3 +202,23 @@ class TestPinvTall:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
             pinv_tall(np.ones((2, 4)))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        cols=st.integers(1, 4),
+        extra_rows=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_per_matrix_calls(self, k, cols, extra_rows, seed):
+        stack = complex_normal(stream(630, seed), (k, cols + extra_rows, cols))
+        expected = np.stack([pinv_tall(m) for m in stack])
+        np.testing.assert_allclose(pinv_tall(stack), expected, rtol=0.0, atol=1e-12)
+
+    def test_stack_names_first_rank_deficient_matrix(self):
+        stack = complex_normal(stream(640), (5, 4, 2))
+        stack[3, :, 1] = stack[3, :, 0]
+        stack[4] = 0.0
+        with pytest.raises(SingularMatrixError) as info:
+            pinv_tall(stack)
+        assert info.value.subcarrier == 3
