@@ -19,6 +19,7 @@ from .numerics import (
     TapSequence,
     circular_convolve,
     dft_of_taps,
+    gram_eigvals,
     pinv_tall,
 )
 
@@ -180,9 +181,10 @@ class EffectiveChannel:
     and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
     views are computed on first read and kept, so each is computed at most
     once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
-    DFT of the taps, and ``noise_cov_spectrum`` is the per-subcarrier
-    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
-    frequency response ``W(k)``.
+    DFT of the taps, ``gram_eigvals`` the ascending eigenvalues of
+    ``G(k)^H G(k)`` for that spectrum ``G(k)``, and ``noise_cov_spectrum``
+    the per-subcarrier covariance of the combined noise, ``W(k) W(k)^H`` for
+    the combiner's frequency response ``W(k)``.
     """
 
     combiner: CombinerIR
@@ -194,9 +196,22 @@ class EffectiveChannel:
         return dft_of_taps(self.taps, self.num_subcarriers)
 
     @cached_property
+    def gram_eigvals(self) -> np.ndarray:
+        return gram_eigvals(self.spectrum)
+
+    @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:
-        w = dft_of_taps(self.combiner.taps, self.num_subcarriers)
-        return w @ np.conj(np.swapaxes(w, -1, -2))
+        # W(k) W(k)^H is the DFT of the autocorrelation taps
+        # R_d = sum_i W_{i+d} W_i^H: the convolution of W with its
+        # time-reversed adjoint, 2S-1 taps of U x U instead of K products of
+        # (U x M)(M x U).  A grid too short for those taps takes the product.
+        w = self.combiner.taps
+        k = self.num_subcarriers
+        if 2 * w.span - 1 > k:
+            grid = dft_of_taps(w, k)
+            return grid @ np.conj(np.swapaxes(grid, -1, -2))
+        flipped = TapSequence(-(w.offset + w.span - 1), np.conj(np.swapaxes(w.taps[::-1], -1, -2)))
+        return dft_of_taps(circular_convolve(w, flipped, k), k)
 
 
 def effective_channel(

@@ -25,8 +25,6 @@ from .beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
-    zf_baseband,
-    zf_spectrum,
 )
 from .channel import (
     ChannelRealization,
@@ -47,16 +45,14 @@ from .closed_forms import (
 )
 from .metrics import (
     LinkBudget,
-    combined_terms,
     delay_moments,
     delay_spread_report,
-    hybrid_terms,
     pdp_of_effective,
-    sinr_from_pdp,
+    rates_from_eigvals,
+    sinr_sum_rates,
     spectral_rates,
-    sum_rate_from_sinr,
 )
-from .numerics import SingularMatrixError
+from .numerics import SingularMatrixError, gram_eigvals, require_full_column_rank
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
@@ -188,21 +184,28 @@ def _build_combiner(base: str, channel: ChannelRealization) -> CombinerIR:
 def _evaluate_realization(scenario: Scenario, index: int) -> dict:
     """All (scheme, metric, snr) values for one shared channel draw.
 
-    Every log-det rate covers the whole SNR grid in one kernel call.
+    Every log-det rate covers the whole SNR grid from one set of Gram
+    eigenvalues.  Rates keep the combined noise at its exact covariance
+    ``C``, so an invertible ZF baseband ``B`` drops out of them:
+    ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
+    check here: ``zf`` has the raw capacity's eigenvalues (``W = H^+``
+    leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
+    effective channel itself.
     """
     channel = draw_realization(scenario, index)
     k = scenario.dims.subcarriers
     links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
     snrs = [link.snr for link in links]
-    raw_grid = None
+    raw_grid = raw_eigvals = None
     built: dict[str, tuple[CombinerIR, EffectiveChannel]] = {}
     values: dict[tuple[str, str, float], float] = {}
 
-    def raw() -> np.ndarray:
-        nonlocal raw_grid
+    def raw() -> tuple[np.ndarray, np.ndarray]:
+        nonlocal raw_grid, raw_eigvals
         if raw_grid is None:
             raw_grid = channel_spectrum(channel, k)
-        return raw_grid
+            raw_eigvals = gram_eigvals(raw_grid)
+        return raw_grid, raw_eigvals
 
     def build(base: str) -> tuple[CombinerIR, EffectiveChannel]:
         if base not in built:
@@ -216,24 +219,24 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
 
     for scheme in scenario.schemes:
         if scheme == "capacity":
-            record(scheme, "capacity", spectral_rates(raw(), None, snrs))
+            record(scheme, "capacity", rates_from_eigvals(raw()[1], snrs))
             continue
         if scheme == "zf":
-            terms = combined_terms(zf_spectrum(raw()), raw())
-            record(scheme, "rate", spectral_rates(*terms, snrs))
+            require_full_column_rank(*raw())
+            record(scheme, "rate", rates_from_eigvals(raw()[1], snrs))
             continue
         base, with_zf = _parse_scheme(scheme)
         combiner, effective = build(base)
         if with_zf:
-            terms = hybrid_terms(effective, zf_baseband(effective))
-            record(scheme, "rate", spectral_rates(*terms, snrs))
+            require_full_column_rank(effective.spectrum, effective.gram_eigvals)
+            rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
+            record(scheme, "rate", rates)
         else:
             # every link of the grid has unit noise variance
             noise = combiner_noise_power(combiner, 1.0)
-            pdp = pdp_of_effective(effective)
-            rates = [sum_rate_from_sinr(sinr_from_pdp(pdp, noise, link)) for link in links]
-            record(scheme, "rate", rates)
-            record(scheme, "capacity", spectral_rates(effective.spectrum, None, snrs))
+            powers = [link.transmit_power for link in links]
+            record(scheme, "rate", sinr_sum_rates(pdp_of_effective(effective), noise, powers))
+            record(scheme, "capacity", rates_from_eigvals(effective.gram_eigvals, snrs))
     return values
 
 

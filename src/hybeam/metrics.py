@@ -4,7 +4,9 @@ Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
 SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them: it
 whitens colored noise exactly with a Cholesky factor (never approximating it
 as white), takes one eigendecomposition per subcarrier, and evaluates the
-whole SNR grid from those eigenvalues.
+whole SNR grid from those eigenvalues.  The two steps are separate
+(``spectral_eigvals`` and ``rates_from_eigvals``) so that callers can share
+one set of eigenvalues.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import EffectiveChannel
-from .numerics import SingularMatrixError
+from .numerics import SingularMatrixError, gram_eigvals
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,12 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
 
 
-def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
-    """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
+def spectral_eigvals(signal: np.ndarray, noise_cov: np.ndarray | None) -> np.ndarray:
+    """Ascending eigenvalues of ``A(k)^H A(k)`` on every subcarrier, ``(K, cols)``.
 
     ``signal`` is a ``(K, rows, cols)`` grid; ``A(k)`` is ``signal[k]``
     itself in white noise (``noise_cov=None``) and ``L(k)^{-1} signal[k]``
-    when the noise has covariance ``L(k) L(k)^H``.  One eigendecomposition
-    per subcarrier serves the whole SNR grid.
+    when the noise has covariance ``L(k) L(k)^H``.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim != 3:
@@ -59,9 +60,22 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
         except np.linalg.LinAlgError:
             raise SingularMatrixError("singular noise covariance") from None
         a = np.linalg.solve(chol, a)
-    eigvals = np.linalg.eigvalsh(_adjoint(a) @ a)
+    return gram_eigvals(a)
+
+
+def rates_from_eigvals(eigvals: np.ndarray, snrs) -> np.ndarray:
+    """``mean_k sum log2(1 + snr * lambda)`` of ``(K, cols)`` eigenvalues, per linear SNR."""
     snr = np.asarray(snrs, dtype=float)[:, None, None]
     return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
+
+
+def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
+
+    ``A(k)`` is as in ``spectral_eigvals``; one eigendecomposition per
+    subcarrier serves the whole SNR grid.
+    """
+    return rates_from_eigvals(spectral_eigvals(signal, noise_cov), snrs)
 
 
 def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:
@@ -171,6 +185,19 @@ class SinrBreakdown:
         object.__setattr__(self, "sinr", self.signal / (self.isi + self.mui + self.noise))
 
 
+def _sinr_breakdown(pdp: EffectivePdp, noise_power: np.ndarray, pt) -> SinrBreakdown:
+    """Breakdown at transmit power ``pt``: a scalar, or a ``(P, 1)`` column of powers."""
+    zero = pdp.zero_index
+    if not 0 <= zero < pdp.power.shape[2]:
+        raise ValueError("delay 0 is outside the stored profile")
+    own = np.einsum("uun->un", pdp.power)
+    signal = pt * own[:, zero]
+    isi = pt * (own.sum(axis=1) - own[:, zero])
+    totals = pdp.power.sum(axis=2)
+    mui = pt * (totals.sum(axis=1) - np.einsum("uu->u", totals))
+    return SinrBreakdown(signal=signal, isi=isi, mui=mui, noise=noise_power)
+
+
 def sinr_from_pdp(pdp: EffectivePdp, noise_power: np.ndarray, link: LinkBudget) -> SinrBreakdown:
     """Symbol-level SINR when detection reads the delay-0 composite tap.
 
@@ -179,16 +206,17 @@ def sinr_from_pdp(pdp: EffectivePdp, noise_power: np.ndarray, link: LinkBudget) 
     each weighted by the transmit power.  ``noise_power`` is the per-user
     combined noise power.
     """
-    zero = pdp.zero_index
-    if not 0 <= zero < pdp.power.shape[2]:
-        raise ValueError("delay 0 is outside the stored profile")
-    pt = link.transmit_power
-    own = np.einsum("uun->un", pdp.power)
-    signal = pt * own[:, zero]
-    isi = pt * (own.sum(axis=1) - own[:, zero])
-    totals = pdp.power.sum(axis=2)
-    mui = pt * (totals.sum(axis=1) - np.einsum("uu->u", totals))
-    return SinrBreakdown(signal=signal, isi=isi, mui=mui, noise=noise_power)
+    return _sinr_breakdown(pdp, noise_power, link.transmit_power)
+
+
+def sinr_sum_rates(pdp: EffectivePdp, noise_power: np.ndarray, transmit_powers) -> np.ndarray:
+    """``sum_rate_from_sinr(sinr_from_pdp(...))`` for every transmit power at once.
+
+    One breakdown with a leading power axis replaces one per link, with the
+    same arithmetic; the result has one sum rate per transmit power.
+    """
+    pt = np.asarray(transmit_powers, dtype=float)[:, None]
+    return np.sum(np.log2(1.0 + _sinr_breakdown(pdp, noise_power, pt).sinr), axis=-1)
 
 
 def sum_rate_from_sinr(breakdown: SinrBreakdown) -> float:

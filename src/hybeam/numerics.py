@@ -1,4 +1,4 @@
-"""Matrix-valued tap sequences, their transforms, and the checked pseudoinverse.
+"""Matrix-valued tap sequences, their transforms, the rank check and the pseudoinverse.
 
 A tap sequence is a finite matrix-valued impulse response: one matrix per
 integer delay on a contiguous range.  Everything downstream (channels,
@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative threshold of the rank check in ``pinv_tall``.
+# Relative threshold of the rank check: the smallest singular value must
+# exceed this fraction of the largest.
 SINGULARITY_RTOL = 1e-10
+# Gram-eigenvalue screen of the rank check.  Forming ``A^H A`` (error about
+# rows * eps * sigma_max^2) and ``eigvalsh`` (about eps * lambda_max) cannot
+# lift ``lambda_min`` past this fraction of ``lambda_max`` unless the true
+# ``sigma_min / sigma_max`` is about 1e-4 or more, far above
+# ``SINGULARITY_RTOL``; so a matrix passing the screen passes the SVD test.
+GRAM_SCREEN_RTOL = 1e-8
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -102,28 +109,58 @@ def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> T
         )
     out = np.zeros((out_span, rows_a, cols_b), dtype=complex)
     for i in range(a.span):
-        for j in range(b.span):
-            out[i + j] += a.taps[i] @ b.taps[j]
+        out[i : i + b.span] += a.taps[i] @ b.taps
     return TapSequence(a.offset + b.offset, out)
+
+
+def gram_eigvals(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``A^H A`` for every matrix ``A`` of a ``(..., rows, cols)`` stack."""
+    m = np.asarray(mat, dtype=complex)
+    return np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m)
+
+
+def require_full_column_rank(mat: np.ndarray, gram: np.ndarray | None = None) -> None:
+    """Raise ``SingularMatrixError`` unless every matrix of a stack has full column rank.
+
+    ``mat`` is ``(rows, cols)`` or ``(..., rows, cols)``.  The test is the
+    SVD's: the smallest singular value must exceed ``SINGULARITY_RTOL``
+    times the largest.  ``gram``, the ascending ``gram_eigvals`` of
+    ``mat``, screens first: a matrix with ``lambda_min > GRAM_SCREEN_RTOL *
+    lambda_max`` passes without an SVD, and only the rest are decomposed,
+    so every decision is the SVD test's.  For a stack, the error's
+    ``subcarrier`` is the flat index of the first rank-deficient matrix.
+    """
+    m = np.asarray(mat, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
+        raise ValueError("full column rank needs a tall matrix (rows >= cols)")
+    if gram is None:
+        suspect = np.ones(m.shape[:-2], dtype=bool)
+    else:
+        lam = np.asarray(gram, dtype=float)
+        suspect = ~(lam[..., 0] > GRAM_SCREEN_RTOL * lam[..., -1])
+    if not np.any(suspect):
+        return
+    singvals = np.linalg.svd(m[suspect], compute_uv=False)
+    bad = (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * singvals[..., 0])
+    if np.any(bad):
+        first = int(np.flatnonzero(suspect)[np.flatnonzero(bad)[0]]) if m.ndim > 2 else None
+        raise SingularMatrixError("singular channel: matrix is rank deficient", subcarrier=first)
 
 
 def pinv_tall(mat: np.ndarray) -> np.ndarray:
     """Left pseudoinverse of a tall full-column-rank matrix, or of a stack of them.
 
     ``mat`` is ``(rows, cols)`` or ``(..., rows, cols)``; the result has the
-    last two axes swapped.  One batched SVD checks every rank (the smallest
-    singular value must exceed ``SINGULARITY_RTOL`` times the largest) and
-    one batched solve of the normal equations gives every inverse.  For a
-    stack, the raised ``SingularMatrixError.subcarrier`` is the flat index
-    of the first rank-deficient matrix.
+    last two axes swapped.  ``require_full_column_rank``, screened by the
+    eigenvalues of the Gram matrices, checks every rank, and one batched
+    solve of the normal equations gives every inverse.  For a stack, the
+    raised ``SingularMatrixError.subcarrier`` is the flat index of the
+    first rank-deficient matrix.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise ValueError("pinv_tall expects a tall matrix (rows >= cols)")
-    singvals = np.linalg.svd(m, compute_uv=False)
-    bad = (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * singvals[..., 0])
-    if np.any(bad):
-        first = int(np.flatnonzero(bad)[0]) if m.ndim > 2 else None
-        raise SingularMatrixError("singular channel: matrix is rank deficient", subcarrier=first)
     adjoint = np.conj(np.swapaxes(m, -1, -2))
-    return np.linalg.solve(adjoint @ m, adjoint)
+    gram = adjoint @ m
+    require_full_column_rank(m, np.linalg.eigvalsh(gram))
+    return np.linalg.solve(gram, adjoint)

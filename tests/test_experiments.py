@@ -1,9 +1,12 @@
 """Scenario runner: reproducibility, aggregation, presets, validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hybeam import beamforming, channel, numerics
+from hybeam import beamforming, channel, experiments, numerics
+from hybeam.beamforming import effective_channel, zf_baseband, zf_spectrum
 from hybeam.channel import SparseChannelConfig, SystemDims, channel_spectrum
 from hybeam.experiments import (
     PRESETS,
@@ -18,7 +21,14 @@ from hybeam.experiments import (
     run_scenario,
     validate_closed_forms,
 )
-from hybeam.metrics import LinkBudget, capacity
+from hybeam.metrics import (
+    LinkBudget,
+    achievable_rate_hybrid,
+    capacity,
+    combined_terms,
+    spectral_rates,
+)
+from hybeam.numerics import TapSequence
 
 SMALL_DIMS = SystemDims(antennas=24, users=3, taps=4, subcarriers=32)
 
@@ -116,6 +126,54 @@ class TestRunScenario:
         )
         _evaluate_realization(s, 0)
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("model", ["rich", "sparse"])
+    def test_zf_rates_equal_the_explicit_zf_stage(self, model):
+        # an invertible baseband drops out of the exact colored-noise rate, so
+        # the runner reads ZF rates without building the ZF stage
+        bases = ("mf", "rf_1tap", "rf_ltap", "heuristic_1tap", "bank_2L")
+        s = small_scenario(
+            snr_db=(-10.0, 10.0, 30.0),
+            schemes=("zf",) + tuple(f"{base}+zf" for base in bases),
+            channel_model=model,
+        )
+        for index in range(3):
+            values = _evaluate_realization(s, index)
+            ch = draw_realization(s, index)
+            grid = channel_spectrum(ch)
+            links = [LinkBudget.from_snr_db(snr) for snr in s.snr_db]
+            explicit = spectral_rates(
+                *combined_terms(zf_spectrum(grid), grid), [link.snr for link in links]
+            )
+            for snr, rate in zip(s.snr_db, explicit):
+                assert values[("zf", "rate", snr)] == pytest.approx(rate, rel=1e-12)
+            for base in bases:
+                eff = effective_channel(experiments._build_combiner(base, ch), ch)
+                bb = zf_baseband(eff)
+                for snr, link in zip(s.snr_db, links):
+                    assert values[(f"{base}+zf", "rate", snr)] == pytest.approx(
+                        achievable_rate_hybrid(eff, bb, link), rel=1e-12
+                    )
+
+    def test_singular_realizations_are_counted(self, monkeypatch):
+        # even realizations get two identical users, so every ZF stage on them
+        # is singular: the raw channel and every effective channel alike
+        original = experiments.draw_realization
+
+        def degenerate(scenario, index, antennas=None):
+            ch = original(scenario, index, antennas)
+            if index % 2:
+                return ch
+            taps = ch.taps.taps.copy()
+            taps[:, :, 1] = taps[:, :, 0]
+            return replace(ch, taps=TapSequence(0, taps))
+
+        monkeypatch.setattr(experiments, "draw_realization", degenerate)
+        for schemes in (("capacity", "zf"), ("capacity", "rf_ltap+zf"), ("mf+zf",)):
+            result = run_scenario(small_scenario(schemes=schemes), workers=1)
+            assert result.failures == 3
+            assert result.rows
+            assert all(row.realizations == 3 for row in result.rows)
 
     def test_runs_reproducible(self):
         s = small_scenario()

@@ -38,6 +38,7 @@ from hybeam.metrics import (
     rate_spectral,
     rms_delay_spread,
     sinr_from_pdp,
+    sinr_sum_rates,
     spectral_rates,
     sum_rate_from_sinr,
 )
@@ -328,6 +329,25 @@ class TestPdpAndSinr:
         eff = EffectiveChannel(WHITE, TapSequence(0, np.eye(2, dtype=complex)[None]), 1)
         with pytest.raises(ValueError):
             sinr_from_pdp(pdp_of_effective(eff), np.array([1.0, 0.0]), LinkBudget())
+
+    def test_power_grid_equals_per_link_path_exactly(self):
+        ch = rich(60)
+        w = rf_ltap(ch)
+        pdp = pdp_of_effective(effective_channel(w, ch))
+        noise = combiner_noise_power(w, 1.0)
+        links = [LinkBudget.from_snr_db(s) for s in (-10.0, -2.5, 0.0, 7.0, 20.0, 40.0)]
+        expected = [sum_rate_from_sinr(sinr_from_pdp(pdp, noise, link)) for link in links]
+        got = sinr_sum_rates(pdp, noise, [link.transmit_power for link in links])
+        np.testing.assert_array_equal(got, expected)
+
+    def test_power_grid_rejects_what_the_breakdown_rejects(self):
+        from hybeam.metrics import EffectivePdp
+
+        eff = EffectiveChannel(WHITE, TapSequence(0, np.eye(2, dtype=complex)[None]), 1)
+        with pytest.raises(ValueError):
+            sinr_sum_rates(pdp_of_effective(eff), np.array([1.0, 0.0]), [1.0])
+        with pytest.raises(ValueError):
+            sinr_sum_rates(EffectivePdp(np.ones((1, 1, 2)), offset=1), np.array([1.0]), [1.0])
 
     def test_same_user_coupling_expectations(self):
         # per-tap phase alignment: the off-zero same-user couplings average to

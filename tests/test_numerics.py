@@ -11,7 +11,9 @@ from hybeam.numerics import (
     TapSequence,
     circular_convolve,
     dft_of_taps,
+    gram_eigvals,
     pinv_tall,
+    require_full_column_rank,
 )
 
 
@@ -163,6 +165,16 @@ class TestCircularConvolve:
         product = np.matmul(dft_of_taps(a, 8), dft_of_taps(b, 8))
         np.testing.assert_allclose(dft_of_taps(circular_convolve(a, b, 8), 8), product, atol=1e-10)
 
+    def test_equals_tap_pair_double_loop_exactly(self):
+        # the batched form adds the products of each output tap in the same order
+        a = random_seq(320, 3, 2, 5, offset=-2)
+        b = random_seq(321, 4, 5, 3, offset=1)
+        expected = np.zeros((6, 2, 3), dtype=complex)
+        for i in range(a.span):
+            for j in range(b.span):
+                expected[i + j] += a.taps[i] @ b.taps[j]
+        np.testing.assert_array_equal(circular_convolve(a, b, 8).taps, expected)
+
     def test_bilinearity(self):
         a = random_seq(410, 2, 2, 2)
         b = random_seq(411, 2, 2, 2)
@@ -222,3 +234,79 @@ class TestPinvTall:
         with pytest.raises(SingularMatrixError) as info:
             pinv_tall(stack)
         assert info.value.subcarrier == 3
+
+
+def planted(key, rows, cols, ratio):
+    """Random ``rows x cols`` matrix with singular values from 1 down to ``ratio``;
+    ``ratio=0`` duplicates a column instead, so the matrix is exactly rank deficient."""
+    base = complex_normal(stream(650, key), (rows, cols))
+    if ratio == 0.0:
+        base[:, -1] = base[:, 0]
+        return base
+    u, _ = np.linalg.qr(base)
+    v, _ = np.linalg.qr(complex_normal(stream(651, key), (cols, cols)))
+    return (u * np.geomspace(1.0, ratio, cols)) @ v.conj().T
+
+
+def rank_verdict(stack, gram):
+    try:
+        require_full_column_rank(stack, gram)
+    except SingularMatrixError as exc:
+        return exc.subcarrier
+    return "full rank"
+
+
+class TestRankCheck:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from([None, 1e-3, 1e-5, 1e-9, 1e-11, 0.0]), min_size=1, max_size=6),
+        cols=st.integers(2, 4),
+        extra_rows=st.integers(0, 40),
+        scale_exp=st.integers(-6, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_decides_as_the_svd_alone(self, kinds, cols, extra_rows, scale_exp, seed):
+        rows = cols + extra_rows
+        stack = 10.0**scale_exp * np.stack(
+            [
+                complex_normal(stream(652, seed, i), (rows, cols))
+                if kind is None
+                else planted(seed + i, rows, cols, kind)
+                for i, kind in enumerate(kinds)
+            ]
+        )
+        assert rank_verdict(stack, gram_eigvals(stack)) == rank_verdict(stack, None)
+
+    def test_planted_ratios_around_the_threshold(self):
+        kinds = [1e-3, 1e-5, 1e-9, 1e-11, 0.0]
+        stack = np.stack([planted(660 + i, 6, 3, kind) for i, kind in enumerate(kinds)])
+        gram = gram_eigvals(stack)
+        assert rank_verdict(stack, gram) == 3
+        assert rank_verdict(stack[:3], gram[:3]) == "full rank"
+        assert rank_verdict(stack[4:], gram[4:]) == 0
+
+    def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
+        stack = complex_normal(stream(670), (16, 12, 4))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the Gram screen should have decided")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        require_full_column_rank(stack, gram_eigvals(stack))
+
+    def test_single_matrix_error_has_no_index(self):
+        dup = planted(680, 5, 3, 0.0)
+        for gram in (None, gram_eigvals(dup)):
+            with pytest.raises(SingularMatrixError) as info:
+                require_full_column_rank(dup, gram)
+            assert info.value.subcarrier is None
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match="tall"):
+            require_full_column_rank(np.ones((3, 2, 4)))
+
+    def test_gram_eigvals_ascending_and_match_singular_values(self):
+        stack = complex_normal(stream(690), (3, 7, 3))
+        lam = gram_eigvals(stack)
+        singvals = np.linalg.svd(stack, compute_uv=False)
+        np.testing.assert_allclose(lam, singvals[:, ::-1] ** 2, rtol=1e-12)
