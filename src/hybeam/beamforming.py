@@ -201,17 +201,8 @@ class EffectiveChannel:
 
     @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:
-        # W(k) W(k)^H is the DFT of the autocorrelation taps
-        # R_d = sum_i W_{i+d} W_i^H: the convolution of W with its
-        # time-reversed adjoint, 2S-1 taps of U x U instead of K products of
-        # (U x M)(M x U).  A grid too short for those taps takes the product.
-        w = self.combiner.taps
-        k = self.num_subcarriers
-        if 2 * w.span - 1 > k:
-            grid = dft_of_taps(w, k)
-            return grid @ np.conj(np.swapaxes(grid, -1, -2))
-        flipped = TapSequence(-(w.offset + w.span - 1), np.conj(np.swapaxes(w.taps[::-1], -1, -2)))
-        return dft_of_taps(circular_convolve(w, flipped, k), k)
+        w = dft_of_taps(self.combiner.taps, self.num_subcarriers)
+        return w @ np.conj(np.swapaxes(w, -1, -2))
 
 
 def effective_channel(

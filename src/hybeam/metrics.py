@@ -4,9 +4,8 @@ Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
 SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them: it
 whitens colored noise exactly with a Cholesky factor (never approximating it
 as white), takes one eigendecomposition per subcarrier, and evaluates the
-whole SNR grid from those eigenvalues.  The two steps are separate
-(``spectral_eigvals`` and ``rates_from_eigvals``) so that callers can share
-one set of eigenvalues.
+whole SNR grid from those eigenvalues.  ``rates_from_eigvals`` is that
+last step alone, for callers that share one set of eigenvalues.
 """
 
 from __future__ import annotations
@@ -43,12 +42,19 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
 
 
-def spectral_eigvals(signal: np.ndarray, noise_cov: np.ndarray | None) -> np.ndarray:
-    """Ascending eigenvalues of ``A(k)^H A(k)`` on every subcarrier, ``(K, cols)``.
+def rates_from_eigvals(eigvals: np.ndarray, snrs) -> np.ndarray:
+    """``mean_k sum log2(1 + snr * lambda)`` of ``(K, cols)`` eigenvalues, per linear SNR."""
+    snr = np.asarray(snrs, dtype=float)[:, None, None]
+    return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
+
+
+def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
 
     ``signal`` is a ``(K, rows, cols)`` grid; ``A(k)`` is ``signal[k]``
     itself in white noise (``noise_cov=None``) and ``L(k)^{-1} signal[k]``
-    when the noise has covariance ``L(k) L(k)^H``.
+    when the noise has covariance ``L(k) L(k)^H``.  One eigendecomposition
+    per subcarrier serves the whole SNR grid.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim != 3:
@@ -60,22 +66,7 @@ def spectral_eigvals(signal: np.ndarray, noise_cov: np.ndarray | None) -> np.nda
         except np.linalg.LinAlgError:
             raise SingularMatrixError("singular noise covariance") from None
         a = np.linalg.solve(chol, a)
-    return gram_eigvals(a)
-
-
-def rates_from_eigvals(eigvals: np.ndarray, snrs) -> np.ndarray:
-    """``mean_k sum log2(1 + snr * lambda)`` of ``(K, cols)`` eigenvalues, per linear SNR."""
-    snr = np.asarray(snrs, dtype=float)[:, None, None]
-    return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
-
-
-def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
-    """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
-
-    ``A(k)`` is as in ``spectral_eigvals``; one eigendecomposition per
-    subcarrier serves the whole SNR grid.
-    """
-    return rates_from_eigvals(spectral_eigvals(signal, noise_cov), snrs)
+    return rates_from_eigvals(gram_eigvals(a), snrs)
 
 
 def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:

@@ -151,16 +151,15 @@ def pinv_tall(mat: np.ndarray) -> np.ndarray:
     """Left pseudoinverse of a tall full-column-rank matrix, or of a stack of them.
 
     ``mat`` is ``(rows, cols)`` or ``(..., rows, cols)``; the result has the
-    last two axes swapped.  ``require_full_column_rank``, screened by the
-    eigenvalues of the Gram matrices, checks every rank, and one batched
-    solve of the normal equations gives every inverse.  For a stack, the
-    raised ``SingularMatrixError.subcarrier`` is the flat index of the
-    first rank-deficient matrix.
+    last two axes swapped.  ``require_full_column_rank`` checks every rank
+    with one batched SVD, and one batched solve of the normal equations
+    gives every inverse.  For a stack, the raised
+    ``SingularMatrixError.subcarrier`` is the flat index of the first
+    rank-deficient matrix.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise ValueError("pinv_tall expects a tall matrix (rows >= cols)")
+    require_full_column_rank(m)
     adjoint = np.conj(np.swapaxes(m, -1, -2))
-    gram = adjoint @ m
-    require_full_column_rank(m, np.linalg.eigvalsh(gram))
-    return np.linalg.solve(gram, adjoint)
+    return np.linalg.solve(adjoint @ m, adjoint)

@@ -253,15 +253,6 @@ class TestEffectiveChannel:
                 eff.noise_cov_spectrum[k], w_grid[k] @ w_grid[k].conj().T, atol=1e-12
             )
 
-    def test_noise_cov_of_long_combiner_on_short_grid(self):
-        # 2S-1 autocorrelation taps do not fit on K=6; the direct product serves
-        w = CombinerIR(TapSequence(-4, complex_normal(stream(27), (5, 2, 3))))
-        eff = EffectiveChannel(w, TapSequence(0, complex_normal(stream(28), (1, 2, 2))), 6)
-        w_grid = dft_of_taps(w.taps, 6)
-        np.testing.assert_allclose(
-            eff.noise_cov_spectrum, w_grid @ np.conj(np.swapaxes(w_grid, 1, 2)), atol=1e-12
-        )
-
     def test_gram_eigvals_of_spectrum(self):
         ch = rich(29)
         eff = effective_channel(rf_1tap(ch), ch)

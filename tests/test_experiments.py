@@ -175,6 +175,31 @@ class TestRunScenario:
             assert result.rows
             assert all(row.realizations == 3 for row in result.rows)
 
+    def test_near_singular_raw_channel_gets_a_rate(self, monkeypatch):
+        # a second user 1e-9 away from the first gives sigma ratios of 1-2e-9:
+        # the Gram screen cannot tell, the SVD test accepts, so the realization
+        # counts and its zf rate is its capacity
+        original = experiments.draw_realization
+
+        def near(scenario, index, antennas=None):
+            ch = original(scenario, index, antennas)
+            if index % 2:
+                return ch
+            taps = ch.taps.taps.copy()
+            rng = np.random.default_rng(index)
+            shape = taps[:, :, 0].shape
+            nudge = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            taps[:, :, 1] = taps[:, :, 0] + 1e-9 * nudge
+            return replace(ch, taps=TapSequence(0, taps))
+
+        monkeypatch.setattr(experiments, "draw_realization", near)
+        result = run_scenario(small_scenario(schemes=("capacity", "zf")), workers=1)
+        assert result.failures == 0
+        assert all(row.realizations == 6 for row in result.rows)
+        rows = {(row.scheme, row.snr_db): row.value for row in result.rows}
+        for snr in (0.0, 10.0):
+            assert rows[("zf", snr)] == rows[("capacity", snr)]
+
     def test_runs_reproducible(self):
         s = small_scenario()
         assert run_scenario(s) == run_scenario(s)
