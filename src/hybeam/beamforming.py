@@ -92,28 +92,9 @@ def rf_ltap(channel: ChannelRealization) -> CombinerIR:
     return _phase_only(channel.taps.taps[::-1].transpose(0, 2, 1), -(channel.dims.taps - 1))
 
 
-def rf_1tap(
-    channel: ChannelRealization,
-    tap_index: int = 0,
-    strongest_per_user: bool = False,
-) -> CombinerIR:
-    """Single-tap constant-modulus combiner aligned to one channel delay.
-
-    By default aligns every user to channel tap ``tap_index``.  With
-    ``strongest_per_user`` each user instead aligns to its own
-    largest-power tap (useful for profiles that do not lead with tap 0).
-    """
-    h = channel.taps.taps
-    num_taps, _, users = h.shape
-    if strongest_per_user:
-        tap_power = np.sum(np.abs(h) ** 2, axis=1)
-        picks = np.argmax(tap_power, axis=0)
-        columns = h[picks, :, np.arange(users)]
-    else:
-        if not 0 <= tap_index < num_taps:
-            raise ValueError(f"tap_index {tap_index} outside 0..{num_taps - 1}")
-        columns = h[tap_index].T
-    return _phase_only(columns[None], 0)
+def rf_1tap(channel: ChannelRealization) -> CombinerIR:
+    """Single-tap constant-modulus combiner aligned to the leading channel tap."""
+    return _phase_only(channel.taps.taps[0].T[None], 0)
 
 
 def rf_1tap_sum_heuristic(channel: ChannelRealization) -> CombinerIR:

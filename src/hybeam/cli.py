@@ -21,6 +21,7 @@ from .channel import SparseChannelConfig, SystemDims
 from .experiments import (
     DEFAULT_SNR_GRID,
     PRESETS,
+    VALIDATED_SCHEMES,
     Preset,
     ResultRow,
     Scenario,
@@ -243,17 +244,23 @@ def cmd_run(args) -> int:
         if args.dump_channels:
             dump_dir = os.path.join(args.outdir, f"{scenario.name}_channels")
             os.makedirs(dump_dir, exist_ok=True)
+        schemes = scenario.schemes
+        if args.validate:
+            # validation reads these schemes' rows; the CSV keeps the section's own
+            schemes += tuple(s for s in VALIDATED_SCHEMES if s not in schemes)
         rows: list[ResultRow] = []
+        run_rows: tuple[ResultRow, ...] = ()
         failures = 0
-        if scenario.schemes:
-            result = run_scenario(scenario, dump_dir=dump_dir)
-            rows.extend(result.rows)
+        if schemes:
+            result = run_scenario(replace(scenario, schemes=schemes), dump_dir=dump_dir)
+            run_rows = result.rows
+            rows.extend(row for row in run_rows if row.scheme in scenario.schemes)
             failures = result.failures
         if preset.antenna_sweep:
             rows.extend(rms_study(preset.antenna_sweep, scenario))
         trailer = None
         if args.validate:
-            report = validate_closed_forms(scenario)
+            report = validate_closed_forms(scenario, run_rows)
             trailer = report.render()
             print(trailer)
         csv_path = os.path.join(args.outdir, f"{scenario.name}.csv")

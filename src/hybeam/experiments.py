@@ -182,11 +182,13 @@ def _build_combiner(base: str, channel: ChannelRealization) -> CombinerIR:
 
 
 def _evaluate_realization(scenario: Scenario, index: int) -> dict:
-    """All (scheme, metric, snr) values for one shared channel draw.
+    """Per scheme, its ``(metric, snr)`` values for one shared channel draw.
 
-    Every log-det rate covers the whole SNR grid from one set of Gram
-    eigenvalues.  Rates keep the combined noise at its exact covariance
-    ``C``, so an invertible ZF baseband ``B`` drops out of them:
+    A scheme whose linear algebra degenerates maps to ``None``; the other
+    schemes of the draw keep their values.  Every log-det rate covers the
+    whole SNR grid from one set of Gram eigenvalues.  Rates keep the
+    combined noise at its exact covariance ``C``, so an invertible ZF
+    baseband ``B`` drops out of them:
     ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
     check here: ``zf`` has the raw capacity's eigenvalues (``W = H^+``
     leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
@@ -198,7 +200,6 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
     snrs = [link.snr for link in links]
     raw_grid = raw_eigvals = None
     built: dict[str, tuple[CombinerIR, EffectiveChannel]] = {}
-    values: dict[tuple[str, str, float], float] = {}
 
     def raw() -> tuple[np.ndarray, np.ndarray]:
         nonlocal raw_grid, raw_eigvals
@@ -213,31 +214,40 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
             built[base] = combiner, effective_channel(combiner, channel, k)
         return built[base]
 
-    def record(scheme: str, metric: str, series) -> None:
-        for snr, value in zip(scenario.snr_db, series):
-            values[(scheme, metric, snr)] = float(value)
+    def evaluate(scheme: str) -> dict[tuple[str, float], float]:
+        values: dict[tuple[str, float], float] = {}
 
-    for scheme in scenario.schemes:
+        def record(metric: str, series) -> None:
+            for snr, value in zip(scenario.snr_db, series):
+                values[(metric, snr)] = float(value)
+
         if scheme == "capacity":
-            record(scheme, "capacity", rates_from_eigvals(raw()[1], snrs))
-            continue
+            record("capacity", rates_from_eigvals(raw()[1], snrs))
+            return values
         if scheme == "zf":
             require_full_column_rank(*raw())
-            record(scheme, "rate", rates_from_eigvals(raw()[1], snrs))
-            continue
+            record("rate", rates_from_eigvals(raw()[1], snrs))
+            return values
         base, with_zf = _parse_scheme(scheme)
         combiner, effective = build(base)
         if with_zf:
             require_full_column_rank(effective.spectrum, effective.gram_eigvals)
-            rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
-            record(scheme, "rate", rates)
+            record("rate", spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs))
         else:
             # every link of the grid has unit noise variance
             noise = combiner_noise_power(combiner, 1.0)
             powers = [link.transmit_power for link in links]
-            record(scheme, "rate", sinr_sum_rates(pdp_of_effective(effective), noise, powers))
-            record(scheme, "capacity", rates_from_eigvals(effective.gram_eigvals, snrs))
-    return values
+            record("rate", sinr_sum_rates(pdp_of_effective(effective), noise, powers))
+            record("capacity", rates_from_eigvals(effective.gram_eigvals, snrs))
+        return values
+
+    outcome: dict[str, dict[tuple[str, float], float] | None] = {}
+    for scheme in scenario.schemes:
+        try:
+            outcome[scheme] = evaluate(scheme)
+        except SingularMatrixError:
+            outcome[scheme] = None
+    return outcome
 
 
 def _scenario_block(args) -> list:
@@ -251,10 +261,7 @@ def _scenario_block(args) -> list:
             dump_channel(
                 channel, path, realization_seed(scenario, index), scenario.channel_model
             )
-        try:
-            out.append((index, _evaluate_realization(scenario, index)))
-        except SingularMatrixError:
-            out.append((index, None))
+        out.append((index, _evaluate_realization(scenario, index)))
     return out
 
 
@@ -304,9 +311,11 @@ def run_scenario(
 ) -> RunResult:
     """Evaluate a scenario over all realizations and aggregate per metric.
 
-    Realizations whose linear algebra degenerates are skipped and counted;
-    the caller decides how many failures are tolerable.  Output is identical
-    for any worker count.
+    A scheme whose linear algebra degenerates in a realization contributes no
+    sample from it, so each row's ``realizations`` is its own scheme's sample
+    count; ``failures`` counts the realizations in which any scheme failed,
+    and the caller decides how many are tolerable.  A scheme left without a
+    single sample raises.  Output is identical for any worker count.
     """
     workers = resolve_workers(workers)
     payloads = [
@@ -314,34 +323,38 @@ def run_scenario(
         for block in _split_indices(scenario.realizations, workers)
     ]
     results = _run_blocks(_scenario_block, payloads, workers)
-    per_key: dict[tuple[str, str, float], list[float]] = {}
+    samples: dict[str, dict[tuple[str, float], list[float]]] = {
+        scheme: {} for scheme in scenario.schemes
+    }
     failures = 0
-    for _, values in results:
-        if values is None:
-            failures += 1
-            continue
-        for key, value in values.items():
-            per_key.setdefault(key, []).append(value)
-    if failures == scenario.realizations and scenario.schemes:
+    for _, outcome in results:
+        failures += any(values is None for values in outcome.values())
+        for scheme, values in outcome.items():
+            for key, value in (values or {}).items():
+                samples[scheme].setdefault(key, []).append(value)
+    empty = [scheme for scheme, keyed in samples.items() if not keyed]
+    if empty:
         raise SingularMatrixError(
-            f"all {scenario.realizations} realizations of {scenario.name} failed"
+            f"all {scenario.realizations} realizations of {scenario.name} failed "
+            f"for {', '.join(empty)}"
         )
     rows = []
-    for (scheme, metric, snr), samples in per_key.items():
-        data = np.asarray(samples)
-        stderr = float(np.std(data, ddof=1) / np.sqrt(data.size)) if data.size > 1 else 0.0
-        rows.append(
-            ResultRow(
-                scenario=scenario.name,
-                scheme=scheme,
-                snr_db=snr,
-                metric=metric,
-                value=float(data.mean()),
-                stderr=stderr,
-                realizations=data.size,
-                seed=scenario.master_seed,
+    for scheme, keyed in samples.items():
+        for (metric, snr), values in keyed.items():
+            data = np.asarray(values)
+            stderr = float(np.std(data, ddof=1) / np.sqrt(data.size)) if data.size > 1 else 0.0
+            rows.append(
+                ResultRow(
+                    scenario=scenario.name,
+                    scheme=scheme,
+                    snr_db=snr,
+                    metric=metric,
+                    value=float(data.mean()),
+                    stderr=stderr,
+                    realizations=data.size,
+                    seed=scenario.master_seed,
+                )
             )
-        )
     return RunResult(rows=tuple(rows), realizations=scenario.realizations, failures=failures)
 
 
@@ -464,60 +477,62 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# The schemes whose rows the closed forms are checked against.
+VALIDATED_SCHEMES = ("rf_1tap", "rf_ltap")
+# Relative tolerance of each simulated rate and capacity against its limit.
+_LIMIT_RTOL = 0.05
+# Allowed mean-spread ratio when the array grows fourfold (1/sqrt(4) = 0.5).
+_RMS_RATIO_BOUNDS = (0.40, 0.62)
+
+
 def validate_closed_forms(
     scenario: Scenario,
+    rows,
     workers: int | None = None,
-    rate_tol: float = 0.05,
-    capacity_tol: float = 0.05,
     rms_antenna_grid=(25, 100, 400),
-    envelope_low: float = 1.0,
-    envelope_high: float = 3.0,
-    ratio_bounds: tuple[float, float] = (0.40, 0.62),
 ) -> ValidationReport:
-    """Check simulated rates and delay spreads against the large-array limits.
+    """Check a run's rows and a delay-spread sweep against the large-array limits.
 
-    Rates of both constant-modulus combiners and the capacities of their
-    effective channels are compared per SNR point at a relative tolerance;
-    mean delay spreads must fall inside the ``c/sqrt(M)`` envelopes and
+    ``rows`` are the scenario's ``ResultRow``s; they must hold the ``rate``
+    and ``capacity`` of both constant-modulus combiners (``VALIDATED_SCHEMES``)
+    at every SNR point, which are compared with their limits at a relative
+    tolerance.  Mean delay spreads, from an ``rms_study`` over
+    ``rms_antenna_grid``, must fall inside the ``c/sqrt(M)`` envelopes and
     shrink by about half when the array grows fourfold.
     """
     if scenario.channel_model != "rich":
         raise ValueError("closed-form validation assumes the rich channel model")
     dims = scenario.dims
     pdp = exponential_pdp(dims.taps, dims.users)
-    sub = replace(scenario, schemes=("rf_1tap", "rf_ltap"))
-    run = run_scenario(sub, workers=workers)
-    by_key = {(r.scheme, r.metric, r.snr_db): r.value for r in run.rows}
+    by_key = {(r.scheme, r.metric, r.snr_db): r.value for r in rows}
+    missing = [
+        f"{scheme} {metric}@{snr:g}dB"
+        for snr in scenario.snr_db
+        for scheme in VALIDATED_SCHEMES
+        for metric in ("rate", "capacity")
+        if (scheme, metric, snr) not in by_key
+    ]
+    if missing:
+        raise ValueError(f"validation needs rows the run lacks: {', '.join(missing)}")
     checks: list[ClosedFormCheck] = []
     for snr in scenario.snr_db:
         link = LinkBudget.from_snr_db(snr)
         for scheme, model in (("rf_ltap", MODEL_LTAP), ("rf_1tap", MODEL_1TAP)):
             target = predict(link, dims.antennas, pdp, model)
-            rate_target, cap_target = target.sum_rate, target.capacity
-            checks.append(
-                ClosedFormCheck(
-                    name=f"{scheme}_rate@{snr:g}dB",
-                    value=by_key[(scheme, "rate", snr)],
-                    lower=rate_target * (1.0 - rate_tol),
-                    upper=rate_target * (1.0 + rate_tol),
-                    reference=rate_target,
+            for metric, reference in (("rate", target.sum_rate), ("capacity", target.capacity)):
+                checks.append(
+                    ClosedFormCheck(
+                        name=f"{scheme}_{metric}@{snr:g}dB",
+                        value=by_key[(scheme, metric, snr)],
+                        lower=reference * (1.0 - _LIMIT_RTOL),
+                        upper=reference * (1.0 + _LIMIT_RTOL),
+                        reference=reference,
+                    )
                 )
-            )
-            checks.append(
-                ClosedFormCheck(
-                    name=f"{scheme}_capacity@{snr:g}dB",
-                    value=by_key[(scheme, "capacity", snr)],
-                    lower=cap_target * (1.0 - capacity_tol),
-                    upper=cap_target * (1.0 + capacity_tol),
-                    reference=cap_target,
-                )
-            )
     if rms_antenna_grid:
         grid = tuple(int(m) for m in rms_antenna_grid)
-        rms_rows = rms_study(grid, sub, workers=workers)
-        lower_env, upper_env = delay_spread_envelopes(
-            np.asarray(grid, dtype=float), envelope_low, envelope_high
-        )
+        rms_rows = rms_study(grid, scenario, workers=workers)
+        lower_env, upper_env = delay_spread_envelopes(np.asarray(grid, dtype=float))
         means = {
             (r.scheme, int(r.snr_db)): r.value for r in rms_rows if r.metric == "rms_mean"
         }
@@ -537,8 +552,8 @@ def validate_closed_forms(
                         ClosedFormCheck(
                             name=f"rms_ratio_{scheme}@M{4 * small}vsM{small}",
                             value=means[(scheme, 4 * small)] / means[(scheme, small)],
-                            lower=ratio_bounds[0],
-                            upper=ratio_bounds[1],
+                            lower=_RMS_RATIO_BOUNDS[0],
+                            upper=_RMS_RATIO_BOUNDS[1],
                             reference=0.5,
                         )
                     )

@@ -114,34 +114,10 @@ class TestRf1Tap:
         expected = np.exp(-1j * np.angle(ch.taps.taps[0].T)) / math.sqrt(DIMS.antennas)
         np.testing.assert_allclose(w.taps.taps[0], expected, atol=1e-14)
 
-    def test_tap_index_selection(self):
-        ch = rich(9)
-        w = rf_1tap(ch, tap_index=2)
-        expected = np.exp(-1j * np.angle(ch.taps.taps[2].T)) / math.sqrt(DIMS.antennas)
-        np.testing.assert_allclose(w.taps.taps[0], expected, atol=1e-14)
-
-    def test_invalid_tap_index(self):
-        with pytest.raises(ValueError):
-            rf_1tap(rich(10), tap_index=DIMS.taps)
-
     def test_flat_channel_reduces_to_ltap(self):
         dims = SystemDims(antennas=8, users=2, taps=1, subcarriers=4)
         ch = rich(11, dims)
         np.testing.assert_array_equal(rf_1tap(ch).taps.taps, rf_ltap(ch).taps.taps)
-
-    def test_strongest_per_user_picks_heaviest_tap(self):
-        pdp = exponential_pdp(2, 2)
-        taps = complex_normal(stream(12), (2, 8, 2))
-        # user 0 dominated by tap 1, user 1 by tap 0
-        taps[1, :, 0] *= 10.0
-        taps[1, :, 1] *= 0.01
-        dims = SystemDims(antennas=8, users=2, taps=2, subcarriers=8)
-        ch = ChannelRealization(dims, TapSequence(0, taps), pdp)
-        w = rf_1tap(ch, strongest_per_user=True)
-        expected_u0 = np.exp(-1j * np.angle(taps[1, :, 0]))
-        expected_u1 = np.exp(-1j * np.angle(taps[0, :, 1]))
-        np.testing.assert_allclose(w.taps.taps[0, 0], expected_u0 / math.sqrt(8), atol=1e-14)
-        np.testing.assert_allclose(w.taps.taps[0, 1], expected_u1 / math.sqrt(8), atol=1e-14)
 
 
 class TestHeuristic1Tap:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybeam import cli
-from hybeam.channel import load_channel_dump
+from hybeam import cli, experiments
+from hybeam.channel import SystemDims, load_channel_dump
 from hybeam.experiments import (
     DEFAULT_DIMS,
     DEFAULT_SNR_GRID,
@@ -15,6 +15,8 @@ from hybeam.experiments import (
     RunResult,
     draw_realization,
     realization_seed,
+    run_scenario,
+    validate_closed_forms,
 )
 
 RUN_FAST = ["--realizations", "3", "--snr", "0,10"]
@@ -160,6 +162,73 @@ class TestRunCommand:
         rows = cli.read_csv(outdir / "fig3.csv")
         assert rows
         assert "checks passed" in capsys.readouterr().out
+
+    def test_validate_runs_once_and_matches_a_separate_validation_run(
+        self, tmp_path, monkeypatch
+    ):
+        # serial, so the counting patches see every call
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        runs, draws = [], []
+        original_run = cli.run_scenario
+        original_draw = experiments.draw_realization
+
+        def run(scenario, *args, **kwargs):
+            runs.append(scenario.schemes)
+            return original_run(scenario, *args, **kwargs)
+
+        def draw(scenario, index, antennas=None):
+            draws.append((index, scenario.dims.antennas if antennas is None else antennas))
+            return original_draw(scenario, index, antennas)
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "run_scenario", run)
+        monkeypatch.setattr(experiments, "draw_realization", draw)
+        outdir = tmp_path / "res"
+        code = run_cli(
+            "run", "fig3", "--M", "16", "--U", "2", "--L", "2", "--K", "16",
+            "--realizations", "3", "--snr", "0,10", "--validate", "--outdir", str(outdir),
+        )
+        assert code == 0
+        assert runs == [("mf", "rf_1tap", "rf_ltap")]
+        # the run at M=16, then the delay-spread sweep, each draw once
+        assert sorted(draws) == sorted(
+            (index, m) for index in range(3) for m in (16, 25, 100, 400)
+        )
+
+        monkeypatch.undo()
+        scenario = replace(
+            PRESETS["fig3"].scenario,
+            dims=SystemDims(antennas=16, users=2, taps=2, subcarriers=16),
+            realizations=3,
+            snr_db=(0.0, 10.0),
+        )
+        separate = run_scenario(replace(scenario, schemes=("rf_1tap", "rf_ltap")))
+        expected = tmp_path / "expected.csv"
+        cli.write_csv(
+            expected,
+            run_scenario(scenario).rows,
+            validate_closed_forms(scenario, separate.rows).render(),
+        )
+        assert (outdir / "fig3.csv").read_bytes() == expected.read_bytes()
+
+    def test_validate_writes_only_the_sections_schemes(self, tmp_path):
+        config = tmp_path / "val.ini"
+        config.write_text(
+            "[hybrid]\n"
+            "M = 16\n"
+            "users = 2\n"
+            "L = 2\n"
+            "K = 16\n"
+            "realizations = 3\n"
+            "snr = 0, 10\n"
+            "schemes = capacity, rf_ltap+zf\n"
+        )
+        outdir = tmp_path / "res"
+        assert run_cli("run", str(config), "--validate", "--outdir", str(outdir)) == 0
+        scenario = cli.load_config(config)[0].scenario
+        assert cli.read_csv(outdir / "hybrid.csv") == list(run_scenario(scenario).rows)
+        text = (outdir / "hybrid.csv").read_text()
+        assert "checks passed" in text.splitlines()[-1]
 
     def test_sparse_validate_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
         def never_run(*args, **kwargs):

@@ -146,34 +146,63 @@ class TestRunScenario:
                 *combined_terms(zf_spectrum(grid), grid), [link.snr for link in links]
             )
             for snr, rate in zip(s.snr_db, explicit):
-                assert values[("zf", "rate", snr)] == pytest.approx(rate, rel=1e-12)
+                assert values["zf"][("rate", snr)] == pytest.approx(rate, rel=1e-12)
             for base in bases:
                 eff = effective_channel(experiments._build_combiner(base, ch), ch)
                 bb = zf_baseband(eff)
                 for snr, link in zip(s.snr_db, links):
-                    assert values[(f"{base}+zf", "rate", snr)] == pytest.approx(
+                    assert values[f"{base}+zf"][("rate", snr)] == pytest.approx(
                         achievable_rate_hybrid(eff, bb, link), rel=1e-12
                     )
 
-    def test_singular_realizations_are_counted(self, monkeypatch):
-        # even realizations get two identical users, so every ZF stage on them
-        # is singular: the raw channel and every effective channel alike
+    @staticmethod
+    def _degenerate_even_draws(monkeypatch, odd_too=False):
+        # even realizations (odd ones too if asked) get two identical users, so
+        # every ZF stage on them is singular: the raw channel and every
+        # effective channel alike
         original = experiments.draw_realization
 
         def degenerate(scenario, index, antennas=None):
             ch = original(scenario, index, antennas)
-            if index % 2:
+            if index % 2 and not odd_too:
                 return ch
             taps = ch.taps.taps.copy()
             taps[:, :, 1] = taps[:, :, 0]
             return replace(ch, taps=TapSequence(0, taps))
 
         monkeypatch.setattr(experiments, "draw_realization", degenerate)
+
+    def test_singular_realizations_are_counted(self, monkeypatch):
+        # a failure is charged to the failing scheme alone: capacity keeps
+        # every sample while the ZF schemes keep the odd realizations
+        self._degenerate_even_draws(monkeypatch)
         for schemes in (("capacity", "zf"), ("capacity", "rf_ltap+zf"), ("mf+zf",)):
             result = run_scenario(small_scenario(schemes=schemes), workers=1)
             assert result.failures == 3
             assert result.rows
-            assert all(row.realizations == 3 for row in result.rows)
+            for row in result.rows:
+                assert row.realizations == (6 if row.scheme == "capacity" else 3)
+
+    def test_failing_scheme_keeps_rows_in_scheme_order(self, monkeypatch):
+        # the ZF scheme comes first but first succeeds in realization 1, after
+        # capacity has recorded realization 0; its rows still come first, and
+        # the surviving samples are exactly those of a run without the failure
+        self._degenerate_even_draws(monkeypatch)
+        s = small_scenario(schemes=("rf_ltap+zf", "capacity"))
+        rows = run_scenario(s, workers=1).rows
+        assert [(r.scheme, r.metric, r.snr_db) for r in rows] == [
+            ("rf_ltap+zf", "rate", 0.0),
+            ("rf_ltap+zf", "rate", 10.0),
+            ("capacity", "capacity", 0.0),
+            ("capacity", "capacity", 10.0),
+        ]
+        alone = run_scenario(replace(s, schemes=("capacity",)), workers=1).rows
+        assert rows[2:] == alone
+
+    def test_scheme_without_samples_raises_and_names_it(self, monkeypatch):
+        self._degenerate_even_draws(monkeypatch, odd_too=True)
+        with pytest.raises(numerics.SingularMatrixError, match="rf_ltap\\+zf"):
+            run_scenario(small_scenario(schemes=("capacity", "rf_ltap+zf")), workers=1)
 
     def test_near_singular_raw_channel_gets_a_rate(self, monkeypatch):
         # a second user 1e-9 away from the first gives sigma ratios of 1-2e-9:
@@ -307,6 +336,11 @@ class TestRmsStudy:
         assert rms_study((16, 64), s, workers=2) == rms_study((16, 64), s, workers=1)
 
 
+def validation_rows(scenario):
+    """The rows a validated run holds: the scenario's own run of the RF schemes."""
+    return run_scenario(replace(scenario, schemes=experiments.VALIDATED_SCHEMES)).rows
+
+
 class TestValidation:
     def test_report_structure(self):
         s = small_scenario(
@@ -314,7 +348,7 @@ class TestValidation:
             snr_db=(0.0,),
             realizations=4,
         )
-        report = validate_closed_forms(s, rms_antenna_grid=(16,))
+        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=(16,))
         assert isinstance(report, ValidationReport)
         names = [check.name for check in report.checks]
         assert "rf_ltap_rate@0dB" in names
@@ -340,18 +374,27 @@ class TestValidation:
             schemes=(),
             master_seed=7,
         )
-        report = validate_closed_forms(s, rms_antenna_grid=())
+        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=())
         assert report.passed, report.render()
 
     def test_ratio_checks_present_for_quadrupled_grid(self):
         s = small_scenario(snr_db=(0.0,), realizations=6)
-        report = validate_closed_forms(s, rms_antenna_grid=(16, 64))
+        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=(16, 64))
         names = [check.name for check in report.checks]
         assert "rms_ratio_mf@M64vsM16" in names
 
     def test_rejects_sparse_model(self):
         with pytest.raises(ValueError, match="rich"):
-            validate_closed_forms(small_scenario(channel_model="sparse"))
+            validate_closed_forms(small_scenario(channel_model="sparse"), ())
+
+    def test_rejects_rows_missing_a_grid_point(self):
+        s = small_scenario(realizations=2)
+        rows = validation_rows(s)
+        for dropped in (("rf_1tap", "rate", 10.0), ("rf_ltap", "capacity", 0.0)):
+            kept = [r for r in rows if (r.scheme, r.metric, r.snr_db) != dropped]
+            scheme, metric, snr = dropped
+            with pytest.raises(ValueError, match=f"{scheme} {metric}@{snr:g}dB"):
+                validate_closed_forms(s, kept, rms_antenna_grid=())
 
 
 class TestPresets:

@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from hybeam import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -21,3 +23,14 @@ def test_quickstart_rf_rate_matches_its_closed_form():
     assert abs(simulated - predicted) <= 0.05 * predicted
     hybrid = float(re.search(r"RF \+ ZF rate: (\S+) bit/s/Hz", printed).group(1))
     assert hybrid > simulated
+
+
+def test_config_keys_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"Config files are INI;(.*?)\n\n", text, re.S).group(1)
+    keys = {
+        key.lower()
+        for token in re.findall(r"`([^`]+)`", paragraph)
+        for key in token.split("=")[0].strip().split("/")
+    }
+    assert keys == cli._CONFIG_KEYS | set(cli._KEY_ALIASES)
