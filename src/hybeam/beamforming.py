@@ -20,6 +20,7 @@ from .numerics import (
     circular_convolve,
     dft_of_taps,
     gram_eigvals,
+    gram_spectrum,
     pinv_tall,
 )
 
@@ -165,7 +166,10 @@ class EffectiveChannel:
     DFT of the taps, ``gram_eigvals`` the ascending eigenvalues of
     ``G(k)^H G(k)`` for that spectrum ``G(k)``, and ``noise_cov_spectrum``
     the per-subcarrier covariance of the combined noise, ``W(k) W(k)^H`` for
-    the combiner's frequency response ``W(k)``.
+    the combiner's frequency response ``W(k)``.  That covariance comes from
+    the combiner's taps without forming ``W(k)``: the taps ``W_n^H`` have
+    the response ``W(-k)^H``, so their ``gram_spectrum`` read at ``-k mod K``
+    is ``W(k) W(k)^H``.
     """
 
     combiner: CombinerIR
@@ -182,8 +186,10 @@ class EffectiveChannel:
 
     @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:
-        w = dft_of_taps(self.combiner.taps, self.num_subcarriers)
-        return w @ np.conj(np.swapaxes(w, -1, -2))
+        taps = self.combiner.taps
+        adjoint = TapSequence(taps.offset, np.conj(np.swapaxes(taps.taps, -1, -2)))
+        k = self.num_subcarriers
+        return gram_spectrum(adjoint, k)[-np.arange(k) % k]
 
 
 def effective_channel(
@@ -220,28 +226,6 @@ def zf_baseband(effective: EffectiveChannel) -> np.ndarray:
     subcarrier.
     """
     return zf_spectrum(effective.spectrum)
-
-
-def rf_orthogonality_defect(combiner: CombinerIR) -> float:
-    """Worst-case deviation of RF tap cross-products from identity/zero.
-
-    For large arrays the normalized tap rows become near-orthonormal; this
-    returns ``max ||W_i W_j^H - delta_ij I||_F / sqrt(U)`` over tap pairs,
-    which shrinks like ``1/sqrt(M)``.
-    """
-    if not combiner.constant_modulus:
-        raise ValueError("orthogonality defect is defined for constant-modulus combiners")
-    taps = combiner.taps.taps
-    users = combiner.num_users
-    eye = np.eye(users)
-    worst = 0.0
-    for i in range(taps.shape[0]):
-        for j in range(taps.shape[0]):
-            product = taps[i] @ taps[j].conj().T
-            if i == j:
-                product = product - eye
-            worst = max(worst, float(np.linalg.norm(product)) / np.sqrt(users))
-    return worst
 
 
 def combiner_noise_power(combiner: CombinerIR, noise_variance: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .channel import (
     SparseChannelConfig,
     SystemDims,
     _SEED_MASK,
-    channel_spectrum,
     draw_rich,
     draw_sparse,
     dump_channel,
@@ -52,7 +52,7 @@ from .metrics import (
     sinr_sum_rates,
     spectral_rates,
 )
-from .numerics import SingularMatrixError, gram_eigvals, require_full_column_rank
+from .numerics import SingularMatrixError, gram_spectrum, require_full_column_rank
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
@@ -85,12 +85,19 @@ class Scenario:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.name:
             raise ValueError("scenario needs a name")
+        if isinstance(self.realizations, bool) or not isinstance(self.realizations, Integral):
+            raise ValueError(f"realizations must be an integer, got {self.realizations!r}")
+        object.__setattr__(self, "realizations", int(self.realizations))
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if not self.snr_db:
             raise ValueError("SNR grid is empty")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"SNR grid has non-finite points: {self.snr_db}")
+        for what, items in (("SNR grid", self.snr_db), ("scheme list", self.schemes)):
+            repeated = sorted({item for item in items if items.count(item) > 1})
+            if repeated:
+                raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid: {', '.join(SCHEMES)}")
@@ -192,21 +199,22 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
     ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
     check here: ``zf`` has the raw capacity's eigenvalues (``W = H^+``
     leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
-    effective channel itself.
+    effective channel itself.  The raw ``H(k)^H H(k)`` comes from the
+    channel's lag products (``gram_spectrum``), so no ``(K, M, U)`` spectrum
+    is formed unless the rank check doubts a subcarrier.
     """
     channel = draw_realization(scenario, index)
     k = scenario.dims.subcarriers
     links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
     snrs = [link.snr for link in links]
-    raw_grid = raw_eigvals = None
+    raw_eigvals = None
     built: dict[str, tuple[CombinerIR, EffectiveChannel]] = {}
 
-    def raw() -> tuple[np.ndarray, np.ndarray]:
-        nonlocal raw_grid, raw_eigvals
-        if raw_grid is None:
-            raw_grid = channel_spectrum(channel, k)
-            raw_eigvals = gram_eigvals(raw_grid)
-        return raw_grid, raw_eigvals
+    def raw() -> np.ndarray:
+        nonlocal raw_eigvals
+        if raw_eigvals is None:
+            raw_eigvals = np.linalg.eigvalsh(gram_spectrum(channel.taps, k))
+        return raw_eigvals
 
     def build(base: str) -> tuple[CombinerIR, EffectiveChannel]:
         if base not in built:
@@ -222,16 +230,16 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
                 values[(metric, snr)] = float(value)
 
         if scheme == "capacity":
-            record("capacity", rates_from_eigvals(raw()[1], snrs))
+            record("capacity", rates_from_eigvals(raw(), snrs))
             return values
         if scheme == "zf":
-            require_full_column_rank(*raw())
-            record("rate", rates_from_eigvals(raw()[1], snrs))
+            require_full_column_rank(channel.taps, k, raw())
+            record("rate", rates_from_eigvals(raw(), snrs))
             return values
         base, with_zf = _parse_scheme(scheme)
         combiner, effective = build(base)
         if with_zf:
-            require_full_column_rank(effective.spectrum, effective.gram_eigvals)
+            require_full_column_rank(effective.taps, k, effective.gram_eigvals)
             record("rate", spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs))
         else:
             # every link of the grid has unit noise variance
@@ -404,31 +412,23 @@ def rms_study(
             stderr = (
                 float(np.std(means, ddof=1) / np.sqrt(means.size)) if means.size > 1 else 0.0
             )
-            rows.append(
+            cells = [("rms_mean", float(means.mean()), stderr)] + [
+                (f"rms_cdf_q{q:02d}", float(np.percentile(pooled, q)), 0.0)
+                for q in _RMS_QUANTILES
+            ]
+            rows.extend(
                 ResultRow(
                     scenario=scenario.name,
                     scheme=scheme,
                     snr_db=float(antennas),
-                    metric="rms_mean",
-                    value=float(means.mean()),
-                    stderr=stderr,
+                    metric=metric,
+                    value=value,
+                    stderr=err,
                     realizations=scenario.realizations,
                     seed=scenario.master_seed,
                 )
+                for metric, value, err in cells
             )
-            for quantile in _RMS_QUANTILES:
-                rows.append(
-                    ResultRow(
-                        scenario=scenario.name,
-                        scheme=scheme,
-                        snr_db=float(antennas),
-                        metric=f"rms_cdf_q{quantile:02d}",
-                        value=float(np.percentile(pooled, quantile)),
-                        stderr=0.0,
-                        realizations=scenario.realizations,
-                        seed=scenario.master_seed,
-                    )
-                )
     return rows
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hybeam import experiments
 from hybeam.beamforming import (
     CombinerIR,
     EffectiveChannel,
@@ -15,7 +16,6 @@ from hybeam.beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
-    rf_orthogonality_defect,
     zf_baseband,
     zf_spectrum,
 )
@@ -220,13 +220,16 @@ class TestEffectiveChannel:
             np.testing.assert_allclose(eff.taps.tap(n), expected, atol=1e-12)
 
     def test_noise_cov_matches_direct_product(self):
+        # the lag Gram of the adjoint taps is read at -k: a +k read would give
+        # W(-k) W(-k)^H, which differs wherever the combiner has two taps
         ch = rich(25)
-        w = rf_ltap(ch)
-        eff = effective_channel(w, ch)
-        w_grid = dft_of_taps(w.taps, DIMS.subcarriers)
-        for k in (0, 7, 31):
+        for base in ("mf", "rf_ltap", "rf_1tap", "heuristic_1tap", "bank_2L"):
+            w = experiments._build_combiner(base, ch)
+            eff = effective_channel(w, ch)
+            w_grid = dft_of_taps(w.taps, DIMS.subcarriers)
+            direct = w_grid @ np.conj(np.swapaxes(w_grid, 1, 2))
             np.testing.assert_allclose(
-                eff.noise_cov_spectrum[k], w_grid[k] @ w_grid[k].conj().T, atol=1e-12
+                eff.noise_cov_spectrum, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max()
             )
 
     def test_gram_eigvals_of_spectrum(self):
@@ -290,30 +293,6 @@ class TestZeroForcing:
 
 
 class TestDefectAndNoisePower:
-    def test_single_user_all_ones(self):
-        w = CombinerIR(
-            TapSequence(0, np.ones((1, 1, 9)) / 3.0), constant_modulus=True, modulus=1.0 / 3.0
-        )
-        assert rf_orthogonality_defect(w) == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_constant_modulus(self):
-        with pytest.raises(ValueError):
-            rf_orthogonality_defect(mf_combiner(rich(41)))
-
-    def test_defect_shrinks_with_array_size(self):
-        def median_defect(antennas, seeds):
-            dims = SystemDims(antennas=antennas, users=3, taps=2, subcarriers=8)
-            values = [rf_orthogonality_defect(rf_ltap(rich(s, dims))) for s in seeds]
-            return np.median(values)
-
-        small = median_defect(16, range(20))
-        large = median_defect(256, range(20, 40))
-        assert large < small
-
-    def test_large_array_near_orthonormal(self):
-        dims = SystemDims(antennas=4096, users=3, taps=2, subcarriers=8)
-        assert rf_orthogonality_defect(rf_ltap(rich(42, dims))) < 0.1
-
     def test_noise_power_constant_modulus(self):
         ch = rich(43)
         sigma2 = 0.7

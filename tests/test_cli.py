@@ -121,6 +121,16 @@ class TestRunCommand:
             assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "fig2.csv").exists()
 
+    def test_repeated_snr_points_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        for spec in ("0,0", "0,5,0", "-0,0"):
+            assert run_cli("run", "fig2", f"--snr={spec}", "--outdir", str(tmp_path)) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "nosuch", "--outdir", str(tmp_path)) == 2
 
@@ -325,6 +335,17 @@ class TestConfigFiles:
         )
         outdir = tmp_path / "res"
         assert run_cli("run", str(config), "--validate", "--outdir", str(outdir)) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_repeated_schemes_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = tmp_path / "dup.ini"
+        config.write_text("[x]\nM = 16\nschemes = capacity,capacity\n")
+        assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+        assert "scheme list repeats capacity" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

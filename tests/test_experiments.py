@@ -60,6 +60,23 @@ class TestScenarioValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 small_scenario(snr_db=(0.0, bad))
 
+    def test_realizations_must_be_a_positive_integer(self):
+        for bad in (2.5, 1.0, True, "3", 0, -1):
+            with pytest.raises(ValueError):
+                small_scenario(realizations=bad)
+        s = small_scenario(realizations=np.int64(3))
+        assert type(s.realizations) is int
+        assert run_scenario(s).realizations == 3
+
+    def test_repeated_snr_points_rejected(self):
+        for grid in ((0.0, 0.0, 5.0), (5.0, 0.0, 5), (0.0, -0.0)):
+            with pytest.raises(ValueError, match="SNR grid repeats"):
+                small_scenario(snr_db=grid)
+
+    def test_repeated_schemes_rejected(self):
+        with pytest.raises(ValueError, match="scheme list repeats capacity"):
+            small_scenario(schemes=("capacity", "rf_ltap", "capacity"))
+
     def test_sparse_config_only_for_sparse_model(self):
         with pytest.raises(ValueError):
             small_scenario(sparse=SparseChannelConfig())
@@ -110,22 +127,43 @@ class TestRunScenario:
             assert row.seed == 99
 
     def test_each_spectrum_computed_once(self, monkeypatch):
-        # raw channel, plus the effective spectrum of both RF bases and the
-        # noise covariance of each base that feeds a ZF stage
-        calls = []
-        original = numerics.dft_of_taps
+        # two DFTs, the effective spectra of both RF bases; three lag-product
+        # Grams, the raw channel's and the noise covariance of each base that
+        # feeds a ZF stage; and no (K, M, U) array while the rank screen passes
+        dfts, grams = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(original, calls):
+            def counted(seq, *args, **kwargs):
+                calls.append(seq.shape)
+                return original(seq, *args, **kwargs)
 
-        for module in (numerics, channel, beamforming):
-            monkeypatch.setattr(module, "dft_of_taps", counted)
+            return counted
+
+        def no_channel_spectrum(*args, **kwargs):
+            raise AssertionError("the runner formed the channel's spectrum")
+
+        counted_dft = counting(numerics.dft_of_taps, dfts)
+        counted_gram = counting(numerics.gram_spectrum, grams)
+        for module in (numerics, channel, beamforming, experiments):
+            if hasattr(module, "dft_of_taps"):
+                monkeypatch.setattr(module, "dft_of_taps", counted_dft)
+            if hasattr(module, "gram_spectrum"):
+                monkeypatch.setattr(module, "gram_spectrum", counted_gram)
+        monkeypatch.setattr(channel, "channel_spectrum", no_channel_spectrum)
         s = small_scenario(
             realizations=1, schemes=PRESETS["fig8"].scenario.schemes, channel_model="sparse"
         )
-        _evaluate_realization(s, 0)
-        assert len(calls) == 5
+        values = _evaluate_realization(s, 0)
+        assert all(v is not None for v in values.values())
+        users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
+        assert dfts == [(users, users)] * 2
+        assert grams == [(antennas, users)] * 3
+        # the raw rank check of zf shares the capacity's Gram and needs no DFT
+        dfts.clear()
+        grams.clear()
+        _evaluate_realization(replace(s, schemes=("capacity", "zf")), 0)
+        assert dfts == []
+        assert grams == [(antennas, users)]
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_zf_rates_equal_the_explicit_zf_stage(self, model):
@@ -228,6 +266,51 @@ class TestRunScenario:
         rows = {(row.scheme, row.snr_db): row.value for row in result.rows}
         for snr in (0.0, 10.0):
             assert rows[("zf", snr)] == rows[("capacity", snr)]
+
+    def test_planted_subcarrier_fails_zf_alone(self, monkeypatch):
+        # realizations 0 and 3: users 0 and 1 coincide on subcarrier 5 alone;
+        # realizations 1 and 4: taps [a, -2a, a], whose response vanishes on
+        # subcarrier 0 alone.  zf fails on those four, naming the subcarrier
+        # that the SVD-only test on the DFT names; capacity keeps every sample
+        dims = SystemDims(antennas=24, users=3, taps=3, subcarriers=32)
+        original = experiments.draw_realization
+
+        def planted(scenario, index, antennas=None):
+            ch = original(scenario, index, antennas)
+            taps = ch.taps.taps.copy()
+            if index % 3 == 0:
+                h = numerics.dft_of_taps(ch.taps, dims.subcarriers)[5]
+                taps[0, :, 1] += h[:, 0] - h[:, 1]
+            elif index % 3 == 1:
+                taps[1] = -2.0 * taps[0]
+                taps[2] = taps[0]
+            else:
+                return ch
+            return replace(ch, taps=TapSequence(0, taps))
+
+        named = []
+        check = experiments.require_full_column_rank
+
+        def recorded(*args):
+            try:
+                check(*args)
+            except numerics.SingularMatrixError as exc:
+                named.append(exc.subcarrier)
+                raise
+
+        monkeypatch.setattr(experiments, "draw_realization", planted)
+        monkeypatch.setattr(experiments, "require_full_column_rank", recorded)
+        s = small_scenario(dims=dims, schemes=("capacity", "zf"))
+        result = run_scenario(s, workers=1)
+        assert result.failures == 4
+        assert named == [5, 0, 5, 0]
+        for row in result.rows:
+            assert row.realizations == (6 if row.scheme == "capacity" else 2)
+        for index, subcarrier in zip((0, 1, 3, 4), named):
+            grid = numerics.dft_of_taps(planted(s, index).taps, dims.subcarriers)
+            singvals = np.linalg.svd(grid, compute_uv=False)
+            failing = ~(singvals[:, -1] > numerics.SINGULARITY_RTOL * singvals[:, 0])
+            assert np.flatnonzero(failing).tolist() == [subcarrier]
 
     def test_runs_reproducible(self):
         s = small_scenario()

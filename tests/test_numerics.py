@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from hybeam.channel import complex_normal, stream
 from hybeam.numerics import (
+    GRAM_SCREEN_RTOL,
     SingularMatrixError,
     TapSequence,
     circular_convolve,
     dft_of_taps,
     gram_eigvals,
+    gram_spectrum,
     pinv_tall,
     require_full_column_rank,
 )
@@ -248,62 +250,145 @@ def planted(key, rows, cols, ratio):
     return (u * np.geomspace(1.0, ratio, cols)) @ v.conj().T
 
 
-def rank_verdict(stack, gram):
+def spectrum_seq(stack, offset=0):
+    """Tap sequence whose frequency response on ``len(stack)`` subcarriers is
+    ``stack`` up to a unit phase per subcarrier, which keeps every rank."""
+    return TapSequence(offset, np.fft.ifft(stack, axis=0))
+
+
+def lag_gram(seq, k):
+    return np.linalg.eigvalsh(gram_spectrum(seq, k))
+
+
+def rank_verdict(seq, k, gram):
     try:
-        require_full_column_rank(stack, gram)
+        require_full_column_rank(seq, k, gram)
     except SingularMatrixError as exc:
         return exc.subcarrier
     return "full rank"
 
 
+class TestGramSpectrum:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        span=st.integers(1, 6),
+        offset=st.integers(-6, 6),
+        cols=st.integers(1, 4),
+        extra_rows=st.integers(0, 6),
+        extra_bins=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_gram_of_the_dft(self, span, offset, cols, extra_rows, extra_bins, seed):
+        seq = TapSequence(offset, complex_normal(stream(700, seed), (span, cols + extra_rows, cols)))
+        k = span + extra_bins
+        grid = dft_of_taps(seq, k)
+        expected = np.conj(np.swapaxes(grid, 1, 2)) @ grid
+        np.testing.assert_allclose(
+            gram_spectrum(seq, k), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+        )
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        span=st.integers(2, 7),
+        offset=st.integers(-6, 6),
+        cols=st.integers(1, 3),
+        extra_rows=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_short_grid_samples_the_dtft(self, span, offset, cols, extra_rows, seed, data):
+        # a grid shorter than the sequence still samples A(f)^H A(f) at f = k/K
+        k = data.draw(st.integers(1, span - 1))
+        seq = TapSequence(offset, complex_normal(stream(701, seed), (span, cols + extra_rows, cols)))
+        for bin_ in range(k):
+            response = sum(
+                tap * np.exp(-2j * np.pi * delay * bin_ / k)
+                for delay, tap in zip(seq.delays, seq.taps)
+            )
+            expected = response.conj().T @ response
+            np.testing.assert_allclose(
+                gram_spectrum(seq, k)[bin_],
+                expected,
+                rtol=0.0,
+                atol=1e-12 * np.sum(np.abs(seq.taps) ** 2) * span,
+            )
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            gram_spectrum(random_seq(702, 2, 3, 2), 0)
+
+
 class TestRankCheck:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
-        kinds=st.lists(st.sampled_from([None, 1e-3, 1e-5, 1e-9, 1e-11, 0.0]), min_size=1, max_size=6),
+        kinds=st.lists(
+            st.sampled_from([None, 1e-3, 1e-5, 1e-9, 1e-11, 0.0, "zero"]), min_size=1, max_size=6
+        ),
         cols=st.integers(2, 4),
         extra_rows=st.integers(0, 40),
         scale_exp=st.integers(-6, 6),
+        offset=st.integers(-3, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_screen_decides_as_the_svd_alone(self, kinds, cols, extra_rows, scale_exp, seed):
+    def test_screen_decides_as_the_svd_alone(self, kinds, cols, extra_rows, scale_exp, offset, seed):
+        # the lag-formed Gram screens; the decision is the SVD's on the DFT
         rows = cols + extra_rows
         stack = 10.0**scale_exp * np.stack(
             [
                 complex_normal(stream(652, seed, i), (rows, cols))
                 if kind is None
+                else np.zeros((rows, cols))
+                if kind == "zero"
                 else planted(seed + i, rows, cols, kind)
                 for i, kind in enumerate(kinds)
             ]
         )
-        assert rank_verdict(stack, gram_eigvals(stack)) == rank_verdict(stack, None)
+        seq = spectrum_seq(stack, offset)
+        k = len(kinds)
+        assert rank_verdict(seq, k, lag_gram(seq, k)) == rank_verdict(seq, k, None)
 
     def test_planted_ratios_around_the_threshold(self):
         kinds = [1e-3, 1e-5, 1e-9, 1e-11, 0.0]
         stack = np.stack([planted(660 + i, 6, 3, kind) for i, kind in enumerate(kinds)])
-        gram = gram_eigvals(stack)
-        assert rank_verdict(stack, gram) == 3
-        assert rank_verdict(stack[:3], gram[:3]) == "full rank"
-        assert rank_verdict(stack[4:], gram[4:]) == 0
+        for part, verdict in ((stack, 3), (stack[:3], "full rank"), (stack[4:], 0)):
+            seq = spectrum_seq(part)
+            assert rank_verdict(seq, len(part), lag_gram(seq, len(part))) == verdict
+
+    def test_vanishing_response_is_rejected(self):
+        # taps [a, -2a, a] cancel exactly at subcarrier 0 and nowhere else; the
+        # lag-formed Gram there is roundoff, which for some draws is positive
+        # definite and would pass a screen relative to its own largest eigenvalue
+        fooled = 0
+        for seed in range(200):
+            a = complex_normal(stream(700, seed), (6, 3))
+            seq = TapSequence(seed % 5 - 2, np.stack([a, -2.0 * a, a]))
+            lam = lag_gram(seq, 8)
+            fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
+            assert rank_verdict(seq, 8, lam) == 0
+        assert fooled > 0
 
     def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
-        stack = complex_normal(stream(670), (16, 12, 4))
+        seq = random_seq(670, 3, 12, 4, offset=-1)
 
         def no_svd(*args, **kwargs):
             raise AssertionError("the Gram screen should have decided")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        require_full_column_rank(stack, gram_eigvals(stack))
+        require_full_column_rank(seq, 16, lag_gram(seq, 16))
 
     def test_single_matrix_error_has_no_index(self):
+        # the SVD stage names a subcarrier of a grid, but no index for a lone matrix
         dup = planted(680, 5, 3, 0.0)
-        for gram in (None, gram_eigvals(dup)):
-            with pytest.raises(SingularMatrixError) as info:
-                require_full_column_rank(dup, gram)
-            assert info.value.subcarrier is None
+        with pytest.raises(SingularMatrixError) as info:
+            pinv_tall(dup)
+        assert info.value.subcarrier is None
+        seq = TapSequence(0, dup[None])
+        for gram in (None, lag_gram(seq, 1)):
+            assert rank_verdict(seq, 1, gram) == 0
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
-            require_full_column_rank(np.ones((3, 2, 4)))
+            require_full_column_rank(TapSequence(0, np.ones((3, 2, 4))), 4)
 
     def test_gram_eigvals_ascending_and_match_singular_values(self):
         stack = complex_normal(stream(690), (3, 7, 3))
