@@ -2,44 +2,31 @@
 
 Channel generation, constant-modulus RF combiner construction, exact and
 closed-form rate metrics, and a reproducible Monte-Carlo benchmark harness.
+The package namespace is the documented API: what the README's quickstart
+uses, plus the closed-form and zero-forcing helpers.  Everything else is
+internal to its submodule.
 """
 
 from .beamforming import (
-    CombinerIR,
-    EffectiveChannel,
-    PhaseNetworkBank,
     combiner_noise_power,
     decompose_to_phase_banks,
     effective_channel,
     mf_combiner,
     rf_1tap,
-    rf_1tap_sum_heuristic,
     rf_ltap,
     zf_baseband,
     zf_spectrum,
 )
 from .channel import (
-    ChannelRealization,
-    PowerDelayProfile,
-    SparseChannelConfig,
     SystemDims,
     channel_spectrum,
-    complex_normal,
     draw_rich,
-    draw_sparse,
-    dump_channel,
     exponential_pdp,
-    laplace,
     load_channel_dump,
-    steering_vector,
-    stream,
 )
 from .closed_forms import (
-    MODEL_1TAP,
     MODEL_LTAP,
-    AsymptoticPrediction,
     capacity_limit,
-    delay_spread_envelopes,
     predict,
     sinr_ceiling_1tap,
     sinr_ceiling_ltap,
@@ -47,104 +34,49 @@ from .closed_forms import (
     sinr_limit_ltap,
 )
 from .experiments import (
-    DEFAULT_SEED,
-    PRESETS,
-    SCHEMES,
-    ClosedFormCheck,
-    Preset,
-    ResultRow,
-    RunResult,
     Scenario,
-    ValidationReport,
     derive_seed,
     draw_realization,
-    realization_seed,
     rms_study,
     run_scenario,
-    validate_closed_forms,
 )
 from .metrics import (
-    DelaySpread,
-    DelaySpreadReport,
-    EffectivePdp,
     LinkBudget,
-    SinrBreakdown,
     achievable_rate_hybrid,
     capacity,
-    delay_spread_report,
     pdp_of_effective,
     rate_spectral,
-    rms_delay_spread,
     sinr_from_pdp,
     sum_rate_from_sinr,
 )
-from .numerics import (
-    SingularMatrixError,
-    TapSequence,
-    circular_convolve,
-    dft_of_taps,
-    pinv_tall,
-)
+from .numerics import dft_of_taps
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticPrediction",
-    "ChannelRealization",
-    "ClosedFormCheck",
-    "CombinerIR",
-    "DEFAULT_SEED",
-    "DelaySpread",
-    "DelaySpreadReport",
-    "EffectiveChannel",
-    "EffectivePdp",
     "LinkBudget",
-    "MODEL_1TAP",
     "MODEL_LTAP",
-    "PRESETS",
-    "PhaseNetworkBank",
-    "PowerDelayProfile",
-    "Preset",
-    "ResultRow",
-    "RunResult",
-    "SCHEMES",
     "Scenario",
-    "SingularMatrixError",
-    "SinrBreakdown",
-    "SparseChannelConfig",
     "SystemDims",
-    "TapSequence",
-    "ValidationReport",
     "achievable_rate_hybrid",
     "capacity",
     "capacity_limit",
     "channel_spectrum",
-    "circular_convolve",
     "combiner_noise_power",
-    "complex_normal",
     "decompose_to_phase_banks",
-    "delay_spread_envelopes",
-    "delay_spread_report",
     "derive_seed",
     "dft_of_taps",
     "draw_realization",
     "draw_rich",
-    "draw_sparse",
-    "dump_channel",
     "effective_channel",
     "exponential_pdp",
-    "laplace",
     "load_channel_dump",
     "mf_combiner",
     "pdp_of_effective",
-    "pinv_tall",
     "predict",
     "rate_spectral",
-    "realization_seed",
     "rf_1tap",
-    "rf_1tap_sum_heuristic",
     "rf_ltap",
-    "rms_delay_spread",
     "rms_study",
     "run_scenario",
     "sinr_ceiling_1tap",
@@ -152,10 +84,7 @@ __all__ = [
     "sinr_from_pdp",
     "sinr_limit_1tap",
     "sinr_limit_ltap",
-    "steering_vector",
-    "stream",
     "sum_rate_from_sinr",
-    "validate_closed_forms",
     "zf_baseband",
     "zf_spectrum",
 ]

@@ -17,11 +17,11 @@ from .channel import ChannelRealization
 from .numerics import (
     SingularMatrixError,
     TapSequence,
+    _rank_deficient,
     circular_convolve,
     dft_of_taps,
     gram_eigvals,
     gram_spectrum,
-    pinv_tall,
 )
 
 _MODULUS_TOL = 1e-12
@@ -47,14 +47,6 @@ class CombinerIR:
             mags = np.abs(self.taps.taps)
             if np.max(np.abs(mags - self.modulus)) > _MODULUS_TOL:
                 raise ValueError("tap entries violate the constant-modulus contract")
-
-    @property
-    def num_users(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.taps.shape[1]
 
 
 def mf_combiner(channel: ChannelRealization) -> CombinerIR:
@@ -112,9 +104,10 @@ class PhaseNetworkBank:
     """Two phase-only networks whose sum reproduces a target combiner.
 
     Each entry ``a`` of the normalized target splits into two unit-modulus
-    terms with phases ``angle(a) +/- arccos(|a|)``; adding the banks and
-    multiplying by ``scale`` recovers the target exactly, so phase shifters
-    alone can realize any combiner at twice the network count.
+    terms with phases ``angle(a) +/- arccos(|a|)``; the sum of the banks is
+    ``scale`` times the target exactly, and a common scale leaves every rate
+    unchanged, so phase shifters alone can realize any combiner at twice the
+    network count.
     """
 
     plus: TapSequence
@@ -132,8 +125,8 @@ def decompose_to_phase_banks(combiner: CombinerIR) -> PhaseNetworkBank:
 
     The target is normalized by its largest entry magnitude ``gamma`` so
     every entry lands in the closed unit disk; the returned ``scale`` is
-    ``2 / (gamma * sqrt(M))``, the factor that maps the summed banks back to
-    the target.
+    ``2 / (gamma * sqrt(M))``, the factor from the target to the summed
+    banks.
     """
     a = combiner.taps.taps
     gamma = float(np.max(np.abs(a)))
@@ -192,30 +185,33 @@ class EffectiveChannel:
         return gram_spectrum(adjoint, k)[-np.arange(k) % k]
 
 
-def effective_channel(
-    combiner: CombinerIR,
-    channel: ChannelRealization,
-    num_subcarriers: int | None = None,
-) -> EffectiveChannel:
-    """Convolve a combiner with a channel; no spectrum is computed here.
+def effective_channel(combiner: CombinerIR, channel: ChannelRealization) -> EffectiveChannel:
+    """Convolve a combiner with a channel on the channel's subcarrier grid.
 
-    The grid defaults to the channel's subcarrier count and must hold the
-    combined span without aliasing.
+    The grid must hold the combined span without aliasing; no spectrum is
+    computed here.
     """
-    k = channel.dims.subcarriers if num_subcarriers is None else int(num_subcarriers)
+    k = channel.dims.subcarriers
     return EffectiveChannel(combiner, circular_convolve(combiner.taps, channel.taps, k), k)
 
 
 def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """Per-subcarrier left pseudoinverse of a ``(K, rows, cols)`` grid."""
+    """Per-subcarrier left pseudoinverse of a ``(K, rows, cols)`` grid of tall matrices.
+
+    One batched SVD checks every rank, with the test of
+    ``require_full_column_rank``, and one batched solve of the normal
+    equations gives every inverse.  The raised ``SingularMatrixError`` names
+    the first rank-deficient subcarrier.
+    """
     grid = np.asarray(spectrum, dtype=complex)
-    if grid.ndim != 3:
-        raise ValueError("expected a (K, rows, cols) spectrum grid")
-    try:
-        return pinv_tall(grid)
-    except SingularMatrixError as exc:
-        k = exc.subcarrier
-        raise SingularMatrixError(f"singular channel at subcarrier {k}", subcarrier=k) from exc
+    if grid.ndim != 3 or grid.shape[1] < grid.shape[2]:
+        raise ValueError("expected a (K, rows, cols) grid of tall matrices (rows >= cols)")
+    bad = _rank_deficient(grid)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise SingularMatrixError(f"singular channel at subcarrier {k}", subcarrier=k)
+    adjoint = np.conj(np.swapaxes(grid, -1, -2))
+    return np.linalg.solve(adjoint @ grid, adjoint)
 
 
 def zf_baseband(effective: EffectiveChannel) -> np.ndarray:

@@ -85,10 +85,6 @@ class PowerDelayProfile:
         object.__setattr__(self, "gains", gains)
 
     @property
-    def num_taps(self) -> int:
-        return self.gains.shape[0]
-
-    @property
     def num_users(self) -> int:
         return self.gains.shape[1]
 
@@ -139,16 +135,20 @@ def draw_rich(dims: SystemDims, pdp: PowerDelayProfile, seed: int) -> ChannelRea
     return ChannelRealization(dims, TapSequence(0, taps), pdp)
 
 
-def steering_vector(num_antennas: int, angle: float, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Unit-norm uniform-linear-array response for one arrival angle.
+def steering_vector(
+    num_antennas: int, angle: float | np.ndarray, spacing_ratio: float = 0.5
+) -> np.ndarray:
+    """Unit-norm uniform-linear-array responses, one per arrival angle.
 
     ``spacing_ratio`` is element spacing over wavelength; the phase ramp is
-    ``2*pi*spacing_ratio*cos(angle)`` per element.
+    ``2*pi*spacing_ratio*cos(angle)`` per element.  ``angle`` is a scalar or
+    an array; the antenna axis comes first, so the result has shape
+    ``(num_antennas, *angle.shape)``.
     """
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
-    ramp = 2j * np.pi * spacing_ratio * np.cos(angle) * np.arange(num_antennas)
-    return np.exp(ramp) / np.sqrt(num_antennas)
+    ramp = 2j * np.pi * spacing_ratio * np.arange(num_antennas)
+    return np.exp(np.multiply.outer(ramp, np.cos(angle))) / np.sqrt(num_antennas)
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,7 @@ def draw_sparse(
     offsets = laplace(rng, spread / np.sqrt(2.0), shape)
     gains = complex_normal(rng, shape) * np.sqrt(pdp.gains)[:, None, :]
     angles = centers[:, None, :] + offsets
-    ramp = 2j * np.pi * config.spacing_ratio * np.arange(dims.antennas)
-    responses = np.exp(ramp[:, None, None, None] * np.cos(angles)[None]) / np.sqrt(dims.antennas)
+    responses = steering_vector(dims.antennas, angles, config.spacing_ratio)
     scale = np.sqrt(dims.antennas / (dims.taps * num_paths))
     taps = scale * np.einsum("lpu,mlpu->lmu", gains, responses)
     return ChannelRealization(dims, TapSequence(0, taps), pdp)

@@ -181,30 +181,15 @@ def load_config(path) -> list[Preset]:
 
 def _apply_overrides(preset: Preset, args) -> Preset:
     scenario = preset.scenario
-    dims = scenario.dims
-    dim_values = {key: getattr(dims, key) for key in _DIM_KEYS}
-    dims_changed = False
-    for key in _DIM_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            dim_values[key] = value
-            dims_changed = True
-    updates = {}
-    if dims_changed:
-        updates["dims"] = SystemDims(**dim_values)
+    dims = {key: getattr(args, key) for key in _DIM_KEYS if getattr(args, key) is not None}
+    updates = {"dims": replace(scenario.dims, **dims)}
     if args.realizations is not None:
         updates["realizations"] = args.realizations
     if args.snr is not None:
         updates["snr_db"] = parse_snr_spec(args.snr)
     if args.seed is not None:
         updates["master_seed"] = args.seed
-    if updates:
-        scenario = replace(scenario, **updates)
-    return Preset(
-        scenario=scenario,
-        antenna_sweep=preset.antenna_sweep,
-        description=preset.description,
-    )
+    return replace(preset, scenario=replace(scenario, **updates))
 
 
 def cmd_list(args) -> int:
@@ -295,16 +280,12 @@ def cmd_plot(args) -> int:
                 f"schemes {missing} not in {args.csv}; available: {', '.join(sorted(present))}"
             )
         metric_rows = [row for row in metric_rows if row.scheme in wanted]
-    order: list[str] = []
     grouped: dict[str, list[ResultRow]] = {}
     for row in metric_rows:
-        if row.scheme not in grouped:
-            grouped[row.scheme] = []
-            order.append(row.scheme)
-        grouped[row.scheme].append(row)
+        grouped.setdefault(row.scheme, []).append(row)
     series = [
-        (scheme, [r.snr_db for r in grouped[scheme]], [r.value for r in grouped[scheme]])
-        for scheme in order
+        (scheme, [r.snr_db for r in group], [r.value for r in group])
+        for scheme, group in grouped.items()
     ]
     is_sweep = args.metric.startswith("rms")
     xlabel = args.xlabel or ("antennas" if is_sweep else "SNR (dB)")

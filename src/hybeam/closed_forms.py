@@ -20,6 +20,9 @@ MODEL_1TAP = "1tap"
 
 # |E[magnitude]|^2 of a unit complex Gaussian entry: pi/4.
 COHERENT_GAIN = np.pi / 4.0
+# Multiples of 1/sqrt(M) that bracket the mean RMS delay spread.
+ENVELOPE_LOW = 1.0
+ENVELOPE_HIGH = 3.0
 
 
 def _check_column(pdp_column: np.ndarray) -> np.ndarray:
@@ -102,22 +105,18 @@ def capacity_limit(
     return float(np.sum(np.log2(1.0 + gains)))
 
 
-def delay_spread_envelopes(
-    antenna_grid: np.ndarray, c_low: float = 1.0, c_high: float = 3.0
-) -> tuple[np.ndarray, np.ndarray]:
+def delay_spread_envelopes(antenna_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ``c / sqrt(M)`` envelopes for the mean RMS delay spread.
 
     Phase-aligned combining shrinks the residual dispersion of the effective
-    channel at a ``1/sqrt(M)`` rate; the constants bracket which multiple of
-    that rate the combiner family achieves.
+    channel at a ``1/sqrt(M)`` rate; ``ENVELOPE_LOW`` and ``ENVELOPE_HIGH``
+    bracket which multiple of that rate the combiner family achieves.
     """
-    if not 0.0 < c_low < c_high:
-        raise ValueError("need 0 < c_low < c_high")
     grid = np.asarray(antenna_grid, dtype=float)
     if np.any(grid < 1.0):
         raise ValueError("antenna counts must be at least 1")
     root = np.sqrt(grid)
-    return c_low / root, c_high / root
+    return ENVELOPE_LOW / root, ENVELOPE_HIGH / root
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,8 @@ def predict(
     link: LinkBudget, antennas: int, pdp: PowerDelayProfile, model: str
 ) -> AsymptoticPrediction:
     """Bundle the per-user SINR limits and both rate limits for one model."""
-    if model == MODEL_LTAP:
-        per_user = sinr_limit_ltap
-    elif model == MODEL_1TAP:
-        per_user = sinr_limit_1tap
-    else:
-        raise ValueError(f"unknown model {model!r}; expected {MODEL_LTAP!r} or {MODEL_1TAP!r}")
+    capacity = capacity_limit(link, antennas, pdp, model)  # rejects an unknown model
+    per_user = sinr_limit_ltap if model == MODEL_LTAP else sinr_limit_1tap
     sinr = np.array(
         [per_user(link, antennas, pdp.num_users, pdp.column(u)) for u in range(pdp.num_users)]
     )
@@ -147,5 +142,5 @@ def predict(
         model=model,
         sinr=sinr,
         sum_rate=float(np.sum(np.log2(1.0 + sinr))),
-        capacity=capacity_limit(link, antennas, pdp, model),
+        capacity=capacity,
     )

@@ -57,14 +57,25 @@ from .numerics import SingularMatrixError, gram_spectrum, require_full_column_ra
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
 
-_COMBINER_BASES = ("mf", "rf_1tap", "rf_ltap", "heuristic_1tap", "bank_2L")
-SCHEMES = (
-    ("capacity", "zf")
-    + _COMBINER_BASES
-    + tuple(f"{base}+zf" for base in _COMBINER_BASES)
-)
+# Combiner base of every scheme name -> its builder.  Each builder looks its
+# function up at call time, so a module function wrapped after import (as
+# perfbench's span tracer does) is the one called.
+_COMBINERS = {
+    "mf": lambda channel: mf_combiner(channel),
+    "rf_1tap": lambda channel: rf_1tap(channel),
+    "rf_ltap": lambda channel: rf_ltap(channel),
+    "heuristic_1tap": lambda channel: rf_1tap_sum_heuristic(channel),
+    "bank_2L": lambda channel: decompose_to_phase_banks(mf_combiner(channel)).combined(),
+}
+SCHEMES = ("capacity", "zf") + tuple(_COMBINERS) + tuple(f"{base}+zf" for base in _COMBINERS)
 
 _MODEL_LABEL = {"rich": 1, "sparse": 2}
+
+
+def _reject_repeats(what: str, items: tuple) -> None:
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,8 @@ class Scenario:
             raise ValueError("SNR grid is empty")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"SNR grid has non-finite points: {self.snr_db}")
-        for what, items in (("SNR grid", self.snr_db), ("scheme list", self.schemes)):
-            repeated = sorted({item for item in items if items.count(item) > 1})
-            if repeated:
-                raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
+        _reject_repeats("SNR grid", self.snr_db)
+        _reject_repeats("scheme list", self.schemes)
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid: {', '.join(SCHEMES)}")
@@ -168,26 +177,6 @@ def draw_realization(
     return draw_rich(dims, pdp, seed)
 
 
-def _parse_scheme(name: str) -> tuple[str, bool]:
-    if name.endswith("+zf"):
-        return name[: -len("+zf")], True
-    return name, False
-
-
-def _build_combiner(base: str, channel: ChannelRealization) -> CombinerIR:
-    if base == "mf":
-        return mf_combiner(channel)
-    if base == "rf_ltap":
-        return rf_ltap(channel)
-    if base == "rf_1tap":
-        return rf_1tap(channel)
-    if base == "heuristic_1tap":
-        return rf_1tap_sum_heuristic(channel)
-    if base == "bank_2L":
-        return decompose_to_phase_banks(mf_combiner(channel)).combined()
-    raise ValueError(f"unknown combiner base {base!r}")
-
-
 def _evaluate_realization(scenario: Scenario, index: int) -> dict:
     """Per scheme, its ``(metric, snr)`` values for one shared channel draw.
 
@@ -218,8 +207,8 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
 
     def build(base: str) -> tuple[CombinerIR, EffectiveChannel]:
         if base not in built:
-            combiner = _build_combiner(base, channel)
-            built[base] = combiner, effective_channel(combiner, channel, k)
+            combiner = _COMBINERS[base](channel)
+            built[base] = combiner, effective_channel(combiner, channel)
         return built[base]
 
     def evaluate(scheme: str) -> dict[tuple[str, float], float]:
@@ -236,9 +225,9 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
             require_full_column_rank(channel.taps, k, raw())
             record("rate", rates_from_eigvals(raw(), snrs))
             return values
-        base, with_zf = _parse_scheme(scheme)
+        base = scheme.removesuffix("+zf")
         combiner, effective = build(base)
-        if with_zf:
+        if base != scheme:
             require_full_column_rank(effective.taps, k, effective.gram_eigvals)
             record("rate", spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs))
         else:
@@ -377,10 +366,8 @@ def _rms_block(args) -> list:
         channel = draw_realization(scenario, index, antennas=antennas)
         samples: dict[str, np.ndarray] = {}
         for base in ("mf", "rf_1tap", "rf_ltap"):
-            effective = effective_channel(
-                _build_combiner(base, channel), channel, scenario.dims.subcarriers
-            )
-            samples[base] = delay_spread_report(pdp_of_effective(effective)).rms
+            effective = effective_channel(_COMBINERS[base](channel), channel)
+            samples[base] = delay_spread_report(pdp_of_effective(effective))[1]
         power = np.abs(channel.taps.taps.transpose(1, 2, 0)) ** 2
         samples["siso"] = delay_moments(power, channel.taps.offset)[1].ravel()
         out.append((index, samples))
@@ -562,11 +549,22 @@ def validate_closed_forms(
 
 @dataclass(frozen=True)
 class Preset:
-    """A named ready-to-run scenario, optionally with an antenna sweep."""
+    """A named ready-to-run scenario, optionally with an antenna sweep.
+
+    Every sweep size is distinct and at least the scenario's user count.
+    """
 
     scenario: Scenario
     antenna_sweep: tuple[int, ...] = ()
     description: str = ""
+
+    def __post_init__(self):
+        sweep = f"antenna_sweep of {self.scenario.name}"
+        _reject_repeats(sweep, self.antenna_sweep)
+        users = self.scenario.dims.users
+        small = [m for m in self.antenna_sweep if m < users]
+        if small:
+            raise ValueError(f"{sweep} has sizes below its {users} users: {small}")
 
 
 DEFAULT_DIMS = SystemDims(antennas=100, users=4, taps=4, subcarriers=128)

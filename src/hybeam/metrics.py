@@ -78,41 +78,18 @@ def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:
     return float(spectral_rates(spectrum, None, [link.snr])[0])
 
 
-def combined_terms(
-    combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signal ``W(k) H(k)`` and noise covariance ``W(k) W(k)^H`` of a linear combiner."""
-    w = np.asarray(combiner_spectrum, dtype=complex)
-    h = np.asarray(channel_spectrum, dtype=complex)
-    if w.ndim != 3 or h.ndim != 3 or w.shape[0] != h.shape[0] or w.shape[2] != h.shape[1]:
-        raise ValueError("combiner and channel grids do not align")
-    return w @ h, w @ _adjoint(w)
-
-
 def rate_spectral(combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray, link: LinkBudget) -> float:
     """Achievable sum rate of an arbitrary linear combiner given per-subcarrier grids.
 
     ``combiner_spectrum`` is ``(K, U, M)`` and ``channel_spectrum`` is
-    ``(K, M, U)``; the combined noise keeps its exact covariance
-    ``W(k) W(k)^H``.
+    ``(K, M, U)``; the signal is ``W(k) H(k)`` and the combined noise keeps
+    its exact covariance ``W(k) W(k)^H``.
     """
-    signal, cov = combined_terms(combiner_spectrum, channel_spectrum)
-    return float(spectral_rates(signal, cov, [link.snr])[0])
-
-
-def hybrid_terms(
-    effective: EffectiveChannel, baseband: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and noise covariance grids after an optional baseband stage."""
-    signal = effective.spectrum
-    cov = effective.noise_cov_spectrum
-    if baseband is not None:
-        bb = np.asarray(baseband, dtype=complex)
-        if bb.shape[0] != effective.num_subcarriers or bb.shape[2] != signal.shape[1]:
-            raise ValueError("baseband grid does not align with the effective channel")
-        signal = bb @ signal
-        cov = bb @ cov @ _adjoint(bb)
-    return signal, cov
+    w = np.asarray(combiner_spectrum, dtype=complex)
+    h = np.asarray(channel_spectrum, dtype=complex)
+    if w.ndim != 3 or h.ndim != 3 or w.shape[0] != h.shape[0] or w.shape[2] != h.shape[1]:
+        raise ValueError("combiner and channel grids do not align")
+    return float(spectral_rates(w @ h, w @ _adjoint(w), [link.snr])[0])
 
 
 def achievable_rate_hybrid(
@@ -126,7 +103,14 @@ def achievable_rate_hybrid(
     the per-subcarrier baseband matrices multiply both signal and noise, so
     an invertible baseband leaves the rate unchanged.
     """
-    signal, cov = hybrid_terms(effective, baseband)
+    signal = effective.spectrum
+    cov = effective.noise_cov_spectrum
+    if baseband is not None:
+        bb = np.asarray(baseband, dtype=complex)
+        if bb.shape[0] != effective.num_subcarriers or bb.shape[2] != signal.shape[1]:
+            raise ValueError("baseband grid does not align with the effective channel")
+        signal = bb @ signal
+        cov = bb @ cov @ _adjoint(bb)
     return float(spectral_rates(signal, cov, [link.snr])[0])
 
 
@@ -137,18 +121,6 @@ class EffectivePdp:
 
     power: np.ndarray
     offset: int
-
-    @property
-    def num_users(self) -> int:
-        return self.power.shape[0]
-
-    @property
-    def zero_index(self) -> int:
-        return -self.offset
-
-    def user_profile(self, user: int) -> np.ndarray:
-        """Same-user power profile across delays."""
-        return self.power[user, user]
 
 
 def pdp_of_effective(effective: EffectiveChannel) -> EffectivePdp:
@@ -178,7 +150,7 @@ class SinrBreakdown:
 
 def _sinr_breakdown(pdp: EffectivePdp, noise_power: np.ndarray, pt) -> SinrBreakdown:
     """Breakdown at transmit power ``pt``: a scalar, or a ``(P, 1)`` column of powers."""
-    zero = pdp.zero_index
+    zero = -pdp.offset
     if not 0 <= zero < pdp.power.shape[2]:
         raise ValueError("delay 0 is outside the stored profile")
     own = np.einsum("uun->un", pdp.power)
@@ -215,14 +187,6 @@ def sum_rate_from_sinr(breakdown: SinrBreakdown) -> float:
     return float(np.sum(np.log2(1.0 + breakdown.sinr)))
 
 
-@dataclass(frozen=True)
-class DelaySpread:
-    """First and centered second moment of a power profile over delay."""
-
-    mean_delay: float
-    rms: float
-
-
 def delay_moments(power: np.ndarray, first_delay: int) -> tuple[np.ndarray, np.ndarray]:
     """Power-weighted mean delay and RMS spread over the last axis of ``power``.
 
@@ -243,28 +207,6 @@ def delay_moments(power: np.ndarray, first_delay: int) -> tuple[np.ndarray, np.n
     return mean, np.sqrt(np.maximum(radicand, 0.0))
 
 
-def rms_delay_spread(profile: np.ndarray, first_delay: int = 0) -> DelaySpread:
-    """Power-weighted mean delay and RMS spread of a nonnegative 1-D profile.
-
-    The RMS value is invariant to delay shifts, so ``first_delay`` only
-    moves the mean; see ``delay_moments`` for the rejected profiles.
-    """
-    power = np.asarray(profile, dtype=float)
-    if power.ndim != 1 or power.size < 1:
-        raise ValueError("profile must be a nonempty 1-D array")
-    mean, rms = delay_moments(power, first_delay)
-    return DelaySpread(mean_delay=float(mean), rms=float(rms))
-
-
-@dataclass(frozen=True)
-class DelaySpreadReport:
-    """Per-user delay statistics of an effective channel."""
-
-    mean_delay: np.ndarray
-    rms: np.ndarray
-
-
-def delay_spread_report(pdp: EffectivePdp) -> DelaySpreadReport:
-    """Per-user RMS delay spread of the same-user effective profiles."""
-    mean, rms = delay_moments(np.einsum("uun->un", pdp.power), pdp.offset)
-    return DelaySpreadReport(mean_delay=mean, rms=rms)
+def delay_spread_report(pdp: EffectivePdp) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user mean delay and RMS delay spread of the same-user effective profiles."""
+    return delay_moments(np.einsum("uun->un", pdp.power), pdp.offset)

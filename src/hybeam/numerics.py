@@ -1,4 +1,4 @@
-"""Matrix-valued tap sequences, their transforms and Gram spectra, the rank check and the pseudoinverse.
+"""Matrix-valued tap sequences, their transforms and Gram spectra, and the rank check.
 
 A tap sequence is a finite matrix-valued impulse response: one matrix per
 integer delay on a contiguous range.  Everything downstream (channels,
@@ -194,23 +194,3 @@ def require_full_column_rank(
         first = int(suspect[np.flatnonzero(bad)[0]])
         raise SingularMatrixError(f"singular channel at subcarrier {first}", subcarrier=first)
 
-
-def pinv_tall(mat: np.ndarray) -> np.ndarray:
-    """Left pseudoinverse of a tall full-column-rank matrix, or of a stack of them.
-
-    ``mat`` is ``(rows, cols)`` or ``(..., rows, cols)``; the result has the
-    last two axes swapped.  One batched SVD checks every rank, with the test
-    of ``require_full_column_rank``, and one batched solve of the normal
-    equations gives every inverse.  For a stack, the raised
-    ``SingularMatrixError.subcarrier`` is the flat index of the first
-    rank-deficient matrix.
-    """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
-        raise ValueError("pinv_tall expects a tall matrix (rows >= cols)")
-    bad = _rank_deficient(m)
-    if np.any(bad):
-        first = int(np.flatnonzero(bad)[0]) if m.ndim > 2 else None
-        raise SingularMatrixError("singular channel: matrix is rank deficient", subcarrier=first)
-    adjoint = np.conj(np.swapaxes(m, -1, -2))
-    return np.linalg.solve(adjoint @ m, adjoint)

@@ -168,6 +168,15 @@ class TestSteeringVector:
         v = steering_vector(4, 0.0, spacing_ratio=0.25)
         np.testing.assert_allclose(v, np.array([1.0, 1.0j, -1.0, -1.0j]) / 2.0, atol=1e-12)
 
+    def test_broadcasts_over_angles(self):
+        angles = np.array([[0.0, 0.4], [1.1, math.pi / 2], [2.5, 3.0]])
+        grid = steering_vector(6, angles, spacing_ratio=0.3)
+        assert grid.shape == (6, 3, 2)
+        for index in np.ndindex(3, 2):
+            np.testing.assert_allclose(
+                grid[(slice(None), *index)], steering_vector(6, angles[index], 0.3), atol=1e-15
+            )
+
 
 class TestDrawSparse:
     def test_reproducible(self):

@@ -348,6 +348,27 @@ class TestConfigFiles:
         assert "scheme list repeats capacity" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_antenna_sweep_it_cannot_honour_rejected_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        monkeypatch.setattr(cli, "rms_study", never_run)
+        for sweep, message in (
+            ("8, 8", "antenna_sweep of x repeats 8"),
+            ("8, 1", "antenna_sweep of x has sizes below its 2 users: [1]"),
+        ):
+            config = tmp_path / "sweep.ini"
+            config.write_text(f"[x]\nM = 16\nU = 2\nschemes = capacity\nantenna_sweep = {sweep}\n")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            assert message in capsys.readouterr().err
+        # a user-count override that pushes fig5's sweep below the users
+        assert run_cli("run", "fig5", "--U", "30", "--outdir", str(tmp_path / "res")) == 2
+        assert "antenna_sweep of fig5 has sizes below its 30 users: [20, 25]" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[x]\nschemes = capacity\nbogus = 1\n")

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybeam import beamforming, channel, experiments, numerics
 from hybeam.beamforming import effective_channel, zf_baseband, zf_spectrum
-from hybeam.channel import SparseChannelConfig, SystemDims, channel_spectrum
+from hybeam.channel import PowerDelayProfile, SparseChannelConfig, SystemDims, channel_spectrum
 from hybeam.experiments import (
     PRESETS,
     _evaluate_realization,
@@ -25,8 +27,7 @@ from hybeam.metrics import (
     LinkBudget,
     achievable_rate_hybrid,
     capacity,
-    combined_terms,
-    spectral_rates,
+    rate_spectral,
 )
 from hybeam.numerics import TapSequence
 
@@ -121,7 +122,9 @@ class TestRunScenario:
         grid = channel_spectrum(ch)
         for row in result.rows:
             direct = capacity(grid, LinkBudget.from_snr_db(row.snr_db))
-            assert row.value == direct
+            # the runner's Gram comes from lag products, this one from the DFT:
+            # they agree to roundoff, not bit for bit
+            assert row.value == pytest.approx(direct, rel=1e-12, abs=0.0)
             assert row.stderr == 0.0
             assert row.realizations == 1
             assert row.seed == 99
@@ -180,13 +183,11 @@ class TestRunScenario:
             ch = draw_realization(s, index)
             grid = channel_spectrum(ch)
             links = [LinkBudget.from_snr_db(snr) for snr in s.snr_db]
-            explicit = spectral_rates(
-                *combined_terms(zf_spectrum(grid), grid), [link.snr for link in links]
-            )
+            explicit = [rate_spectral(zf_spectrum(grid), grid, link) for link in links]
             for snr, rate in zip(s.snr_db, explicit):
                 assert values["zf"][("rate", snr)] == pytest.approx(rate, rel=1e-12)
             for base in bases:
-                eff = effective_channel(experiments._build_combiner(base, ch), ch)
+                eff = effective_channel(experiments._COMBINERS[base](ch), ch)
                 bb = zf_baseband(eff)
                 for snr, link in zip(s.snr_db, links):
                     assert values[f"{base}+zf"][("rate", snr)] == pytest.approx(
@@ -377,6 +378,67 @@ class TestRunScenario:
         monkeypatch.setenv("HYBEAM_THREADS", "0")
         with pytest.raises(ValueError):
             resolve_workers(None)
+
+
+ZF_SCHEMES = ("zf", "mf+zf", "rf_1tap+zf", "rf_ltap+zf", "heuristic_1tap+zf", "bank_2L+zf")
+
+
+@st.composite
+def one_draw_scenarios(draw):
+    """One-realization scenarios of random geometry, model, seed and SNR with
+    the raw capacity and every ZF scheme."""
+    taps = draw(st.integers(1, 4))
+    users = draw(st.integers(1, 4))
+    dims = SystemDims(
+        antennas=draw(st.integers(users, 12)),
+        users=users,
+        taps=taps,
+        subcarriers=2 * taps - 1 + draw(st.integers(0, 9)),
+    )
+    return small_scenario(
+        dims=dims,
+        snr_db=(float(draw(st.integers(-20, 40))),),
+        realizations=1,
+        schemes=("capacity",) + ZF_SCHEMES,
+        channel_model=draw(st.sampled_from(["rich", "sparse"])),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRateProperties:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(s=one_draw_scenarios())
+    def test_zf_rates_never_exceed_the_raw_capacity(self, s):
+        # combining cannot add information: every ZF rate is at most the
+        # capacity of the draw it combines
+        values = _evaluate_realization(s, 0)
+        snr = s.snr_db[0]
+        cap = values["capacity"][("capacity", snr)]
+        for scheme in ZF_SCHEMES:
+            if values[scheme] is not None:
+                assert values[scheme][("rate", snr)] <= cap * (1.0 + 1e-12), scheme
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(s=one_draw_scenarios(), data=st.data())
+    def test_rates_do_not_depend_on_the_order_of_users(self, s, data):
+        perm = list(data.draw(st.permutations(range(s.dims.users))))
+        ch = draw_realization(s, 0)
+        permuted = replace(
+            ch,
+            taps=TapSequence(0, ch.taps.taps[:, :, perm]),
+            pdp=PowerDelayProfile(ch.pdp.gains[:, perm]),
+        )
+        values = _evaluate_realization(s, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "draw_realization", lambda *args, **kwargs: permuted)
+            swapped = _evaluate_realization(s, 0)
+        assert swapped.keys() == values.keys()
+        for scheme, keyed in values.items():
+            if keyed is None:
+                assert swapped[scheme] is None, scheme
+                continue
+            for key, value in keyed.items():
+                assert swapped[scheme][key] == pytest.approx(value, rel=1e-12, abs=0.0), scheme
 
 
 class TestRmsStudy:

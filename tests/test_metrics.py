@@ -27,7 +27,6 @@ from hybeam.channel import (
 )
 from hybeam.closed_forms import sinr_limit_1tap, sinr_limit_ltap
 from hybeam.metrics import (
-    DelaySpread,
     LinkBudget,
     SinrBreakdown,
     achievable_rate_hybrid,
@@ -36,7 +35,6 @@ from hybeam.metrics import (
     delay_spread_report,
     pdp_of_effective,
     rate_spectral,
-    rms_delay_spread,
     sinr_from_pdp,
     sinr_sum_rates,
     spectral_rates,
@@ -286,9 +284,8 @@ class TestPdpAndSinr:
         taps[1] = [[5.0, 6.0], [7.0, 8.0]]
         pdp = pdp_of_effective(EffectiveChannel(WHITE, TapSequence(-1, taps), 2))
         assert pdp.offset == -1
-        assert pdp.zero_index == 1
         np.testing.assert_allclose(pdp.power[0, 1], [4.0, 36.0])
-        np.testing.assert_allclose(pdp.user_profile(1), [16.0, 64.0])
+        np.testing.assert_allclose(pdp.power[1, 1], [16.0, 64.0])
 
     def test_single_tap_identity_channel(self):
         eff = EffectiveChannel(WHITE, TapSequence(0, np.eye(2, dtype=complex)[None]), 1)
@@ -406,62 +403,62 @@ class TestPdpAndSinr:
 
 class TestRmsDelaySpread:
     def test_single_impulse(self):
-        got = rms_delay_spread(np.array([0.0, 5.0, 0.0]))
-        assert got == DelaySpread(mean_delay=1.0, rms=0.0)
+        assert delay_moments(np.array([0.0, 5.0, 0.0]), 0) == (1.0, 0.0)
 
     def test_two_equal_taps(self):
-        got = rms_delay_spread(np.array([1.0, 1.0]))
-        assert got.mean_delay == pytest.approx(0.5, abs=1e-14)
-        assert got.rms == pytest.approx(0.5, abs=1e-14)
+        mean, rms = delay_moments(np.array([1.0, 1.0]), 0)
+        assert mean == pytest.approx(0.5, abs=1e-14)
+        assert rms == pytest.approx(0.5, abs=1e-14)
 
     def test_four_to_one_profile(self):
-        got = rms_delay_spread(np.array([4.0, 1.0]))
-        assert got.mean_delay == pytest.approx(0.2, abs=1e-14)
-        assert got.rms == pytest.approx(0.4, abs=1e-14)
+        mean, rms = delay_moments(np.array([4.0, 1.0]), 0)
+        assert mean == pytest.approx(0.2, abs=1e-14)
+        assert rms == pytest.approx(0.4, abs=1e-14)
 
     def test_shift_moves_mean_not_rms(self):
-        base = rms_delay_spread(np.array([1.0, 2.0, 1.0]))
-        shifted = rms_delay_spread(np.array([1.0, 2.0, 1.0]), first_delay=-3)
-        assert shifted.mean_delay == pytest.approx(base.mean_delay - 3.0, abs=1e-12)
-        assert shifted.rms == pytest.approx(base.rms, abs=1e-12)
+        base_mean, base_rms = delay_moments(np.array([1.0, 2.0, 1.0]), 0)
+        mean, rms = delay_moments(np.array([1.0, 2.0, 1.0]), -3)
+        assert mean == pytest.approx(base_mean - 3.0, abs=1e-12)
+        assert rms == pytest.approx(base_rms, abs=1e-12)
 
     def test_scale_invariant(self):
         profile = np.array([0.3, 1.2, 0.8, 0.1])
-        assert rms_delay_spread(7.0 * profile).rms == pytest.approx(
-            rms_delay_spread(profile).rms, rel=1e-12
+        assert delay_moments(7.0 * profile, 0)[1] == pytest.approx(
+            delay_moments(profile, 0)[1], rel=1e-12
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rms_delay_spread(np.zeros(3))
+            delay_moments(np.zeros(3), 0)
         with pytest.raises(ValueError):
-            rms_delay_spread(np.array([1.0, -0.5]))
+            delay_moments(np.array([1.0, -0.5]), 0)
         with pytest.raises(ValueError):
-            rms_delay_spread(np.ones((2, 2)))
+            # one of the two profiles has no positive mass
+            delay_moments(np.array([[1.0, 1.0], [0.0, 0.0]]), 0)
 
     def test_moments_over_last_axis_match_single_profiles(self):
         power = np.abs(complex_normal(stream(62), (3, 2, 5))) ** 2
         mean, rms = delay_moments(power, -2)
         for index in np.ndindex(3, 2):
-            single = rms_delay_spread(power[index], -2)
-            assert mean[index] == pytest.approx(single.mean_delay, abs=1e-14)
-            assert rms[index] == pytest.approx(single.rms, abs=1e-14)
+            single_mean, single_rms = delay_moments(power[index], -2)
+            assert mean[index] == pytest.approx(single_mean, abs=1e-14)
+            assert rms[index] == pytest.approx(single_rms, abs=1e-14)
 
     def test_report_matches_per_user_loop(self):
         ch = rich(60)
         eff = effective_channel(mf_combiner(ch), ch)
         pdp = pdp_of_effective(eff)
-        report = delay_spread_report(pdp)
+        mean, rms = delay_spread_report(pdp)
         for u in range(DIMS.users):
-            single = rms_delay_spread(pdp.user_profile(u), pdp.offset)
-            assert report.rms[u] == pytest.approx(single.rms, abs=1e-14)
-            assert report.mean_delay[u] == pytest.approx(single.mean_delay, abs=1e-14)
+            single_mean, single_rms = delay_moments(pdp.power[u, u], pdp.offset)
+            assert rms[u] == pytest.approx(single_rms, abs=1e-14)
+            assert mean[u] == pytest.approx(single_mean, abs=1e-14)
 
     def test_combining_shrinks_spread(self):
         # per-tap alignment concentrates power at delay zero
         dims = SystemDims(antennas=128, users=2, taps=4, subcarriers=16)
         ch = rich(61, dims)
         eff = effective_channel(rf_ltap(ch), ch)
-        report = delay_spread_report(pdp_of_effective(eff))
+        _, rms = delay_spread_report(pdp_of_effective(eff))
         raw_profile = np.abs(ch.taps.taps[:, 0, 0]) ** 2
-        assert np.all(report.rms < rms_delay_spread(raw_profile).rms)
+        assert np.all(rms < delay_moments(raw_profile, 0)[1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybeam.beamforming import zf_spectrum
 from hybeam.channel import complex_normal, stream
 from hybeam.numerics import (
     GRAM_SCREEN_RTOL,
@@ -14,7 +15,6 @@ from hybeam.numerics import (
     dft_of_taps,
     gram_eigvals,
     gram_spectrum,
-    pinv_tall,
     require_full_column_rank,
 )
 
@@ -187,35 +187,36 @@ class TestCircularConvolve:
 
 
 class TestPinvTall:
+    """The left pseudoinverse of tall matrices, which ``zf_spectrum`` takes per matrix of a stack."""
+
     def test_unitary_inverse_is_adjoint(self):
         q, _ = np.linalg.qr(complex_normal(stream(600), (5, 5)))
-        np.testing.assert_allclose(pinv_tall(q), q.conj().T, atol=1e-12)
+        np.testing.assert_allclose(zf_spectrum(q[None])[0], q.conj().T, atol=1e-12)
 
     def test_orthonormal_columns(self):
         q, _ = np.linalg.qr(complex_normal(stream(601), (8, 3)))
-        np.testing.assert_allclose(pinv_tall(q), q.conj().T, atol=1e-12)
+        np.testing.assert_allclose(zf_spectrum(q[None])[0], q.conj().T, atol=1e-12)
 
     def test_left_inverse_residual(self):
-        for key in range(5):
-            m = complex_normal(stream(610 + key), (8, 4))
-            p = pinv_tall(m)
-            np.testing.assert_allclose(p @ m, np.eye(4), atol=1e-10)
-            # projector property of m @ p
-            np.testing.assert_allclose((m @ p) @ m, m, atol=1e-10)
+        stack = np.stack([complex_normal(stream(610 + key), (8, 4)) for key in range(5)])
+        p = zf_spectrum(stack)
+        np.testing.assert_allclose(p @ stack, np.broadcast_to(np.eye(4), (5, 4, 4)), atol=1e-10)
+        # projector property of m @ p
+        np.testing.assert_allclose((stack @ p) @ stack, stack, atol=1e-10)
 
     def test_rank_deficient_raises(self):
         m = complex_normal(stream(620), (6, 2))
         dup = np.concatenate([m, m[:, :1]], axis=1)
         with pytest.raises(SingularMatrixError, match="singular"):
-            pinv_tall(dup)
+            zf_spectrum(dup[None])
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            pinv_tall(np.zeros((4, 2)))
+            zf_spectrum(np.zeros((1, 4, 2)))
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
-            pinv_tall(np.ones((2, 4)))
+            zf_spectrum(np.ones((1, 2, 4)))
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(
@@ -226,15 +227,15 @@ class TestPinvTall:
     )
     def test_stack_matches_per_matrix_calls(self, k, cols, extra_rows, seed):
         stack = complex_normal(stream(630, seed), (k, cols + extra_rows, cols))
-        expected = np.stack([pinv_tall(m) for m in stack])
-        np.testing.assert_allclose(pinv_tall(stack), expected, rtol=0.0, atol=1e-12)
+        expected = np.concatenate([zf_spectrum(m[None]) for m in stack])
+        np.testing.assert_allclose(zf_spectrum(stack), expected, rtol=0.0, atol=1e-12)
 
     def test_stack_names_first_rank_deficient_matrix(self):
         stack = complex_normal(stream(640), (5, 4, 2))
         stack[3, :, 1] = stack[3, :, 0]
         stack[4] = 0.0
         with pytest.raises(SingularMatrixError) as info:
-            pinv_tall(stack)
+            zf_spectrum(stack)
         assert info.value.subcarrier == 3
 
 
@@ -266,7 +267,6 @@ def rank_verdict(seq, k, gram):
     except SingularMatrixError as exc:
         return exc.subcarrier
     return "full rank"
-
 
 class TestGramSpectrum:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -376,13 +376,8 @@ class TestRankCheck:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         require_full_column_rank(seq, 16, lag_gram(seq, 16))
 
-    def test_single_matrix_error_has_no_index(self):
-        # the SVD stage names a subcarrier of a grid, but no index for a lone matrix
-        dup = planted(680, 5, 3, 0.0)
-        with pytest.raises(SingularMatrixError) as info:
-            pinv_tall(dup)
-        assert info.value.subcarrier is None
-        seq = TapSequence(0, dup[None])
+    def test_one_subcarrier_grid_names_subcarrier_0(self):
+        seq = TapSequence(0, planted(680, 5, 3, 0.0)[None])
         for gram in (None, lag_gram(seq, 1)):
             assert rank_verdict(seq, 1, gram) == 0
 

@@ -1,13 +1,17 @@
-"""The README's library quickstart runs and prints what it claims."""
+"""The README's library quickstart runs and prints what it claims, and the
+package namespace is the surface the README documents."""
 
+import ast
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import hybeam
 from hybeam import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_quickstart_rf_rate_matches_its_closed_form():
@@ -34,3 +38,38 @@ def test_config_keys_match_the_parser():
         for key in token.split("=")[0].strip().split("/")
     }
     assert keys == cli._CONFIG_KEYS | set(cli._KEY_ALIASES)
+
+
+def _imported_from_hybeam(text):
+    """Names of every ``from hybeam import ...`` statement, parenthesized or not."""
+    names = set()
+    for group, line in re.findall(r"from hybeam import (?:\(([^)]*)\)|([^\n(]+))", text):
+        names.update(name.strip() for name in (group or line).split(",") if name.strip())
+    return names
+
+
+def _defined_in_package():
+    """Public names bound at the top level of the package's modules."""
+    names = set()
+    for path in (ROOT / "src" / "hybeam").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_namespace_is_the_documented_surface():
+    # the README's package names, the names the acceptance checks import from
+    # the namespace, and draw_realization, which perfbench/check.py imports
+    text = README.read_text(encoding="utf-8")
+    spans = (re.match(r"[A-Za-z_]\w*", span) for span in re.findall(r"`([^`\n]+)`", text))
+    backticked = {match.group() for match in spans if match}
+    readme = _imported_from_hybeam(text) | (backticked & _defined_in_package())
+    acceptance = _imported_from_hybeam((ROOT / "tests" / "test_acceptance.py").read_text())
+    expected = readme | acceptance | {"draw_realization"}
+    assert set(hybeam.__all__) == expected
+    assert len(hybeam.__all__) == len(expected)
+    for name in expected:
+        assert getattr(hybeam, name) is not None, name
