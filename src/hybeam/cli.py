@@ -17,14 +17,13 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .channel import SparseChannelConfig, SystemDims
+from .channel import SparseChannelConfig
 from .experiments import (
-    DEFAULT_SNR_GRID,
     PRESETS,
     VALIDATED_SCHEMES,
+    VALIDATED_SWEEP,
     Preset,
     ResultRow,
-    Scenario,
     rms_study,
     run_scenario,
     validate_closed_forms,
@@ -117,11 +116,14 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
 
 _DIM_KEYS = ("antennas", "users", "taps", "subcarriers")
 _KEY_ALIASES = {"m": "antennas", "u": "users", "l": "taps", "k": "subcarriers"}
-_SPARSE_KEYS = ("paths_per_cluster", "angular_spread_deg", "spacing_ratio")
-_CONFIG_KEYS = set(_DIM_KEYS) | set(_SPARSE_KEYS) | {
-    "realizations",
-    "snr",
-    "seed",
+_SPARSE_KEYS = {"paths_per_cluster": int, "angular_spread_deg": float, "spacing_ratio": float}
+# key -> (Scenario field, parser)
+_SCENARIO_KEYS = {
+    "snr": ("snr_db", parse_snr_spec),
+    "realizations": ("realizations", int),
+    "seed": ("master_seed", int),
+}
+_CONFIG_KEYS = set(_DIM_KEYS) | set(_SPARSE_KEYS) | set(_SCENARIO_KEYS) | {
     "model",
     "schemes",
     "antenna_sweep",
@@ -129,7 +131,13 @@ _CONFIG_KEYS = set(_DIM_KEYS) | set(_SPARSE_KEYS) | {
 
 
 def load_config(path) -> list[Preset]:
-    """Parse an INI-style config file into runnable presets, one per section."""
+    """Parse an INI-style config file into runnable presets, one per section.
+
+    Geometry, SNR grid, realization count and seed that a section leaves out
+    take the presets' standard values, which ``fig2`` uses unchanged; sparse
+    keys it leaves out keep the defaults of ``SparseChannelConfig``.
+    """
+    template = PRESETS["fig2"].scenario
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -141,20 +149,14 @@ def load_config(path) -> list[Preset]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"[{section}] unknown key {key!r}")
             raw[key] = value.strip()
-        dims = SystemDims(
-            antennas=int(raw.get("antennas", 100)),
-            users=int(raw.get("users", 4)),
-            taps=int(raw.get("taps", 4)),
-            subcarriers=int(raw.get("subcarriers", 128)),
-        )
-        model = raw.get("model", "rich")
-        sparse = None
+        dims = {key: int(raw[key]) for key in _DIM_KEYS if key in raw}
+        model = raw.get("model", template.channel_model)
+        updates = {
+            field: parse(raw[key]) for key, (field, parse) in _SCENARIO_KEYS.items() if key in raw
+        }
         if model == "sparse":
-            sparse = SparseChannelConfig(
-                paths_per_cluster=int(raw.get("paths_per_cluster", 5)),
-                angular_spread_deg=float(raw.get("angular_spread_deg", 10.0)),
-                spacing_ratio=float(raw.get("spacing_ratio", 0.5)),
-            )
+            sparse = {key: cast(raw[key]) for key, cast in _SPARSE_KEYS.items() if key in raw}
+            updates["sparse"] = replace(SparseChannelConfig(), **sparse)
         elif any(key in raw for key in _SPARSE_KEYS):
             raise ValueError(f"[{section}] sparse keys given but model is {model!r}")
         schemes = tuple(tok.strip() for tok in raw.get("schemes", "").split(",") if tok.strip())
@@ -163,15 +165,13 @@ def load_config(path) -> list[Preset]:
         )
         if not schemes and not sweep:
             raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
-        scenario = Scenario(
+        scenario = replace(
+            template,
             name=section,
-            dims=dims,
-            snr_db=parse_snr_spec(raw["snr"]) if "snr" in raw else DEFAULT_SNR_GRID,
-            realizations=int(raw.get("realizations", 200)),
+            dims=replace(template.dims, **dims),
             schemes=schemes,
             channel_model=model,
-            sparse=sparse,
-            master_seed=int(raw.get("seed", PRESETS["fig2"].scenario.master_seed)),
+            **updates,
         )
         presets.append(Preset(scenario=scenario, antenna_sweep=sweep))
     if not presets:
@@ -207,6 +207,10 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _joined(own: tuple, needed: tuple) -> tuple:
+    return own + tuple(item for item in needed if item not in own)
+
+
 def cmd_run(args) -> int:
     if args.target in PRESETS:
         presets = [PRESETS[args.target]]
@@ -215,34 +219,44 @@ def cmd_run(args) -> int:
     else:
         raise ValueError(f"unknown preset or missing config file: {args.target!r}")
     presets = [_apply_overrides(preset, args) for preset in presets]
+    runs = presets
     if args.validate:
         sparse = [p.scenario.name for p in presets if p.scenario.channel_model != "rich"]
         if sparse:
             raise ValueError(
                 f"closed-form validation assumes the rich channel model: {', '.join(sparse)}"
             )
+        # validation reads these schemes' and sizes' rows; the CSV keeps the section's own
+        runs = [
+            replace(
+                p,
+                scenario=replace(
+                    p.scenario, schemes=_joined(p.scenario.schemes, VALIDATED_SCHEMES)
+                ),
+                antenna_sweep=_joined(p.antenna_sweep, VALIDATED_SWEEP),
+            )
+            for p in presets
+        ]
     os.makedirs(args.outdir, exist_ok=True)
     status = EXIT_OK
-    for preset in presets:
+    for preset, run in zip(presets, runs):
         scenario = preset.scenario
         dump_dir = None
         if args.dump_channels:
             dump_dir = os.path.join(args.outdir, f"{scenario.name}_channels")
             os.makedirs(dump_dir, exist_ok=True)
-        schemes = scenario.schemes
-        if args.validate:
-            # validation reads these schemes' rows; the CSV keeps the section's own
-            schemes += tuple(s for s in VALIDATED_SCHEMES if s not in schemes)
         rows: list[ResultRow] = []
-        run_rows: tuple[ResultRow, ...] = ()
+        run_rows: list[ResultRow] = []
         failures = 0
-        if schemes:
-            result = run_scenario(replace(scenario, schemes=schemes), dump_dir=dump_dir)
-            run_rows = result.rows
-            rows.extend(row for row in run_rows if row.scheme in scenario.schemes)
+        if run.scenario.schemes:
+            result = run_scenario(run.scenario, dump_dir=dump_dir)
+            run_rows.extend(result.rows)
+            rows.extend(row for row in result.rows if row.scheme in scenario.schemes)
             failures = result.failures
-        if preset.antenna_sweep:
-            rows.extend(rms_study(preset.antenna_sweep, scenario))
+        if run.antenna_sweep:
+            sweep_rows = rms_study(run.antenna_sweep, scenario)
+            run_rows.extend(sweep_rows)
+            rows.extend(row for row in sweep_rows if row.snr_db in preset.antenna_sweep)
         trailer = None
         if args.validate:
             report = validate_closed_forms(scenario, run_rows)

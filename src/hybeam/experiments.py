@@ -177,7 +177,7 @@ def draw_realization(
     return draw_rich(dims, pdp, seed)
 
 
-def _evaluate_realization(scenario: Scenario, index: int) -> dict:
+def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
     """Per scheme, its ``(metric, snr)`` values for one shared channel draw.
 
     A scheme whose linear algebra degenerates maps to ``None``; the other
@@ -192,7 +192,6 @@ def _evaluate_realization(scenario: Scenario, index: int) -> dict:
     channel's lag products (``gram_spectrum``), so no ``(K, M, U)`` spectrum
     is formed unless the rank check doubts a subcarrier.
     """
-    channel = draw_realization(scenario, index)
     k = scenario.dims.subcarriers
     links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
     snrs = [link.snr for link in links]
@@ -252,13 +251,13 @@ def _scenario_block(args) -> list:
     scenario, indices, dump_dir = args
     out = []
     for index in indices:
+        channel = draw_realization(scenario, index)
         if dump_dir is not None:
-            channel = draw_realization(scenario, index)
             path = os.path.join(dump_dir, f"{scenario.name}_r{index:04d}.txt")
             dump_channel(
                 channel, path, realization_seed(scenario, index), scenario.channel_model
             )
-        out.append((index, _evaluate_realization(scenario, index)))
+        out.append((index, _evaluate_realization(scenario, channel)))
     return out
 
 
@@ -355,7 +354,9 @@ def run_scenario(
     return RunResult(rows=tuple(rows), realizations=scenario.realizations, failures=failures)
 
 
-_RMS_SCHEMES = ("mf", "rf_1tap", "rf_ltap", "siso")
+# The combiners whose effective delay spread is swept; ``siso`` is the
+# unprocessed per-antenna baseline.
+_RMS_COMBINERS = ("mf", "rf_1tap", "rf_ltap")
 _RMS_QUANTILES = (5, 25, 50, 75, 95)
 
 
@@ -365,12 +366,12 @@ def _rms_block(args) -> list:
     for index in indices:
         channel = draw_realization(scenario, index, antennas=antennas)
         samples: dict[str, np.ndarray] = {}
-        for base in ("mf", "rf_1tap", "rf_ltap"):
+        for base in _RMS_COMBINERS:
             effective = effective_channel(_COMBINERS[base](channel), channel)
             samples[base] = delay_spread_report(pdp_of_effective(effective))[1]
         power = np.abs(channel.taps.taps.transpose(1, 2, 0)) ** 2
         samples["siso"] = delay_moments(power, channel.taps.offset)[1].ravel()
-        out.append((index, samples))
+        out.append(((antennas, index), samples))
     return out
 
 
@@ -382,20 +383,21 @@ def rms_study(
     For each antenna count the per-user spread of every combiner is pooled
     over realizations; the per-antenna-element channels give the unprocessed
     baseline (scheme ``siso``).  The antenna count is reported in the
-    ``snr_db`` column, which doubles as the sweep axis for these rows.
+    ``snr_db`` column, which doubles as the sweep axis for these rows.  Every
+    (size, realization) pair is drawn once, and the whole sweep shares one
+    worker pool.
     """
     workers = resolve_workers(workers)
+    grid = [int(antennas) for antennas in antenna_grid]
+    blocks = _split_indices(scenario.realizations, workers)
+    payloads = [(scenario, antennas, block) for antennas in grid for block in blocks]
+    merged = _run_blocks(_rms_block, payloads, workers)
     rows: list[ResultRow] = []
-    for antennas in antenna_grid:
-        antennas = int(antennas)
-        payloads = [
-            (scenario, antennas, block)
-            for block in _split_indices(scenario.realizations, workers)
-        ]
-        results = _run_blocks(_rms_block, payloads, workers)
-        for scheme in _RMS_SCHEMES:
-            pooled = np.concatenate([samples[scheme] for _, samples in results])
-            means = np.array([samples[scheme].mean() for _, samples in results])
+    for antennas in grid:
+        results = [samples for (m, _), samples in merged if m == antennas]
+        for scheme in _RMS_COMBINERS + ("siso",):
+            pooled = np.concatenate([samples[scheme] for samples in results])
+            means = np.array([samples[scheme].mean() for samples in results])
             stderr = (
                 float(np.std(means, ddof=1) / np.sqrt(means.size)) if means.size > 1 else 0.0
             )
@@ -466,26 +468,25 @@ class ValidationReport:
 
 # The schemes whose rows the closed forms are checked against.
 VALIDATED_SCHEMES = ("rf_1tap", "rf_ltap")
+# The sweep sizes whose mean delay spreads are checked; each is four times
+# the one before it.
+VALIDATED_SWEEP = (25, 100, 400)
 # Relative tolerance of each simulated rate and capacity against its limit.
 _LIMIT_RTOL = 0.05
 # Allowed mean-spread ratio when the array grows fourfold (1/sqrt(4) = 0.5).
 _RMS_RATIO_BOUNDS = (0.40, 0.62)
 
 
-def validate_closed_forms(
-    scenario: Scenario,
-    rows,
-    workers: int | None = None,
-    rms_antenna_grid=(25, 100, 400),
-) -> ValidationReport:
-    """Check a run's rows and a delay-spread sweep against the large-array limits.
+def validate_closed_forms(scenario: Scenario, rows) -> ValidationReport:
+    """Check a section's own rows against the large-array limits.
 
-    ``rows`` are the scenario's ``ResultRow``s; they must hold the ``rate``
-    and ``capacity`` of both constant-modulus combiners (``VALIDATED_SCHEMES``)
-    at every SNR point, which are compared with their limits at a relative
-    tolerance.  Mean delay spreads, from an ``rms_study`` over
-    ``rms_antenna_grid``, must fall inside the ``c/sqrt(M)`` envelopes and
-    shrink by about half when the array grows fourfold.
+    ``rows`` are the scenario's ``ResultRow``s from its run and its
+    ``rms_study``.  They must hold the ``rate`` and ``capacity`` of both
+    constant-modulus combiners (``VALIDATED_SCHEMES``) at every SNR point,
+    which are compared with their limits at a relative tolerance, and the
+    ``rms_mean`` of every swept combiner at each size of ``VALIDATED_SWEEP``,
+    which must fall inside the ``c/sqrt(M)`` envelopes and shrink by about
+    half from one size to the next.  Nothing is simulated here.
     """
     if scenario.channel_model != "rich":
         raise ValueError("closed-form validation assumes the rich channel model")
@@ -498,6 +499,11 @@ def validate_closed_forms(
         for scheme in VALIDATED_SCHEMES
         for metric in ("rate", "capacity")
         if (scheme, metric, snr) not in by_key
+    ] + [
+        f"{scheme} rms_mean@M{m}"
+        for scheme in _RMS_COMBINERS
+        for m in VALIDATED_SWEEP
+        if (scheme, "rms_mean", m) not in by_key
     ]
     if missing:
         raise ValueError(f"validation needs rows the run lacks: {', '.join(missing)}")
@@ -516,34 +522,28 @@ def validate_closed_forms(
                         reference=reference,
                     )
                 )
-    if rms_antenna_grid:
-        grid = tuple(int(m) for m in rms_antenna_grid)
-        rms_rows = rms_study(grid, scenario, workers=workers)
-        lower_env, upper_env = delay_spread_envelopes(np.asarray(grid, dtype=float))
-        means = {
-            (r.scheme, int(r.snr_db)): r.value for r in rms_rows if r.metric == "rms_mean"
-        }
-        for scheme in ("mf", "rf_1tap", "rf_ltap"):
-            for m, low, high in zip(grid, lower_env, upper_env):
-                checks.append(
-                    ClosedFormCheck(
-                        name=f"rms_envelope_{scheme}@M{m}",
-                        value=means[(scheme, m)],
-                        lower=float(low),
-                        upper=float(high),
-                    )
+    lower_env, upper_env = delay_spread_envelopes(np.asarray(VALIDATED_SWEEP, dtype=float))
+    for scheme in _RMS_COMBINERS:
+        means = {m: by_key[(scheme, "rms_mean", m)] for m in VALIDATED_SWEEP}
+        for m, low, high in zip(VALIDATED_SWEEP, lower_env, upper_env):
+            checks.append(
+                ClosedFormCheck(
+                    name=f"rms_envelope_{scheme}@M{m}",
+                    value=means[m],
+                    lower=float(low),
+                    upper=float(high),
                 )
-            for small in grid:
-                if 4 * small in grid:
-                    checks.append(
-                        ClosedFormCheck(
-                            name=f"rms_ratio_{scheme}@M{4 * small}vsM{small}",
-                            value=means[(scheme, 4 * small)] / means[(scheme, small)],
-                            lower=_RMS_RATIO_BOUNDS[0],
-                            upper=_RMS_RATIO_BOUNDS[1],
-                            reference=0.5,
-                        )
-                    )
+            )
+        for small, large in zip(VALIDATED_SWEEP, VALIDATED_SWEEP[1:]):
+            checks.append(
+                ClosedFormCheck(
+                    name=f"rms_ratio_{scheme}@M{large}vsM{small}",
+                    value=means[large] / means[small],
+                    lower=_RMS_RATIO_BOUNDS[0],
+                    upper=_RMS_RATIO_BOUNDS[1],
+                    reference=0.5,
+                )
+            )
     return ValidationReport(checks=tuple(checks))
 
 
@@ -576,9 +576,7 @@ def _preset_scenario(name: str, schemes: tuple[str, ...], **overrides) -> Scenar
         name=name,
         dims=DEFAULT_DIMS,
         snr_db=DEFAULT_SNR_GRID,
-        realizations=200,
         schemes=schemes,
-        master_seed=DEFAULT_SEED,
     )
     base.update(overrides)
     return Scenario(**base)

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from hybeam import cli, experiments
-from hybeam.channel import SystemDims, load_channel_dump
+from hybeam.channel import SparseChannelConfig, SystemDims, load_channel_dump
 from hybeam.experiments import (
     DEFAULT_DIMS,
     DEFAULT_SNR_GRID,
     PRESETS,
+    VALIDATED_SWEEP,
     ResultRow,
     RunResult,
     draw_realization,
     realization_seed,
+    rms_study,
     run_scenario,
     validate_closed_forms,
 )
@@ -142,13 +144,25 @@ class TestRunCommand:
         assert {r.metric for r in rows} >= {"rms_mean", "rms_cdf_q50"}
         assert {r.snr_db for r in rows} == {20.0, 25.0, 100.0, 400.0, 500.0}
 
-    def test_dump_channels(self, tmp_path):
+    def test_dump_channels(self, tmp_path, monkeypatch):
+        # serial, so the counting patch sees every draw
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        draws = []
+        original_draw = experiments.draw_realization
+
+        def draw(scenario, index, antennas=None):
+            draws.append(index)
+            return original_draw(scenario, index, antennas)
+
+        monkeypatch.setattr(experiments, "draw_realization", draw)
         outdir = tmp_path / "res"
         code = run_cli(
             "run", "fig2", "--realizations", "2", "--snr", "0", "--M", "8",
             "--dump-channels", "--outdir", str(outdir),
         )
         assert code == 0
+        # the dumped channel is the evaluated one: each is drawn once
+        assert draws == [0, 1]
         dumps = sorted((outdir / "fig2_channels").iterdir())
         assert [p.name for p in dumps] == ["fig2_r0000.txt", "fig2_r0001.txt"]
         scenario = replace(
@@ -178,13 +192,18 @@ class TestRunCommand:
     ):
         # serial, so the counting patches see every call
         monkeypatch.delenv("HYBEAM_THREADS", raising=False)
-        runs, draws = [], []
+        runs, sweeps, draws = [], [], []
         original_run = cli.run_scenario
+        original_sweep = cli.rms_study
         original_draw = experiments.draw_realization
 
         def run(scenario, *args, **kwargs):
             runs.append(scenario.schemes)
             return original_run(scenario, *args, **kwargs)
+
+        def sweep(grid, *args, **kwargs):
+            sweeps.append(tuple(grid))
+            return original_sweep(grid, *args, **kwargs)
 
         def draw(scenario, index, antennas=None):
             draws.append((index, scenario.dims.antennas if antennas is None else antennas))
@@ -192,34 +211,47 @@ class TestRunCommand:
 
         for module in (cli, experiments):
             monkeypatch.setattr(module, "run_scenario", run)
+        monkeypatch.setattr(cli, "rms_study", sweep)
         monkeypatch.setattr(experiments, "draw_realization", draw)
-        outdir = tmp_path / "res"
-        code = run_cli(
-            "run", "fig3", "--M", "16", "--U", "2", "--L", "2", "--K", "16",
-            "--realizations", "3", "--snr", "0,10", "--validate", "--outdir", str(outdir),
+        small = ["--M", "16", "--U", "2", "--L", "2", "--K", "16", "--realizations", "3"]
+        # fig3 sweeps only the validated sizes; fig5's own sweep holds all of them
+        cases = (
+            ("fig3", ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
+            ("fig5", ("rf_1tap", "rf_ltap"), PRESETS["fig5"].antenna_sweep),
         )
-        assert code == 0
-        assert runs == [("mf", "rf_1tap", "rf_ltap")]
-        # the run at M=16, then the delay-spread sweep, each draw once
-        assert sorted(draws) == sorted(
-            (index, m) for index in range(3) for m in (16, 25, 100, 400)
-        )
+        for target, schemes, grid in cases:
+            runs.clear()
+            sweeps.clear()
+            draws.clear()
+            code = run_cli(
+                "run", target, *small, "--snr", "0,10", "--validate",
+                "--outdir", str(tmp_path / target),
+            )
+            assert code == 0
+            assert runs == [schemes]
+            assert sweeps == [grid]
+            # the run at M=16, then the delay-spread sweep, each draw once
+            assert sorted(draws) == sorted(
+                (index, m) for index in range(3) for m in (16,) + grid
+            )
 
         monkeypatch.undo()
-        scenario = replace(
-            PRESETS["fig3"].scenario,
-            dims=SystemDims(antennas=16, users=2, taps=2, subcarriers=16),
-            realizations=3,
-            snr_db=(0.0, 10.0),
-        )
-        separate = run_scenario(replace(scenario, schemes=("rf_1tap", "rf_ltap")))
-        expected = tmp_path / "expected.csv"
-        cli.write_csv(
-            expected,
-            run_scenario(scenario).rows,
-            validate_closed_forms(scenario, separate.rows).render(),
-        )
-        assert (outdir / "fig3.csv").read_bytes() == expected.read_bytes()
+        for target, _, _ in cases:
+            preset = PRESETS[target]
+            scenario = replace(
+                preset.scenario,
+                dims=SystemDims(antennas=16, users=2, taps=2, subcarriers=16),
+                realizations=3,
+                snr_db=(0.0, 10.0),
+            )
+            separate = run_scenario(replace(scenario, schemes=("rf_1tap", "rf_ltap")))
+            own = list(run_scenario(scenario).rows) if scenario.schemes else []
+            if preset.antenna_sweep:
+                own += rms_study(preset.antenna_sweep, scenario)
+            validated = list(separate.rows) + rms_study(VALIDATED_SWEEP, scenario)
+            expected = tmp_path / f"expected_{target}.csv"
+            cli.write_csv(expected, own, validate_closed_forms(scenario, validated).render())
+            assert (tmp_path / target / f"{target}.csv").read_bytes() == expected.read_bytes()
 
     def test_validate_writes_only_the_sections_schemes(self, tmp_path):
         config = tmp_path / "val.ini"
@@ -305,6 +337,18 @@ class TestConfigFiles:
             "schemes = rf_ltap+zf\n"
         )
         assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 0
+        # the sparse keys it leaves out keep their defaults
+        sparse = cli.load_config(config)[0].scenario.sparse
+        assert sparse == SparseChannelConfig(paths_per_cluster=3)
+
+    def test_left_out_keys_take_the_presets_values(self, tmp_path):
+        config = tmp_path / "bare.ini"
+        config.write_text("[bare]\nschemes = capacity\n")
+        (preset,) = cli.load_config(config)
+        assert preset.scenario == replace(
+            PRESETS["fig2"].scenario, name="bare", schemes=("capacity",)
+        )
+        assert preset.antenna_sweep == ()
 
     def test_validate_checks_every_section_first(self, tmp_path, monkeypatch):
         # the rich section comes first and would run if sections were checked lazily
@@ -364,9 +408,14 @@ class TestConfigFiles:
             config.write_text(f"[x]\nM = 16\nU = 2\nschemes = capacity\nantenna_sweep = {sweep}\n")
             assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
             assert message in capsys.readouterr().err
-        # a user-count override that pushes fig5's sweep below the users
-        assert run_cli("run", "fig5", "--U", "30", "--outdir", str(tmp_path / "res")) == 2
-        assert "antenna_sweep of fig5 has sizes below its 30 users: [20, 25]" in capsys.readouterr().err
+        # a user-count override that pushes fig5's sweep, or the sizes that
+        # validation adds to fig3's, below the users
+        for argv, message in (
+            (("fig5",), "antenna_sweep of fig5 has sizes below its 30 users: [20, 25]"),
+            (("fig3", "--validate"), "antenna_sweep of fig3 has sizes below its 30 users: [25]"),
+        ):
+            assert run_cli("run", *argv, "--U", "30", "--outdir", str(tmp_path / "res")) == 2
+            assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -156,7 +156,7 @@ class TestRunScenario:
         s = small_scenario(
             realizations=1, schemes=PRESETS["fig8"].scenario.schemes, channel_model="sparse"
         )
-        values = _evaluate_realization(s, 0)
+        values = _evaluate_realization(s, draw_realization(s, 0))
         assert all(v is not None for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
         assert dfts == [(users, users)] * 2
@@ -164,7 +164,7 @@ class TestRunScenario:
         # the raw rank check of zf shares the capacity's Gram and needs no DFT
         dfts.clear()
         grams.clear()
-        _evaluate_realization(replace(s, schemes=("capacity", "zf")), 0)
+        _evaluate_realization(replace(s, schemes=("capacity", "zf")), draw_realization(s, 0))
         assert dfts == []
         assert grams == [(antennas, users)]
 
@@ -179,8 +179,8 @@ class TestRunScenario:
             channel_model=model,
         )
         for index in range(3):
-            values = _evaluate_realization(s, index)
             ch = draw_realization(s, index)
+            values = _evaluate_realization(s, ch)
             grid = channel_spectrum(ch)
             links = [LinkBudget.from_snr_db(snr) for snr in s.snr_db]
             explicit = [rate_spectral(zf_spectrum(grid), grid, link) for link in links]
@@ -411,7 +411,7 @@ class TestRateProperties:
     def test_zf_rates_never_exceed_the_raw_capacity(self, s):
         # combining cannot add information: every ZF rate is at most the
         # capacity of the draw it combines
-        values = _evaluate_realization(s, 0)
+        values = _evaluate_realization(s, draw_realization(s, 0))
         snr = s.snr_db[0]
         cap = values["capacity"][("capacity", snr)]
         for scheme in ZF_SCHEMES:
@@ -428,10 +428,8 @@ class TestRateProperties:
             taps=TapSequence(0, ch.taps.taps[:, :, perm]),
             pdp=PowerDelayProfile(ch.pdp.gains[:, perm]),
         )
-        values = _evaluate_realization(s, 0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "draw_realization", lambda *args, **kwargs: permuted)
-            swapped = _evaluate_realization(s, 0)
+        values = _evaluate_realization(s, ch)
+        swapped = _evaluate_realization(s, permuted)
         assert swapped.keys() == values.keys()
         for scheme, keyed in values.items():
             if keyed is None:
@@ -482,8 +480,10 @@ class TestRmsStudy:
 
 
 def validation_rows(scenario):
-    """The rows a validated run holds: the scenario's own run of the RF schemes."""
-    return run_scenario(replace(scenario, schemes=experiments.VALIDATED_SCHEMES)).rows
+    """The rows a validated run holds: the scenario's own run of the RF schemes
+    and its delay-spread sweep at the validated sizes."""
+    run = run_scenario(replace(scenario, schemes=experiments.VALIDATED_SCHEMES))
+    return list(run.rows) + rms_study(experiments.VALIDATED_SWEEP, scenario)
 
 
 class TestValidation:
@@ -493,12 +493,12 @@ class TestValidation:
             snr_db=(0.0,),
             realizations=4,
         )
-        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=(16,))
+        report = validate_closed_forms(s, validation_rows(s))
         assert isinstance(report, ValidationReport)
         names = [check.name for check in report.checks]
         assert "rf_ltap_rate@0dB" in names
         assert "rf_1tap_capacity@0dB" in names
-        assert "rms_envelope_mf@M16" in names
+        assert "rms_envelope_mf@M25" in names
         text = report.render()
         assert "checks passed" in text
         assert all(line.startswith(("PASS", "FAIL")) for line in text.splitlines())
@@ -519,14 +519,15 @@ class TestValidation:
             schemes=(),
             master_seed=7,
         )
-        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=())
+        report = validate_closed_forms(s, validation_rows(s))
         assert report.passed, report.render()
 
     def test_ratio_checks_present_for_quadrupled_grid(self):
         s = small_scenario(snr_db=(0.0,), realizations=6)
-        report = validate_closed_forms(s, validation_rows(s), rms_antenna_grid=(16, 64))
+        report = validate_closed_forms(s, validation_rows(s))
         names = [check.name for check in report.checks]
-        assert "rms_ratio_mf@M64vsM16" in names
+        assert "rms_ratio_mf@M100vsM25" in names
+        assert "rms_ratio_mf@M400vsM100" in names
 
     def test_rejects_sparse_model(self):
         with pytest.raises(ValueError, match="rich"):
@@ -535,11 +536,14 @@ class TestValidation:
     def test_rejects_rows_missing_a_grid_point(self):
         s = small_scenario(realizations=2)
         rows = validation_rows(s)
-        for dropped in (("rf_1tap", "rate", 10.0), ("rf_ltap", "capacity", 0.0)):
+        for dropped, named in (
+            (("rf_1tap", "rate", 10.0), "rf_1tap rate@10dB"),
+            (("rf_ltap", "capacity", 0.0), "rf_ltap capacity@0dB"),
+            (("mf", "rms_mean", 100.0), "mf rms_mean@M100"),
+        ):
             kept = [r for r in rows if (r.scheme, r.metric, r.snr_db) != dropped]
-            scheme, metric, snr = dropped
-            with pytest.raises(ValueError, match=f"{scheme} {metric}@{snr:g}dB"):
-                validate_closed_forms(s, kept, rms_antenna_grid=())
+            with pytest.raises(ValueError, match=named):
+                validate_closed_forms(s, kept)
 
 
 class TestPresets:

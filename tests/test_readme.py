@@ -1,5 +1,6 @@
-"""The README's library quickstart runs and prints what it claims, and the
-package namespace is the surface the README documents."""
+"""The README's library quickstart runs and prints what it claims, its CLI
+paragraphs name what the code uses, and the package namespace is the surface
+the README documents."""
 
 import ast
 import contextlib
@@ -8,7 +9,7 @@ import re
 from pathlib import Path
 
 import hybeam
-from hybeam import cli
+from hybeam import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -38,6 +39,15 @@ def test_config_keys_match_the_parser():
         for key in token.split("=")[0].strip().split("/")
     }
     assert keys == cli._CONFIG_KEYS | set(cli._KEY_ALIASES)
+
+
+def test_validate_sentence_names_the_validated_rows():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"`--validate` checks(.*?)\.\s", text, re.S).group(1)
+    schemes = set(re.findall(r"`([^`]+)`", sentence))
+    sizes = tuple(map(int, re.findall(r"\d+", re.sub(r"`[^`]*`", "", sentence))))
+    assert schemes == set(experiments.VALIDATED_SCHEMES)
+    assert sizes == experiments.VALIDATED_SWEEP
 
 
 def _imported_from_hybeam(text):
