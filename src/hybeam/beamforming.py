@@ -20,7 +20,6 @@ from .numerics import (
     _rank_deficient,
     circular_convolve,
     dft_of_taps,
-    gram_eigvals,
     gram_spectrum,
 )
 
@@ -156,13 +155,14 @@ class EffectiveChannel:
     and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
     views are computed on first read and kept, so each is computed at most
     once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
-    DFT of the taps, ``gram_eigvals`` the ascending eigenvalues of
-    ``G(k)^H G(k)`` for that spectrum ``G(k)``, and ``noise_cov_spectrum``
-    the per-subcarrier covariance of the combined noise, ``W(k) W(k)^H`` for
-    the combiner's frequency response ``W(k)``.  That covariance comes from
-    the combiner's taps without forming ``W(k)``: the taps ``W_n^H`` have
-    the response ``W(-k)^H``, so their ``gram_spectrum`` read at ``-k mod K``
-    is ``W(k) W(k)^H``.
+    DFT of the taps, ``gram`` the column Gram ``G(k)^H G(k)`` of that
+    spectrum ``G(k)``, and ``noise_cov_spectrum`` the per-subcarrier
+    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
+    frequency response ``W(k)``.  That covariance comes from the combiner's
+    taps without forming ``W(k)``: the taps ``W_n^H`` have the response
+    ``W(-k)^H``, so their ``gram_spectrum`` read at ``-k mod K`` is
+    ``W(k) W(k)^H``.  Taps with leading axes (``stack_effective``) give
+    every view the same leading axes.
     """
 
     combiner: CombinerIR
@@ -174,15 +174,16 @@ class EffectiveChannel:
         return dft_of_taps(self.taps, self.num_subcarriers)
 
     @cached_property
-    def gram_eigvals(self) -> np.ndarray:
-        return gram_eigvals(self.spectrum)
+    def gram(self) -> np.ndarray:
+        g = self.spectrum
+        return np.conj(np.swapaxes(g, -1, -2)) @ g
 
     @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:
         taps = self.combiner.taps
         adjoint = TapSequence(taps.offset, np.conj(np.swapaxes(taps.taps, -1, -2)))
         k = self.num_subcarriers
-        return gram_spectrum(adjoint, k)[-np.arange(k) % k]
+        return gram_spectrum(adjoint, k)[..., -np.arange(k) % k, :, :]
 
 
 def effective_channel(combiner: CombinerIR, channel: ChannelRealization) -> EffectiveChannel:
@@ -193,6 +194,14 @@ def effective_channel(combiner: CombinerIR, channel: ChannelRealization) -> Effe
     """
     k = channel.dims.subcarriers
     return EffectiveChannel(combiner, circular_convolve(combiner.taps, channel.taps, k), k)
+
+
+def stack_effective(effectives) -> EffectiveChannel:
+    """One effective channel whose taps, and combiner taps, gain a leading
+    axis over ``effectives``, which share their grid, shapes and offsets."""
+    combiner = CombinerIR(TapSequence.stack([effective.combiner.taps for effective in effectives]))
+    taps = TapSequence.stack([effective.taps for effective in effectives])
+    return EffectiveChannel(combiner, taps, effectives[0].num_subcarriers)
 
 
 def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 A scenario fixes the geometry, SNR grid, channel model, and scheme list; the
 runner draws independent realizations from per-realization derived seeds,
 evaluates every scheme on the shared draw, and aggregates means and standard
-errors.  Realizations are independent work units, so the runner can fan them
-out across processes without changing a single output bit.
+errors.  Realizations are evaluated in fixed chunks of ``CHUNK`` consecutive
+indices, which workers never split, so the runner can fan them out across
+processes without changing a single output bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import groupby
 from numbers import Integral
 
 import numpy as np
@@ -26,6 +29,7 @@ from .beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
+    stack_effective,
 )
 from .channel import (
     ChannelRealization,
@@ -47,15 +51,19 @@ from .metrics import (
     LinkBudget,
     delay_moments,
     delay_spread_report,
+    gram_rates,
     pdp_of_effective,
-    rates_from_eigvals,
     sinr_sum_rates,
     spectral_rates,
 )
-from .numerics import SingularMatrixError, gram_spectrum, require_full_column_rank
+from .numerics import SingularMatrixError, TapSequence, gram_spectrum, require_full_column_rank
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
+# Realizations whose Gram-level work shares one stack: realization ``i``
+# belongs to chunk ``i // CHUNK``.  Every chunk's arrays have the same
+# shapes for any worker count, and the size bounds the stacks' memory.
+CHUNK = 8
 
 # Combiner base of every scheme name -> its builder.  Each builder looks its
 # function up at call time, so a module function wrapped after import (as
@@ -177,87 +185,114 @@ def draw_realization(
     return draw_rich(dims, pdp, seed)
 
 
-def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
-    """Per scheme, its ``(metric, snr)`` values for one shared channel draw.
+def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> list[dict]:
+    """Per channel draw, per scheme, its ``(metric, snr)`` values.
 
-    A scheme whose linear algebra degenerates maps to ``None``; the other
-    schemes of the draw keep their values.  Every log-det rate covers the
-    whole SNR grid from one set of Gram eigenvalues.  Rates keep the
-    combined noise at its exact covariance ``C``, so an invertible ZF
-    baseband ``B`` drops out of them:
+    Combiners, convolutions and the RF-only SINR rates are per draw; every
+    Gram, spectrum, rank screen and log-det rate is one stacked computation
+    over the chunk.  Every log-det rate covers the whole SNR grid.  Rates
+    keep the combined noise at its exact covariance ``C``, so an invertible
+    ZF baseband ``B`` drops out of them:
     ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
-    check here: ``zf`` has the raw capacity's eigenvalues (``W = H^+``
-    leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
-    effective channel itself.  The raw ``H(k)^H H(k)`` comes from the
-    channel's lag products (``gram_spectrum``), so no ``(K, M, U)`` spectrum
-    is formed unless the rank check doubts a subcarrier.
+    check here: ``zf`` has the raw capacity's rates (``W = H^+`` leaves
+    ``H^H H``), and ``base+zf`` the colored-noise rate of the effective
+    channel itself.  The raw ``H(k)^H H(k)`` comes from the channel's lag
+    products (``gram_spectrum``), so no ``(K, M, U)`` spectrum is formed
+    unless the rank check doubts a subcarrier.  A scheme whose linear algebra
+    degenerates on a chunk is evaluated again one draw at a time, so it maps
+    to ``None`` on the failing draws alone and the other schemes keep their
+    values.
     """
     k = scenario.dims.subcarriers
     links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
     snrs = [link.snr for link in links]
-    raw_eigvals = None
-    built: dict[str, tuple[CombinerIR, EffectiveChannel]] = {}
+    raw = TapSequence.stack([channel.taps for channel in channels])
 
-    def raw() -> np.ndarray:
-        nonlocal raw_eigvals
-        if raw_eigvals is None:
-            raw_eigvals = np.linalg.eigvalsh(gram_spectrum(channel.taps, k))
-        return raw_eigvals
+    @cache
+    def raw_gram() -> np.ndarray:
+        return gram_spectrum(raw, k)
 
-    def build(base: str) -> tuple[CombinerIR, EffectiveChannel]:
-        if base not in built:
+    @cache
+    def raw_rates() -> np.ndarray:
+        return gram_rates(raw_gram(), snrs)
+
+    @cache
+    def build(base: str) -> tuple[list[tuple[CombinerIR, EffectiveChannel]], EffectiveChannel]:
+        pairs = []
+        for channel in channels:
             combiner = _COMBINERS[base](channel)
-            built[base] = combiner, effective_channel(combiner, channel)
-        return built[base]
+            pairs.append((combiner, effective_channel(combiner, channel)))
+        return pairs, stack_effective([effective for _, effective in pairs])
 
-    def evaluate(scheme: str) -> dict[tuple[str, float], float]:
-        values: dict[tuple[str, float], float] = {}
-
-        def record(metric: str, series) -> None:
-            for snr, value in zip(scenario.snr_db, series):
-                values[(metric, snr)] = float(value)
-
+    def evaluate(scheme: str, rows: slice) -> dict[str, np.ndarray]:
+        """Metric -> ``(len(snrs), draws)`` values of the draws in ``rows``."""
         if scheme == "capacity":
-            record("capacity", rates_from_eigvals(raw(), snrs))
-            return values
+            return {"capacity": raw_rates()[:, rows]}
         if scheme == "zf":
-            require_full_column_rank(channel.taps, k, raw())
-            record("rate", rates_from_eigvals(raw(), snrs))
-            return values
+            require_full_column_rank(raw[rows], k, raw_gram()[rows])
+            return {"rate": raw_rates()[:, rows]}
         base = scheme.removesuffix("+zf")
-        combiner, effective = build(base)
+        pairs, effective = build(base)
         if base != scheme:
-            require_full_column_rank(effective.taps, k, effective.gram_eigvals)
-            record("rate", spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs))
-        else:
-            # every link of the grid has unit noise variance
-            noise = combiner_noise_power(combiner, 1.0)
-            powers = [link.transmit_power for link in links]
-            record("rate", sinr_sum_rates(pdp_of_effective(effective), noise, powers))
-            record("capacity", rates_from_eigvals(effective.gram_eigvals, snrs))
-        return values
+            require_full_column_rank(effective.taps[rows], k, effective.gram[rows])
+            cov = effective.noise_cov_spectrum[rows]
+            return {"rate": spectral_rates(effective.spectrum[rows], cov, snrs)}
+        # every link of the grid has unit noise variance
+        powers = [link.transmit_power for link in links]
+        sinr = [
+            sinr_sum_rates(pdp_of_effective(eff), combiner_noise_power(combiner, 1.0), powers)
+            for combiner, eff in pairs[rows]
+        ]
+        return {"rate": np.stack(sinr, axis=-1), "capacity": gram_rates(effective.gram[rows], snrs)}
 
-    outcome: dict[str, dict[tuple[str, float], float] | None] = {}
+    def samples(scheme: str, rows: slice) -> list[dict[tuple[str, float], float]]:
+        values = evaluate(scheme, rows)
+        return [
+            {
+                (metric, snr): float(value)
+                for metric, series in values.items()
+                for snr, value in zip(scenario.snr_db, series[:, draw])
+            }
+            for draw in range(len(channels[rows]))
+        ]
+
+    outcomes: list[dict] = [{} for _ in channels]
     for scheme in scenario.schemes:
         try:
-            outcome[scheme] = evaluate(scheme)
+            per_draw = samples(scheme, slice(None))
         except SingularMatrixError:
-            outcome[scheme] = None
-    return outcome
+            per_draw = []
+            for draw in range(len(channels)):
+                try:
+                    per_draw += samples(scheme, slice(draw, draw + 1))
+                except SingularMatrixError:
+                    per_draw.append(None)
+        for outcome, values in zip(outcomes, per_draw):
+            outcome[scheme] = values
+    return outcomes
+
+
+def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
+    """Per scheme, its ``(metric, snr)`` values for one channel draw: a chunk of one."""
+    return _evaluate_chunk(scenario, [channel])[0]
 
 
 def _scenario_block(args) -> list:
-    """Worker entry: evaluate a block of realization indices."""
+    """Worker entry: evaluate a block of realization indices, chunk by chunk."""
     scenario, indices, dump_dir = args
     out = []
-    for index in indices:
-        channel = draw_realization(scenario, index)
-        if dump_dir is not None:
-            path = os.path.join(dump_dir, f"{scenario.name}_r{index:04d}.txt")
-            dump_channel(
-                channel, path, realization_seed(scenario, index), scenario.channel_model
-            )
-        out.append((index, _evaluate_realization(scenario, channel)))
+    for _, group in groupby(indices, key=lambda index: index // CHUNK):
+        chunk = list(group)
+        channels = []
+        for index in chunk:
+            channel = draw_realization(scenario, index)
+            if dump_dir is not None:
+                path = os.path.join(dump_dir, f"{scenario.name}_r{index:04d}.txt")
+                dump_channel(
+                    channel, path, realization_seed(scenario, index), scenario.channel_model
+                )
+            channels.append(channel)
+        out += zip(chunk, _evaluate_chunk(scenario, channels))
     return out
 
 
@@ -296,8 +331,14 @@ def _run_blocks(task, payloads: list, workers: int) -> list:
 
 
 def _split_indices(count: int, workers: int) -> list[list[int]]:
-    blocks = np.array_split(np.arange(count), min(workers, count))
-    return [list(map(int, block)) for block in blocks if block.size]
+    """At most ``workers`` blocks of consecutive indices, each a union of whole chunks."""
+    chunks = -(-count // CHUNK)
+    blocks = np.array_split(np.arange(chunks), min(workers, chunks))
+    return [
+        list(range(block[0] * CHUNK, min((block[-1] + 1) * CHUNK, count)))
+        for block in blocks
+        if block.size
+    ]
 
 
 def run_scenario(

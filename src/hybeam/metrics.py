@@ -1,11 +1,15 @@
 """Rate and dispersion metrics for raw and effective channels.
 
 Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
-SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them: it
-whitens colored noise exactly with a Cholesky factor (never approximating it
-as white), takes one eigendecomposition per subcarrier, and evaluates the
-whole SNR grid from those eigenvalues.  ``rates_from_eigvals`` is that
-last step alone, for callers that share one set of eigenvalues.
+SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them.  Up
+to ``LDL_MAX_ORDER`` it reads each log-det as the sum of the ``log2`` of the
+pivots of ``I + snr * G(k)`` (``numerics.ldl_pivots``), and colored noise of
+covariance ``C(k)`` costs no whitening: ``det(I + snr A^H C^{-1} A) =
+det(C + snr A A^H) / det(C)``.  Larger orders take one eigendecomposition
+per subcarrier, after whitening with a Cholesky factor, and evaluate the
+whole SNR grid from its eigenvalues.  Either way the noise keeps its exact
+covariance, and ``gram_rates`` and ``spectral_rates`` take stacks with
+leading axes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import EffectiveChannel
-from .numerics import SingularMatrixError, gram_eigvals
+from .numerics import LDL_MAX_ORDER, SingularMatrixError, gram_eigvals, ldl_pivots
 
 
 @dataclass(frozen=True)
@@ -43,30 +47,54 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 
 
 def rates_from_eigvals(eigvals: np.ndarray, snrs) -> np.ndarray:
-    """``mean_k sum log2(1 + snr * lambda)`` of ``(K, cols)`` eigenvalues, per linear SNR."""
-    snr = np.asarray(snrs, dtype=float)[:, None, None]
+    """``mean_k sum log2(1 + snr * lambda)`` of ``(..., K, cols)`` eigenvalues: ``(len(snrs), ...)``."""
+    snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * np.ndim(eigvals))
     return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
+
+
+def _log2dets(pivots: np.ndarray) -> np.ndarray:
+    return np.sum(np.log2(pivots), axis=-1)
+
+
+def gram_rates(gram: np.ndarray, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * G(k))`` of a ``(..., K, n, n)`` Gram stack, per linear SNR.
+
+    Returns ``(len(snrs), ...)``: pivots up to ``LDL_MAX_ORDER``, eigenvalues above.
+    """
+    g = np.asarray(gram)
+    if g.shape[-1] <= LDL_MAX_ORDER:
+        return np.mean(_log2dets(ldl_pivots(g, snrs)), axis=-1)
+    return rates_from_eigvals(np.linalg.eigvalsh(g), snrs)
 
 
 def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
     """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
 
-    ``signal`` is a ``(K, rows, cols)`` grid; ``A(k)`` is ``signal[k]``
-    itself in white noise (``noise_cov=None``) and ``L(k)^{-1} signal[k]``
-    when the noise has covariance ``L(k) L(k)^H``.  One eigendecomposition
-    per subcarrier serves the whole SNR grid.
+    ``signal`` is a ``(..., K, rows, cols)`` grid and the result is
+    ``(len(snrs), ...)``.  ``A(k)`` is ``signal[k]`` itself in white noise
+    (``noise_cov=None``) and ``L(k)^{-1} signal[k]`` when the noise has
+    covariance ``C(k) = L(k) L(k)^H``.  With ``rows <= LDL_MAX_ORDER`` that
+    rate is ``log2 det(C + snr * S S^H) - log2 det(C)`` for ``S = signal[k]``,
+    from pivots; a pivot of ``C`` that is not positive is the same
+    singularity that stops a Cholesky factorization.
     """
     a = np.asarray(signal, dtype=complex)
-    if a.ndim != 3:
+    if a.ndim < 3:
         raise ValueError("expected a (K, rows, cols) signal grid")
-    if noise_cov is not None:
-        cov = np.asarray(noise_cov, dtype=complex)
-        try:
-            chol = np.linalg.cholesky(0.5 * (cov + _adjoint(cov)))
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("singular noise covariance") from None
-        a = np.linalg.solve(chol, a)
-    return rates_from_eigvals(gram_eigvals(a), snrs)
+    if noise_cov is None:
+        return gram_rates(_adjoint(a) @ a, snrs)
+    cov = np.asarray(noise_cov, dtype=complex)
+    if a.shape[-2] <= LDL_MAX_ORDER:
+        base = ldl_pivots(cov)
+        if not np.all(base > 0.0):
+            raise SingularMatrixError("singular noise covariance")
+        colored = _log2dets(ldl_pivots(a @ _adjoint(a), snrs, cov)) - _log2dets(base)
+        return np.mean(colored, axis=-1)
+    try:
+        chol = np.linalg.cholesky(0.5 * (cov + _adjoint(cov)))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular noise covariance") from None
+    return rates_from_eigvals(gram_eigvals(np.linalg.solve(chol, a)), snrs)
 
 
 def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:

@@ -3,8 +3,10 @@
 A tap sequence is a finite matrix-valued impulse response: one matrix per
 integer delay on a contiguous range.  Everything downstream (channels,
 combiners, effective responses) is a tap sequence, so the transforms here
-carry explicit delay offsets instead of assuming causal indexing.  Log-dets
-live in ``metrics.spectral_rates``, the one rate kernel.
+carry explicit delay offsets instead of assuming causal indexing.  A tap
+sequence may carry leading axes, one sequence per index (the realizations
+of a chunk), which the DFT, the Gram and the rank check keep.  ``ldl_pivots`` is the one
+factorization behind the log-det rates of ``metrics`` and the rank screen.
 """
 
 from __future__ import annotations
@@ -16,21 +18,29 @@ import numpy as np
 # Relative threshold of the rank check: the smallest singular value must
 # exceed this fraction of the largest.
 SINGULARITY_RTOL = 1e-10
-# Gram-eigenvalue screen of the rank check, relative to the scale
+# Gram screen of the rank check, relative to the scale
 # ``s = span * trace(R_0) = span * sum_i ||A_i||_F^2`` of the tap sequence.
-# By Cauchy-Schwarz ``s`` bounds ``||A(k)||^2`` on every subcarrier, and it
-# bounds the error of the Gram however it is formed: the lag products of
-# ``gram_spectrum`` and the product of a DFT both err by about
-# ``rows * eps * s``, and ``eigvalsh`` adds about ``eps * s``.  A subcarrier
-# with ``lambda_min > GRAM_SCREEN_RTOL * s`` therefore has a true
-# ``sigma_min^2`` of about ``GRAM_SCREEN_RTOL * s`` or more, so
-# ``sigma_min / sigma_max`` is about 1e-4 or more, far above
-# ``SINGULARITY_RTOL`` and the roundoff of the computed ``A(k)``: it passes
-# the SVD test.  The scale must not be ``lambda_max(k)``: where ``A(k)``
-# nearly vanishes (taps ``[a, -a]`` at ``k = 0``) the lag-formed Gram is
-# roundoff of size ``eps * s``, and its ``lambda_min`` can pass against a
-# ``lambda_max`` of the same size.
+# A subcarrier passes when every pivot of ``G(k) - GRAM_SCREEN_RTOL * s * I``
+# is positive: that is Cholesky's test, and the pivots of a Hermitian matrix
+# are positive exactly when it is positive definite, so up to the
+# factorization's backward error of ``O(n^2 * eps * s)`` a passing Gram has
+# ``lambda_min > GRAM_SCREEN_RTOL * s``.  By Cauchy-Schwarz ``s`` bounds
+# ``||A(k)||^2`` on every subcarrier, and it bounds the error of the Gram
+# however it is formed: the lag products of ``gram_spectrum`` and the
+# product of a DFT both err by about ``rows * eps * s``.  A passing
+# subcarrier therefore has a true ``sigma_min^2`` of about
+# ``GRAM_SCREEN_RTOL * s`` or more, so ``sigma_min / sigma_max`` is about
+# 1e-4 or more, far above ``SINGULARITY_RTOL`` and the roundoff of the
+# computed ``A(k)``: it passes the SVD test.  The scale must not be
+# ``lambda_max(k)``: where ``A(k)`` nearly vanishes (taps ``[a, -a]`` at
+# ``k = 0``) the lag-formed Gram is roundoff of size ``eps * s``, and its
+# ``lambda_min`` can pass against a ``lambda_max`` of the same size.
 GRAM_SCREEN_RTOL = 1e-8
+# Largest matrix order whose log-det rates come from ``ldl_pivots``.  The
+# unrolled factorization repeats its ``O(n^3)`` Python-level steps at every
+# SNR point while ``eigvalsh`` runs once per matrix, so the pivots win only
+# on small matrices; larger orders take the eigenvalue path.
+LDL_MAX_ORDER = 7
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -45,8 +55,9 @@ class SingularMatrixError(np.linalg.LinAlgError):
 class TapSequence:
     """Matrices on a contiguous delay range ``offset .. offset + span - 1``.
 
-    ``taps[i]`` is the matrix at delay ``offset + i``; all taps share one
-    shape.  The sequence is zero outside the stored range.
+    ``taps[..., i, :, :]`` is the matrix at delay ``offset + i``; all taps
+    share one shape.  The sequence is zero outside the stored range.  Axes
+    before the delay axis, if any, index sequences that share the delays.
     """
 
     offset: int
@@ -54,20 +65,32 @@ class TapSequence:
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=complex)
-        if taps.ndim != 3 or taps.shape[0] < 1:
-            raise ValueError("taps must be (n_taps, rows, cols) with n_taps >= 1")
+        if taps.ndim < 3 or taps.shape[-3] < 1:
+            raise ValueError("taps must be (..., n_taps, rows, cols) with n_taps >= 1")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite entries")
         self.taps = taps
         self.offset = int(self.offset)
 
+    @classmethod
+    def stack(cls, seqs) -> "TapSequence":
+        """One sequence with a leading axis over ``seqs``, which share offset and shape."""
+        offsets = {seq.offset for seq in seqs}
+        if len(offsets) != 1:
+            raise ValueError(f"stacked sequences need one offset, got {sorted(offsets)}")
+        return cls(offsets.pop(), np.stack([seq.taps for seq in seqs]))
+
+    def __getitem__(self, index) -> "TapSequence":
+        """The sequences at ``index`` of the leading axes."""
+        return TapSequence(self.offset, self.taps[index])
+
     @property
     def span(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-3]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.taps.shape[1], self.taps.shape[2]
+        return self.taps.shape[-2], self.taps.shape[-1]
 
     @property
     def delays(self) -> np.ndarray:
@@ -76,19 +99,16 @@ class TapSequence:
     def tap(self, delay: int) -> np.ndarray:
         """Matrix at a given delay, zero outside the stored range."""
         if self.offset <= delay < self.offset + self.span:
-            return self.taps[delay - self.offset]
-        return np.zeros(self.shape, dtype=complex)
+            return self.taps[..., delay - self.offset, :, :]
+        return np.zeros(self.taps.shape[:-3] + self.shape, dtype=complex)
 
 
-def dft_of_taps(
-    seq: TapSequence, num_subcarriers: int, subcarriers: np.ndarray | None = None
-) -> np.ndarray:
+def dft_of_taps(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     """Per-subcarrier frequency response of a tap sequence.
 
-    Returns a ``(num_subcarriers, rows, cols)`` array whose slice ``k`` is
-    ``sum_n taps(n) * exp(-2j*pi*n*k/K)``, or only the slices listed in
-    ``subcarriers``.  The grid must be long enough to hold the sequence
-    without wrap-around.
+    Returns a ``(..., num_subcarriers, rows, cols)`` array whose slice ``k``
+    is ``sum_n taps(n) * exp(-2j*pi*n*k/K)``.  The grid must be long enough
+    to hold the sequence without wrap-around.
     """
     k = int(num_subcarriers)
     if k < 1:
@@ -97,15 +117,16 @@ def dft_of_taps(
         raise ValueError(
             f"spectral aliasing: {seq.span} taps do not fit on a {k}-point grid"
         )
-    bins = np.arange(k) if subcarriers is None else np.asarray(subcarriers)
-    phases = np.exp(-2j * np.pi * np.outer(seq.delays, bins) / k)
-    return (phases.T @ seq.taps.reshape(seq.span, -1)).reshape(bins.size, *seq.shape)
+    lead = seq.taps.shape[:-3]
+    phases = np.exp(-2j * np.pi * np.outer(seq.delays, np.arange(k)) / k)
+    flat = seq.taps.reshape(*lead, seq.span, -1)
+    return (phases.T @ flat).reshape(*lead, k, *seq.shape)
 
 
 def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
 
-    Returns a ``(num_subcarriers, cols, cols)`` array formed from the
+    Returns a ``(..., num_subcarriers, cols, cols)`` array formed from the
     ``2S - 1`` lag products ``R_d = sum_i A_i^H A_{i+d}`` of the ``S`` taps:
     the Gram at ``k`` is ``sum_d R_d exp(-2j*pi*d*k/K)``, and the offset
     cancels.  That sum samples a trigonometric polynomial, so it is exact on
@@ -117,18 +138,20 @@ def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     span = seq.span
     cols = seq.shape[1]
     taps = seq.taps
+    lead = taps.shape[:-3]
     adjoint = np.conj(np.swapaxes(taps, -1, -2))
-    lags = np.zeros((2 * span - 1, cols, cols), dtype=complex)
+    lags = np.zeros((*lead, 2 * span - 1, cols, cols), dtype=complex)
     for i in range(span):
         # tap i against every tap j is lag j - i, stored at j - i + span - 1
-        lags[span - 1 - i : 2 * span - 1 - i] += adjoint[i] @ taps
+        lags[..., span - 1 - i : 2 * span - 1 - i, :, :] += adjoint[..., i : i + 1, :, :] @ taps
     turns = np.outer(np.arange(k), np.arange(1 - span, span)) % k
     phases = np.exp(-2j * np.pi * turns / k)
-    return (phases @ lags.reshape(2 * span - 1, -1)).reshape(k, cols, cols)
+    flat = lags.reshape(*lead, 2 * span - 1, -1)
+    return (phases @ flat).reshape(*lead, k, cols, cols)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
-    """Matrix convolution of two tap sequences.
+    """Matrix convolution of two tap sequences without leading axes.
 
     Tap ``n`` of the result is ``sum_m a(m) @ b(n - m)``; offsets add.  The
     grid length only validates that the combined span fits without aliasing,
@@ -157,6 +180,48 @@ def gram_eigvals(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m)
 
 
+def ldl_pivots(mat: np.ndarray, snrs=None, base: np.ndarray | None = None) -> np.ndarray:
+    """Pivots ``d`` of the ``L D L^H`` factorization of Hermitian matrices.
+
+    ``mat`` is a ``(..., n, n)`` stack read through its lower triangle.
+    Without ``snrs`` the result is the ``(..., n)`` pivots of ``mat`` itself;
+    with them it is the ``(len(snrs), ..., n)`` pivots of
+    ``base + snr * mat`` for each ``snr``, ``base`` defaulting to the
+    identity.  The product of the pivots is the determinant, and they are
+    all positive exactly when the matrix is positive definite.  The
+    elimination is unrolled over the ``n^2`` entries, each step one
+    operation on the whole stack, and it never pivots: after a pivot that
+    is not positive the later ones are meaningless (possibly NaN), which
+    still leaves that matrix with a pivot that is not positive.
+    """
+    m = np.asarray(mat)
+    n = m.shape[-1]
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    grid = [None] if snrs is None else [float(snr) for snr in snrs]
+    pivots = np.empty((len(grid), *m.shape[:-2], n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, snr in enumerate(grid):
+            a = {}
+            for i, j in lower:
+                entry = m[..., i, j].real if i == j else m[..., i, j]
+                if snr is not None:
+                    entry = snr * entry
+                    if base is not None:
+                        entry = entry + (base[..., i, j].real if i == j else base[..., i, j])
+                    elif i == j:
+                        entry = entry + 1.0
+                a[i, j] = entry
+            for j in range(n):
+                d = a[j, j]
+                pivots[p, ..., j] = d
+                for i in range(j + 1, n):
+                    ratio = a[i, j] / d
+                    a[i, i] = a[i, i] - (ratio * np.conj(a[i, j])).real
+                    for c in range(j + 1, i):
+                        a[i, c] = a[i, c] - ratio * np.conj(a[c, j])
+    return pivots[0] if snrs is None else pivots
+
+
 def _rank_deficient(mat: np.ndarray) -> np.ndarray:
     """The SVD test per matrix of a stack: all zero, or ``sigma_min < SINGULARITY_RTOL * sigma_max``."""
     singvals = np.linalg.svd(mat, compute_uv=False)
@@ -167,30 +232,36 @@ def require_full_column_rank(
     seq: TapSequence, num_subcarriers: int, gram: np.ndarray | None = None
 ) -> None:
     """Raise ``SingularMatrixError`` unless the frequency response of ``seq``
-    has full column rank on every subcarrier.
+    has full column rank on every subcarrier, for every sequence of its
+    leading axes.
 
     The test is the SVD's on ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``:
     the smallest singular value must exceed ``SINGULARITY_RTOL`` times the
-    largest.  ``gram``, the ``(K, cols)`` ascending eigenvalues of
-    ``A(k)^H A(k)``, screens first: a subcarrier with ``lambda_min >
-    GRAM_SCREEN_RTOL * span * trace(R_0)`` passes without an SVD, and only
-    the rest get a DFT, evaluated at those subcarriers alone, and an SVD; so
-    every decision is the SVD test's.  The error's ``subcarrier`` is the
-    first rank-deficient one.
+    largest.  ``gram``, the ``(..., K, cols, cols)`` stack of
+    ``A(k)^H A(k)``, screens first: a subcarrier passes without an SVD when
+    ``gram`` minus ``GRAM_SCREEN_RTOL * span * trace(R_0)`` times the
+    identity has only positive pivots.  That factors each matrix once, so it
+    reads ``ldl_pivots`` at every order.  The rest get an SVD, on the
+    full-grid DFT of their own sequence, so every decision is the SVD test's
+    on the same ``A(k)`` whatever the screen doubted.  The error's ``subcarrier`` is the first
+    rank-deficient one of the first sequence that has one.
     """
     rows, cols = seq.shape
     if rows < cols:
         raise ValueError("full column rank needs a tall matrix (rows >= cols)")
     k = int(num_subcarriers)
+    lead = seq.taps.shape[:-3]
     if gram is None:
-        suspect = np.arange(k)
+        doubted = np.ones((*lead, k), dtype=bool)
     else:
-        scale = seq.span * np.vdot(seq.taps, seq.taps).real
-        suspect = np.flatnonzero(~(np.asarray(gram)[:, 0] > GRAM_SCREEN_RTOL * scale))
-    if suspect.size == 0:
-        return
-    bad = _rank_deficient(dft_of_taps(seq, k, suspect))
-    if np.any(bad):
-        first = int(suspect[np.flatnonzero(bad)[0]])
-        raise SingularMatrixError(f"singular channel at subcarrier {first}", subcarrier=first)
-
+        scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
+        shift = (GRAM_SCREEN_RTOL * scale)[..., None, None, None] * np.eye(cols)
+        doubted = ~np.all(ldl_pivots(np.asarray(gram) - shift) > 0.0, axis=-1)
+    for index in np.ndindex(*lead):
+        suspect = np.flatnonzero(doubted[index])
+        if suspect.size == 0:
+            continue
+        bad = _rank_deficient(dft_of_taps(seq[index], k)[suspect])
+        if np.any(bad):
+            first = int(suspect[np.flatnonzero(bad)[0]])
+            raise SingularMatrixError(f"singular channel at subcarrier {first}", subcarrier=first)

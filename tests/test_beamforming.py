@@ -18,6 +18,7 @@ from hybeam.beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
+    stack_effective,
     zf_baseband,
     zf_spectrum,
 )
@@ -263,13 +264,25 @@ class TestEffectiveChannel:
                 eff.noise_cov_spectrum, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max()
             )
 
-    def test_gram_eigvals_of_spectrum(self):
+    def test_gram_of_spectrum(self):
         ch = rich(29)
         eff = effective_channel(rf_1tap(ch), ch)
         g = eff.spectrum
-        expected = np.linalg.eigvalsh(np.conj(np.swapaxes(g, 1, 2)) @ g)
-        np.testing.assert_array_equal(eff.gram_eigvals, expected)
-        assert eff.gram_eigvals is eff.gram_eigvals
+        expected = np.conj(np.swapaxes(g, 1, 2)) @ g
+        np.testing.assert_array_equal(eff.gram, expected)
+        assert eff.gram is eff.gram
+
+    def test_stacked_views_are_the_views_of_each_channel(self):
+        effectives = []
+        for seed in range(3):
+            ch = rich(40 + seed)
+            effectives.append(effective_channel(rf_ltap(ch), ch))
+        stacked = stack_effective(effectives)
+        for view in ("spectrum", "gram", "noise_cov_spectrum"):
+            expected = np.stack([getattr(eff, view) for eff in effectives])
+            np.testing.assert_allclose(
+                getattr(stacked, view), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+            )
 
 
 class TestZeroForcing:

@@ -130,14 +130,15 @@ class TestRunScenario:
             assert row.seed == 99
 
     def test_each_spectrum_computed_once(self, monkeypatch):
-        # two DFTs, the effective spectra of both RF bases; three lag-product
-        # Grams, the raw channel's and the noise covariance of each base that
-        # feeds a ZF stage; and no (K, M, U) array while the rank screen passes
+        # per chunk, two stacked DFTs, the effective spectra of both RF bases;
+        # three stacked lag-product Grams, the raw channel's and the noise
+        # covariance of each base that feeds a ZF stage; and no (K, M, U)
+        # array while the rank screen passes
         dfts, grams = [], []
 
         def counting(original, calls):
             def counted(seq, *args, **kwargs):
-                calls.append(seq.shape)
+                calls.append(seq.taps.shape[:-3] + seq.shape)
                 return original(seq, *args, **kwargs)
 
             return counted
@@ -153,20 +154,24 @@ class TestRunScenario:
             if hasattr(module, "gram_spectrum"):
                 monkeypatch.setattr(module, "gram_spectrum", counted_gram)
         monkeypatch.setattr(channel, "channel_spectrum", no_channel_spectrum)
+        chunk = experiments.CHUNK
         s = small_scenario(
-            realizations=1, schemes=PRESETS["fig8"].scenario.schemes, channel_model="sparse"
+            realizations=chunk + 3,
+            schemes=PRESETS["fig8"].scenario.schemes,
+            channel_model="sparse",
         )
-        values = _evaluate_realization(s, draw_realization(s, 0))
-        assert all(v is not None for v in values.values())
+        out = experiments._scenario_block((s, list(range(chunk + 3)), None))
+        assert [index for index, _ in out] == list(range(chunk + 3))
+        assert all(v is not None for _, values in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
-        assert dfts == [(users, users)] * 2
-        assert grams == [(antennas, users)] * 3
+        assert dfts == [(chunk, users, users)] * 2 + [(3, users, users)] * 2
+        assert grams == [(chunk, antennas, users)] * 3 + [(3, antennas, users)] * 3
         # the raw rank check of zf shares the capacity's Gram and needs no DFT
         dfts.clear()
         grams.clear()
         _evaluate_realization(replace(s, schemes=("capacity", "zf")), draw_realization(s, 0))
         assert dfts == []
-        assert grams == [(antennas, users)]
+        assert grams == [(1, antennas, users)]
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_zf_rates_equal_the_explicit_zf_stage(self, model):
@@ -292,11 +297,13 @@ class TestRunScenario:
         named = []
         check = experiments.require_full_column_rank
 
-        def recorded(*args):
+        def recorded(seq, *args):
             try:
-                check(*args)
+                check(seq, *args)
             except numerics.SingularMatrixError as exc:
-                named.append(exc.subcarrier)
+                # a failing chunk is evaluated again draw by draw; record those
+                if seq.taps.shape[0] == 1:
+                    named.append(exc.subcarrier)
                 raise
 
         monkeypatch.setattr(experiments, "draw_realization", planted)
@@ -313,9 +320,63 @@ class TestRunScenario:
             failing = ~(singvals[:, -1] > numerics.SINGULARITY_RTOL * singvals[:, 0])
             assert np.flatnonzero(failing).tolist() == [subcarrier]
 
+    def test_orders_above_the_threshold_match_the_eigenvalue_oracle(self):
+        # U above LDL_MAX_ORDER takes the eigenvalue path; rebuild every
+        # rate from DFT grids, explicit inverses and eigvalsh
+        users = numerics.LDL_MAX_ORDER + 1
+        dims = SystemDims(antennas=3 * users, users=users, taps=2, subcarriers=8)
+        s = small_scenario(
+            dims=dims, realizations=3, schemes=("capacity", "zf", "rf_ltap", "rf_ltap+zf")
+        )
+        snrs = 10.0 ** (np.asarray(s.snr_db) / 10.0)[:, None, None]
+
+        def log2det(gram):
+            return np.mean(np.sum(np.log2(1.0 + snrs * np.linalg.eigvalsh(gram)), axis=-1), axis=-1)
+
+        expected = {}
+        for index in range(s.realizations):
+            ch = draw_realization(s, index)
+            h = channel_spectrum(ch)
+            w = numerics.dft_of_taps(experiments._COMBINERS["rf_ltap"](ch).taps, dims.subcarriers)
+            g = w @ h
+            quad = np.conj(np.swapaxes(g, 1, 2)) @ np.linalg.inv(w @ np.conj(np.swapaxes(w, 1, 2))) @ g
+            for key, gram in (
+                (("capacity", "capacity"), np.conj(np.swapaxes(h, 1, 2)) @ h),
+                (("zf", "rate"), np.conj(np.swapaxes(h, 1, 2)) @ h),
+                (("rf_ltap", "capacity"), np.conj(np.swapaxes(g, 1, 2)) @ g),
+                (("rf_ltap+zf", "rate"), 0.5 * (quad + np.conj(np.swapaxes(quad, 1, 2)))),
+            ):
+                expected.setdefault(key, []).append(log2det(gram))
+        rows = run_scenario(s).rows
+        for row in rows:
+            if (row.scheme, row.metric) in expected:
+                series = np.mean(expected[(row.scheme, row.metric)], axis=0)
+                assert row.value == pytest.approx(
+                    series[s.snr_db.index(row.snr_db)], rel=1e-12, abs=0.0
+                ), (row.scheme, row.metric)
+        assert len([r for r in rows if (r.scheme, r.metric) in expected]) == 4 * len(s.snr_db)
+
     def test_runs_reproducible(self):
         s = small_scenario()
         assert run_scenario(s) == run_scenario(s)
+
+    def test_rows_equal_at_any_worker_count_across_chunks(self):
+        # two whole chunks and a partial one
+        s = small_scenario(realizations=2 * experiments.CHUNK + 3, schemes=experiments.SCHEMES)
+        serial = run_scenario(s, workers=1)
+        assert run_scenario(s, workers=2) == serial
+        assert run_scenario(s, workers=3) == serial
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(count=st.integers(1, 100), workers=st.integers(1, 8))
+    def test_worker_blocks_are_unions_of_whole_chunks(self, count, workers):
+        chunk = experiments.CHUNK
+        blocks = experiments._split_indices(count, workers)
+        assert 1 <= len(blocks) <= workers
+        assert [index for block in blocks for index in block] == list(range(count))
+        for block in blocks:
+            assert block[0] % chunk == 0
+            assert block[-1] == count - 1 or block[-1] % chunk == chunk - 1
 
     def test_parallel_equals_serial(self):
         s = small_scenario()

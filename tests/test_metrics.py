@@ -1,12 +1,14 @@
 """Rate metrics against independent oracles; SINR accounting; delay spread."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybeam import metrics
 from hybeam.beamforming import (
     CombinerIR,
     EffectiveChannel,
@@ -33,6 +35,7 @@ from hybeam.metrics import (
     capacity,
     delay_moments,
     delay_spread_report,
+    gram_rates,
     pdp_of_effective,
     rate_spectral,
     sinr_from_pdp,
@@ -40,7 +43,7 @@ from hybeam.metrics import (
     spectral_rates,
     sum_rate_from_sinr,
 )
-from hybeam.numerics import SingularMatrixError, TapSequence, dft_of_taps
+from hybeam.numerics import LDL_MAX_ORDER, SingularMatrixError, TapSequence, dft_of_taps
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
 # identity combiner on two antennas: white combined noise
@@ -138,23 +141,52 @@ class TestSpectralRates:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(
         k=st.integers(1, 6),
-        rows=st.integers(1, 5),
-        cols=st.integers(1, 5),
+        rows=st.integers(1, LDL_MAX_ORDER + 2),
+        cols=st.integers(1, LDL_MAX_ORDER + 2),
+        lead=st.lists(st.integers(1, 3), max_size=2),
         snr_db=st.lists(st.floats(-20.0, 30.0), min_size=2, max_size=6),
         colored=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_subcarrier_slogdet(self, k, rows, cols, snr_db, colored, seed):
+    def test_matches_per_subcarrier_slogdet(self, k, rows, cols, lead, snr_db, colored, seed):
+        # both sides of LDL_MAX_ORDER, on stacks with leading axes
         rng = stream(540, seed)
-        signal = complex_normal(rng, (k, rows, cols))
+        signal = complex_normal(rng, (*lead, k, rows, cols))
         cov = None
         if colored:
-            b = complex_normal(rng, (k, rows, rows))
+            b = complex_normal(rng, (*lead, k, rows, rows))
             cov = b @ np.conj(np.swapaxes(b, -1, -2)) + 0.5 * np.eye(rows)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
-        np.testing.assert_allclose(
-            spectral_rates(signal, cov, snrs), slogdet_rates(signal, cov, snrs), rtol=1e-10
-        )
+        rates = spectral_rates(signal, cov, snrs)
+        assert rates.shape == (len(snrs), *lead)
+        for index in np.ndindex(*lead):
+            expected = slogdet_rates(signal[index], None if cov is None else cov[index], snrs)
+            np.testing.assert_allclose(rates[(slice(None), *index)], expected, rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        extra_rows=st.integers(0, 4),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        snr_db=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pivot_and_eigenvalue_paths_agree_at_the_threshold(
+        self, k, extra_rows, lead, snr_db, seed
+    ):
+        n = LDL_MAX_ORDER
+        rng = stream(550, seed)
+        a = complex_normal(rng, (*lead, k, n + extra_rows, n))
+        gram = np.conj(np.swapaxes(a, -1, -2)) @ a
+        signal = complex_normal(rng, (*lead, k, n, n))
+        b = complex_normal(rng, (*lead, k, n, n))
+        cov = b @ np.conj(np.swapaxes(b, -1, -2)) + 0.5 * np.eye(n)
+        snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+        pivots = gram_rates(gram, snrs), spectral_rates(signal, cov, snrs)
+        with mock.patch.object(metrics, "LDL_MAX_ORDER", n - 1):
+            eigen = gram_rates(gram, snrs), spectral_rates(signal, cov, snrs)
+        for got, expected in zip(pivots, eigen):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestCapacity:

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybeam.beamforming import zf_spectrum
 from hybeam.channel import complex_normal, stream
+from hybeam import experiments
+from hybeam.channel import SystemDims
 from hybeam.numerics import (
     GRAM_SCREEN_RTOL,
+    LDL_MAX_ORDER,
     SingularMatrixError,
     TapSequence,
     circular_convolve,
     dft_of_taps,
     gram_eigvals,
     gram_spectrum,
+    ldl_pivots,
     require_full_column_rank,
 )
 
@@ -123,6 +127,28 @@ class TestDftOfTaps:
             dft_of_taps(a, 8) + 2.0 * dft_of_taps(b, 8),
             atol=1e-12,
         )
+
+
+class TestLeadingAxes:
+    def test_stacked_sequences_transform_as_each_alone(self):
+        a = TapSequence(-2, complex_normal(stream(740), (2, 3, 4, 6, 3)))
+        for transform in (dft_of_taps, gram_spectrum):
+            stacked = transform(a, 8)
+            for index in np.ndindex(2, 3):
+                alone = transform(a[index], 8)
+                np.testing.assert_allclose(
+                    stacked[index], alone, rtol=0.0, atol=1e-13 * np.abs(alone).max()
+                )
+
+    def test_stack_and_index_round_trip(self):
+        seqs = [random_seq(742 + key, 2, 3, 2, offset=-1) for key in range(3)]
+        stacked = TapSequence.stack(seqs)
+        assert (stacked.span, stacked.shape, stacked.offset) == (2, (3, 2), -1)
+        for i, seq in enumerate(seqs):
+            np.testing.assert_array_equal(stacked[i].taps, seq.taps)
+            np.testing.assert_array_equal(stacked.tap(0)[i], seq.tap(0))
+        with pytest.raises(ValueError, match="one offset"):
+            TapSequence.stack([seqs[0], random_seq(745, 2, 3, 2, offset=0)])
 
 
 class TestCircularConvolve:
@@ -258,7 +284,7 @@ def spectrum_seq(stack, offset=0):
 
 
 def lag_gram(seq, k):
-    return np.linalg.eigvalsh(gram_spectrum(seq, k))
+    return gram_spectrum(seq, k)
 
 
 def rank_verdict(seq, k, gram):
@@ -267,6 +293,84 @@ def rank_verdict(seq, k, gram):
     except SingularMatrixError as exc:
         return exc.subcarrier
     return "full rank"
+
+
+def adjoint(mats):
+    return np.conj(np.swapaxes(mats, -1, -2))
+
+
+def hermitian(rng, kind, n):
+    """An ``n x n`` Hermitian matrix of a kind whose definiteness no rounding can flip."""
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    a = complex_normal(rng, (2 * n, n))
+    pd = adjoint(a) @ a + 0.5 * np.eye(n)
+    if kind == "pd":
+        return pd
+    if kind == "singular":
+        # one exactly zero row and column
+        j = int(rng.integers(n))
+        pd[j, :] = 0.0
+        pd[:, j] = 0.0
+        return pd
+    lam = np.linalg.eigvalsh(pd)
+    if kind == "indefinite":
+        return pd - 0.5 * (lam[0] + lam[-1]) * np.eye(n) if n > 1 else -pd
+    return -pd  # negative definite
+
+
+class TestLdlPivots:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, LDL_MAX_ORDER),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        snr_db=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=3),
+        form=st.sampled_from(["plain", "identity base", "base"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pivot_product_is_the_determinant(self, n, lead, snr_db, form, seed):
+        rng = stream(710, seed)
+        a = complex_normal(rng, (*lead, 2 * n, n))
+        gram = adjoint(a) @ a + 0.5 * np.eye(n)
+        b = complex_normal(rng, (*lead, n, n))
+        base = b @ adjoint(b) + 0.5 * np.eye(n)
+        snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+        if form == "plain":
+            mats, pivots = gram[None], ldl_pivots(gram)[None]
+        elif form == "identity base":
+            mats = np.eye(n) + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
+            pivots = ldl_pivots(gram, snrs)
+        else:
+            mats = base + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
+            pivots = ldl_pivots(gram, snrs, base)
+        assert pivots.shape == (*mats.shape[:-2], n)
+        sign, logabs = np.linalg.slogdet(mats)
+        np.testing.assert_allclose(sign, 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.prod(pivots, axis=-1), np.exp(logabs), rtol=1e-12)
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, LDL_MAX_ORDER),
+        kinds=st.lists(
+            st.sampled_from(["pd", "singular", "indefinite", "negative", "zero"]),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pivots_positive_exactly_when_cholesky_succeeds(self, n, kinds, seed):
+        rng = stream(720, seed)
+        # a (2, len(kinds)) stack: every kind twice, on two leading axes
+        stack = np.stack([[hermitian(rng, kind, n) for kind in kinds] for _ in range(2)])
+        positive = np.all(ldl_pivots(stack) > 0.0, axis=-1)
+        for index in np.ndindex(*stack.shape[:-2]):
+            try:
+                np.linalg.cholesky(stack[index])
+                factored = True
+            except np.linalg.LinAlgError:
+                factored = False
+            assert positive[index] == factored, kinds[index[1]]
+
 
 class TestGramSpectrum:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -330,6 +434,9 @@ class TestRankCheck:
         offset=st.integers(-3, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # sigma ratio within rounding of SINGULARITY_RTOL: the verdict must not
+    # depend on how many subcarriers the screen doubted
+    @example(kinds=[None, 1e-10, None], cols=2, extra_rows=0, scale_exp=0, offset=1, seed=60)
     def test_screen_decides_as_the_svd_alone(self, kinds, cols, extra_rows, scale_exp, offset, seed):
         # the lag-formed Gram screens; the decision is the SVD's on the DFT
         rows = cols + extra_rows
@@ -353,6 +460,10 @@ class TestRankCheck:
         for part, verdict in ((stack, 3), (stack[:3], "full rank"), (stack[4:], 0)):
             seq = spectrum_seq(part)
             assert rank_verdict(seq, len(part), lag_gram(seq, len(part))) == verdict
+        # a stack of sequences names the first deficient subcarrier of the
+        # first sequence that has one
+        seqs = TapSequence.stack([spectrum_seq(stack[:3]), spectrum_seq(stack[2:])])
+        assert rank_verdict(seqs, 3, lag_gram(seqs, 3)) == 1
 
     def test_vanishing_response_is_rejected(self):
         # taps [a, -2a, a] cancel exactly at subcarrier 0 and nowhere else; the
@@ -362,9 +473,10 @@ class TestRankCheck:
         for seed in range(200):
             a = complex_normal(stream(700, seed), (6, 3))
             seq = TapSequence(seed % 5 - 2, np.stack([a, -2.0 * a, a]))
-            lam = lag_gram(seq, 8)
+            gram = lag_gram(seq, 8)
+            lam = np.linalg.eigvalsh(gram)
             fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
-            assert rank_verdict(seq, 8, lam) == 0
+            assert rank_verdict(seq, 8, gram) == 0
         assert fooled > 0
 
     def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
@@ -375,6 +487,29 @@ class TestRankCheck:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         require_full_column_rank(seq, 16, lag_gram(seq, 16))
+        stacked = TapSequence.stack([seq] + [random_seq(671 + key, 3, 12, 4, offset=-1) for key in range(3)])
+        require_full_column_rank(stacked, 16, lag_gram(stacked, 16))
+
+    def test_small_orders_run_without_eigendecompositions(self, monkeypatch):
+        # at orders up to LDL_MAX_ORDER every rate, screen and noise check
+        # reads pivots: a fig8-like run needs no eigvalsh, Cholesky or solve
+        def banned(*args, **kwargs):
+            raise AssertionError("the runner called a LAPACK factorization")
+
+        for name in ("eigvalsh", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, banned)
+        s = experiments.Scenario(
+            name="small_fig8",
+            dims=SystemDims(antennas=24, users=4, taps=4, subcarriers=32),
+            snr_db=(-10.0, 10.0, 30.0),
+            realizations=experiments.CHUNK + 2,
+            schemes=experiments.PRESETS["fig8"].scenario.schemes,
+            channel_model="sparse",
+        )
+        assert s.dims.users <= LDL_MAX_ORDER
+        result = experiments.run_scenario(s, workers=1)
+        assert result.failures == 0
+        assert all(np.isfinite(row.value) for row in result.rows)
 
     def test_one_subcarrier_grid_names_subcarrier_0(self):
         seq = TapSequence(0, planted(680, 5, 3, 0.0)[None])

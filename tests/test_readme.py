@@ -50,6 +50,12 @@ def test_validate_sentence_names_the_validated_rows():
     assert sizes == experiments.VALIDATED_SWEEP
 
 
+def test_determinism_paragraph_names_the_chunk():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"fixed chunks of (\d+) consecutive indices\s+\(realization `i` is in chunk `i // (\d+)`\)", text)
+    assert int(match.group(1)) == int(match.group(2)) == experiments.CHUNK
+
+
 def _imported_from_hybeam(text):
     """Names of every ``from hybeam import ...`` statement, parenthesized or not."""
     names = set()
