@@ -208,7 +208,7 @@ def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:
     """Per-subcarrier left pseudoinverse of a ``(K, rows, cols)`` grid of tall matrices.
 
     One batched SVD checks every rank, with the test of
-    ``require_full_column_rank``, and one batched solve of the normal
+    ``first_rank_deficient``, and one batched solve of the normal
     equations gives every inverse.  The raised ``SingularMatrixError`` names
     the first rank-deficient subcarrier.
     """

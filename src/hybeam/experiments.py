@@ -56,7 +56,7 @@ from .metrics import (
     sinr_sum_rates,
     spectral_rates,
 )
-from .numerics import SingularMatrixError, TapSequence, gram_spectrum, require_full_column_rank
+from .numerics import SingularMatrixError, TapSequence, first_rank_deficient, gram_spectrum
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
@@ -86,6 +86,21 @@ def _reject_repeats(what: str, items: tuple) -> None:
         raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
 
 
+def _integer(what: str, value, low: int, high: float = np.inf) -> int:
+    """``value`` as an ``int`` in ``[low, high)``; booleans and non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= int(value) < high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
+def _has_link(snr_db: float) -> bool:
+    """Whether ``snr_db`` dB has a finite positive linear SNR, by the rule of the runner's links."""
+    try:
+        return LinkBudget.from_snr_db(snr_db).snr > 0.0
+    except (OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment: geometry, SNR grid, schemes, seed."""
@@ -104,15 +119,15 @@ class Scenario:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.name:
             raise ValueError("scenario needs a name")
-        if isinstance(self.realizations, bool) or not isinstance(self.realizations, Integral):
-            raise ValueError(f"realizations must be an integer, got {self.realizations!r}")
-        object.__setattr__(self, "realizations", int(self.realizations))
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
+        object.__setattr__(self, "realizations", _integer("realizations", self.realizations, 1))
+        # derive_seed keeps 64 bits, so a seed outside them would repeat another's draws
+        seed = _integer("master seed", self.master_seed, 0, _SEED_MASK + 1)
+        object.__setattr__(self, "master_seed", seed)
         if not self.snr_db:
             raise ValueError("SNR grid is empty")
-        if not np.all(np.isfinite(self.snr_db)):
-            raise ValueError(f"SNR grid has non-finite points: {self.snr_db}")
+        unusable = [f"{snr:g} dB" for snr in self.snr_db if not _has_link(snr)]
+        if unusable:
+            raise ValueError(f"SNR grid has non-finite or zero linear SNRs: {', '.join(unusable)}")
         _reject_repeats("SNR grid", self.snr_db)
         _reject_repeats("scheme list", self.schemes)
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -157,6 +172,11 @@ class RunResult:
         return iter(self.rows)
 
 
+def _stderr(data: np.ndarray) -> float:
+    """Standard error of the mean of ``data``; 0 for a single sample."""
+    return float(np.std(data, ddof=1) / np.sqrt(data.size)) if data.size > 1 else 0.0
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Stable child seed from a master seed and an integer path."""
     entropy = [int(master) & _SEED_MASK] + [int(p) & _SEED_MASK for p in parts]
@@ -186,27 +206,28 @@ def draw_realization(
 
 
 def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> list[dict]:
-    """Per channel draw, per scheme, its ``(metric, snr)`` values.
+    """Per channel draw, per scheme, its ``(metric, snr)`` values, or ``None``
+    on a draw where the scheme fails.
 
     Combiners, convolutions and the RF-only SINR rates are per draw; every
     Gram, spectrum, rank screen and log-det rate is one stacked computation
-    over the chunk.  Every log-det rate covers the whole SNR grid.  Rates
-    keep the combined noise at its exact covariance ``C``, so an invertible
-    ZF baseband ``B`` drops out of them:
+    over the chunk, and each scheme is evaluated once.  Every log-det rate
+    covers the whole SNR grid.  Rates keep the combined noise at its exact
+    covariance ``C``, so an invertible ZF baseband ``B`` drops out of them:
     ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
     check here: ``zf`` has the raw capacity's rates (``W = H^+`` leaves
     ``H^H H``), and ``base+zf`` the colored-noise rate of the effective
-    channel itself.  The raw ``H(k)^H H(k)`` comes from the channel's lag
-    products (``gram_spectrum``), so no ``(K, M, U)`` spectrum is formed
-    unless the rank check doubts a subcarrier.  A scheme whose linear algebra
-    degenerates on a chunk is evaluated again one draw at a time, so it maps
-    to ``None`` on the failing draws alone and the other schemes keep their
-    values.
+    channel itself.  A failure is a per-draw mask, charged to its own scheme
+    alone: ``zf`` fails on the draws whose raw channel loses rank on some
+    subcarrier, and ``base+zf`` on those whose effective channel does or
+    whose ``C`` is singular (NaN rates).  The raw ``H(k)^H H(k)`` comes from
+    the channel's lag products (``gram_spectrum``), so no ``(K, M, U)``
+    spectrum is formed unless the rank check doubts a subcarrier.
     """
     k = scenario.dims.subcarriers
-    links = [LinkBudget.from_snr_db(s) for s in scenario.snr_db]
-    snrs = [link.snr for link in links]
+    snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
     raw = TapSequence.stack([channel.taps for channel in channels])
+    no_failures = np.zeros(len(channels), dtype=bool)
 
     @cache
     def raw_gram() -> np.ndarray:
@@ -224,51 +245,35 @@ def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> l
             pairs.append((combiner, effective_channel(combiner, channel)))
         return pairs, stack_effective([effective for _, effective in pairs])
 
-    def evaluate(scheme: str, rows: slice) -> dict[str, np.ndarray]:
-        """Metric -> ``(len(snrs), draws)`` values of the draws in ``rows``."""
+    def evaluate(scheme: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Metric -> ``(len(snrs), draws)`` values, and the mask of failed draws."""
         if scheme == "capacity":
-            return {"capacity": raw_rates()[:, rows]}
+            return {"capacity": raw_rates()}, no_failures
         if scheme == "zf":
-            require_full_column_rank(raw[rows], k, raw_gram()[rows])
-            return {"rate": raw_rates()[:, rows]}
+            return {"rate": raw_rates()}, first_rank_deficient(raw, k, raw_gram()) >= 0
         base = scheme.removesuffix("+zf")
         pairs, effective = build(base)
         if base != scheme:
-            require_full_column_rank(effective.taps[rows], k, effective.gram[rows])
-            cov = effective.noise_cov_spectrum[rows]
-            return {"rate": spectral_rates(effective.spectrum[rows], cov, snrs)}
-        # every link of the grid has unit noise variance
-        powers = [link.transmit_power for link in links]
+            rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
+            rank = first_rank_deficient(effective.taps, k, effective.gram)
+            return {"rate": rates}, (rank >= 0) | np.isnan(rates[0])
+        # every link of the grid has unit noise variance: its transmit power is its SNR
         sinr = [
-            sinr_sum_rates(pdp_of_effective(eff), combiner_noise_power(combiner, 1.0), powers)
-            for combiner, eff in pairs[rows]
+            sinr_sum_rates(pdp_of_effective(eff), combiner_noise_power(combiner, 1.0), snrs)
+            for combiner, eff in pairs
         ]
-        return {"rate": np.stack(sinr, axis=-1), "capacity": gram_rates(effective.gram[rows], snrs)}
+        capacities = gram_rates(effective.gram, snrs)
+        return {"rate": np.stack(sinr, axis=-1), "capacity": capacities}, no_failures
 
-    def samples(scheme: str, rows: slice) -> list[dict[tuple[str, float], float]]:
-        values = evaluate(scheme, rows)
-        return [
-            {
+    outcomes: list[dict] = [{} for _ in channels]
+    for scheme in scenario.schemes:
+        values, failed = evaluate(scheme)
+        for draw, outcome in enumerate(outcomes):
+            outcome[scheme] = None if failed[draw] else {
                 (metric, snr): float(value)
                 for metric, series in values.items()
                 for snr, value in zip(scenario.snr_db, series[:, draw])
             }
-            for draw in range(len(channels[rows]))
-        ]
-
-    outcomes: list[dict] = [{} for _ in channels]
-    for scheme in scenario.schemes:
-        try:
-            per_draw = samples(scheme, slice(None))
-        except SingularMatrixError:
-            per_draw = []
-            for draw in range(len(channels)):
-                try:
-                    per_draw += samples(scheme, slice(draw, draw + 1))
-                except SingularMatrixError:
-                    per_draw.append(None)
-        for outcome, values in zip(outcomes, per_draw):
-            outcome[scheme] = values
     return outcomes
 
 
@@ -379,7 +384,6 @@ def run_scenario(
     for scheme, keyed in samples.items():
         for (metric, snr), values in keyed.items():
             data = np.asarray(values)
-            stderr = float(np.std(data, ddof=1) / np.sqrt(data.size)) if data.size > 1 else 0.0
             rows.append(
                 ResultRow(
                     scenario=scenario.name,
@@ -387,7 +391,7 @@ def run_scenario(
                     snr_db=snr,
                     metric=metric,
                     value=float(data.mean()),
-                    stderr=stderr,
+                    stderr=_stderr(data),
                     realizations=data.size,
                     seed=scenario.master_seed,
                 )
@@ -439,10 +443,7 @@ def rms_study(
         for scheme in _RMS_COMBINERS + ("siso",):
             pooled = np.concatenate([samples[scheme] for samples in results])
             means = np.array([samples[scheme].mean() for samples in results])
-            stderr = (
-                float(np.std(means, ddof=1) / np.sqrt(means.size)) if means.size > 1 else 0.0
-            )
-            cells = [("rms_mean", float(means.mean()), stderr)] + [
+            cells = [("rms_mean", float(means.mean()), _stderr(means))] + [
                 (f"rms_cdf_q{q:02d}", float(np.percentile(pooled, q)), 0.0)
                 for q in _RMS_QUANTILES
             ]

@@ -9,7 +9,12 @@ det(C + snr A A^H) / det(C)``.  Larger orders take one eigendecomposition
 per subcarrier, after whitening with a Cholesky factor, and evaluate the
 whole SNR grid from its eigenvalues.  Either way the noise keeps its exact
 covariance, and ``gram_rates`` and ``spectral_rates`` take stacks with
-leading axes.
+leading axes.  At every order the pivots of ``C(k)`` decide whether the
+noise covariance is singular (above ``LDL_MAX_ORDER``, so does a failed
+Cholesky factorization): ``spectral_rates`` marks such a grid of a stack
+with NaN rates instead of raising, and the one-grid adapters
+``rate_spectral`` and ``achievable_rate_hybrid`` raise
+``SingularMatrixError`` for it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .beamforming import EffectiveChannel
 from .numerics import LDL_MAX_ORDER, SingularMatrixError, gram_eigvals, ldl_pivots
@@ -75,8 +81,12 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
     (``noise_cov=None``) and ``L(k)^{-1} signal[k]`` when the noise has
     covariance ``C(k) = L(k) L(k)^H``.  With ``rows <= LDL_MAX_ORDER`` that
     rate is ``log2 det(C + snr * S S^H) - log2 det(C)`` for ``S = signal[k]``,
-    from pivots; a pivot of ``C`` that is not positive is the same
-    singularity that stops a Cholesky factorization.
+    from pivots.  A grid whose ``C(k)`` has a pivot that is not positive on
+    some subcarrier, the singularity that stops a Cholesky factorization,
+    has no rate: it reads NaN at every SNR, and the other grids of the stack
+    keep the values they have alone.  Above ``LDL_MAX_ORDER`` a grid whose
+    ``C(k)`` passes that test within rounding of singular, but which LAPACK's
+    Cholesky still rejects, reads NaN as well.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim < 3:
@@ -84,17 +94,29 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
     if noise_cov is None:
         return gram_rates(_adjoint(a) @ a, snrs)
     cov = np.asarray(noise_cov, dtype=complex)
+    base = ldl_pivots(cov)
+    singular = ~np.all(base > 0.0, axis=(-2, -1))
     if a.shape[-2] <= LDL_MAX_ORDER:
-        base = ldl_pivots(cov)
-        if not np.all(base > 0.0):
-            raise SingularMatrixError("singular noise covariance")
-        colored = _log2dets(ldl_pivots(a @ _adjoint(a), snrs, cov)) - _log2dets(base)
-        return np.mean(colored, axis=-1)
-    try:
-        chol = np.linalg.cholesky(0.5 * (cov + _adjoint(cov)))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("singular noise covariance") from None
-    return rates_from_eigvals(gram_eigvals(np.linalg.solve(chol, a)), snrs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            colored = _log2dets(ldl_pivots(a @ _adjoint(a), snrs, cov)) - _log2dets(base)
+        return np.where(singular, np.nan, np.mean(colored, axis=-1))
+    # np.linalg.cholesky's own gufunc, without the error state that makes one
+    # matrix it cannot factor (left NaN) raise for the whole stack: the other
+    # factors are the same bits.  Such a grid has no rate either
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
+    singular |= np.any(np.isnan(chol), axis=(-3, -2, -1))
+    chol = np.where(singular[..., None, None, None], np.eye(a.shape[-2]), chol)
+    rates = rates_from_eigvals(gram_eigvals(np.linalg.solve(chol, a)), snrs)
+    return np.where(singular, np.nan, rates)
+
+
+def _colored_rate(signal: np.ndarray, noise_cov: np.ndarray, link: LinkBudget) -> float:
+    """The one-grid rate of ``spectral_rates`` at one link; a singular ``C`` raises."""
+    rate = float(spectral_rates(signal, noise_cov, [link.snr])[0])
+    if np.isnan(rate):
+        raise SingularMatrixError("singular noise covariance")
+    return rate
 
 
 def capacity(spectrum: np.ndarray, link: LinkBudget) -> float:
@@ -117,7 +139,7 @@ def rate_spectral(combiner_spectrum: np.ndarray, channel_spectrum: np.ndarray, l
     h = np.asarray(channel_spectrum, dtype=complex)
     if w.ndim != 3 or h.ndim != 3 or w.shape[0] != h.shape[0] or w.shape[2] != h.shape[1]:
         raise ValueError("combiner and channel grids do not align")
-    return float(spectral_rates(w @ h, w @ _adjoint(w), [link.snr])[0])
+    return _colored_rate(w @ h, w @ _adjoint(w), link)
 
 
 def achievable_rate_hybrid(
@@ -139,7 +161,7 @@ def achievable_rate_hybrid(
             raise ValueError("baseband grid does not align with the effective channel")
         signal = bb @ signal
         cov = bb @ cov @ _adjoint(bb)
-    return float(spectral_rates(signal, cov, [link.snr])[0])
+    return _colored_rate(signal, cov, link)
 
 
 @dataclass(frozen=True)

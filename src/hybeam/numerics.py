@@ -5,8 +5,12 @@ integer delay on a contiguous range.  Everything downstream (channels,
 combiners, effective responses) is a tap sequence, so the transforms here
 carry explicit delay offsets instead of assuming causal indexing.  A tap
 sequence may carry leading axes, one sequence per index (the realizations
-of a chunk), which the DFT, the Gram and the rank check keep.  ``ldl_pivots`` is the one
-factorization behind the log-det rates of ``metrics`` and the rank screen.
+of a chunk), which the DFT, the Gram and the rank check keep.  The rank
+check raises nothing: ``first_rank_deficient`` reports, per sequence, the
+first subcarrier that fails it, so a caller can drop the failing sequences
+of a stack and keep the rest.  ``ldl_pivots`` is the one factorization
+behind the log-det rates of ``metrics``, their singular-noise mask and the
+rank screen.
 """
 
 from __future__ import annotations
@@ -228,23 +232,22 @@ def _rank_deficient(mat: np.ndarray) -> np.ndarray:
     return (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * singvals[..., 0])
 
 
-def require_full_column_rank(
+def first_rank_deficient(
     seq: TapSequence, num_subcarriers: int, gram: np.ndarray | None = None
-) -> None:
-    """Raise ``SingularMatrixError`` unless the frequency response of ``seq``
-    has full column rank on every subcarrier, for every sequence of its
-    leading axes.
+) -> np.ndarray:
+    """For every sequence of the leading axes of ``seq``, the first subcarrier
+    on which its frequency response loses full column rank, or -1.
 
-    The test is the SVD's on ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``:
-    the smallest singular value must exceed ``SINGULARITY_RTOL`` times the
-    largest.  ``gram``, the ``(..., K, cols, cols)`` stack of
-    ``A(k)^H A(k)``, screens first: a subcarrier passes without an SVD when
-    ``gram`` minus ``GRAM_SCREEN_RTOL * span * trace(R_0)`` times the
-    identity has only positive pivots.  That factors each matrix once, so it
-    reads ``ldl_pivots`` at every order.  The rest get an SVD, on the
-    full-grid DFT of their own sequence, so every decision is the SVD test's
-    on the same ``A(k)`` whatever the screen doubted.  The error's ``subcarrier`` is the first
-    rank-deficient one of the first sequence that has one.
+    The result has the leading axes' shape.  The test is the SVD's on
+    ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``: the smallest singular
+    value must exceed ``SINGULARITY_RTOL`` times the largest.  ``gram``, the
+    ``(..., K, cols, cols)`` stack of ``A(k)^H A(k)``, screens first: a
+    subcarrier passes without an SVD when ``gram`` minus
+    ``GRAM_SCREEN_RTOL * span * trace(R_0)`` times the identity has only
+    positive pivots.  That factors each matrix once, so it reads
+    ``ldl_pivots`` at every order.  The rest get an SVD, on the full-grid DFT
+    of their own sequence, so every decision is the SVD test's on the same
+    ``A(k)`` whatever the screen doubted.
     """
     rows, cols = seq.shape
     if rows < cols:
@@ -257,11 +260,12 @@ def require_full_column_rank(
         scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
         shift = (GRAM_SCREEN_RTOL * scale)[..., None, None, None] * np.eye(cols)
         doubted = ~np.all(ldl_pivots(np.asarray(gram) - shift) > 0.0, axis=-1)
+    first = np.full(lead, -1)
     for index in np.ndindex(*lead):
         suspect = np.flatnonzero(doubted[index])
         if suspect.size == 0:
             continue
         bad = _rank_deficient(dft_of_taps(seq[index], k)[suspect])
         if np.any(bad):
-            first = int(suspect[np.flatnonzero(bad)[0]])
-            raise SingularMatrixError(f"singular channel at subcarrier {first}", subcarrier=first)
+            first[index] = suspect[np.argmax(bad)]
+    return first

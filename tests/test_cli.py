@@ -123,6 +123,35 @@ class TestRunCommand:
             assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "fig2.csv").exists()
 
+    def test_snr_without_a_linear_snr_rejected_before_any_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        for spec, named in (
+            ("4000", "4000 dB"),
+            ("-4000", "-4000 dB"),
+            ("0,-4000,4000", "-4000 dB, 4000 dB"),
+        ):
+            code = run_cli("run", "fig2", *RUN_FAST, f"--snr={spec}", "--outdir", str(tmp_path))
+            assert code == 2
+            assert f"non-finite or zero linear SNRs: {named}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_seed_outside_64_bits_rejected_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        for seed in ("-1", str(2**64), str(2**64 + 5)):
+            code = run_cli("run", "fig2", *RUN_FAST, "--seed", seed, "--outdir", str(tmp_path))
+            assert code == 2
+            error = capsys.readouterr().err
+            assert f"master seed must be an integer in [0, {2**64}), got {seed}" in error
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_repeated_snr_points_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
         def never_run(*args, **kwargs):
             raise AssertionError("run_scenario called")
@@ -379,6 +408,19 @@ class TestConfigFiles:
         )
         outdir = tmp_path / "res"
         assert run_cli("run", str(config), "--validate", "--outdir", str(outdir)) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_seed_outside_64_bits_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        for seed in ("-1", str(2**64)):
+            config = tmp_path / "seed.ini"
+            config.write_text(f"[x]\nM = 16\nschemes = capacity\nseed = {seed}\n")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            error = capsys.readouterr().err
+            assert f"master seed must be an integer in [0, {2**64}), got {seed}" in error
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_repeated_schemes_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):

@@ -61,6 +61,26 @@ class TestScenarioValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 small_scenario(snr_db=(0.0, bad))
 
+    def test_snr_points_without_a_linear_snr_rejected(self):
+        # 10^400 overflows a float and 10^-400 underflows to zero: neither
+        # point has a link, and the error names every such point
+        for grid, named in (((0.0, 4000.0), "4000 dB"), ((-4000.0, 10.0), "-4000 dB")):
+            with pytest.raises(ValueError, match=f"non-finite or zero linear SNRs: {named}$"):
+                small_scenario(snr_db=grid)
+        with pytest.raises(ValueError, match="4000 dB, -4000 dB"):
+            small_scenario(snr_db=(4000.0, -4000.0))
+        assert small_scenario(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
+
+    def test_master_seed_must_be_a_64_bit_integer(self):
+        # derive_seed keeps 64 bits: -1 would draw as 2**64 - 1, and 2**64 + 5 as 5
+        assert experiments.derive_seed(-1, 1) == experiments.derive_seed(2**64 - 1, 1)
+        for bad in (-1, 2**64, 2**64 + 5, 2.0, True, "5", None):
+            with pytest.raises(ValueError, match="master seed"):
+                small_scenario(master_seed=bad)
+        for good in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            s = small_scenario(master_seed=good)
+            assert type(s.master_seed) is int and s.master_seed == int(good)
+
     def test_realizations_must_be_a_positive_integer(self):
         for bad in (2.5, 1.0, True, "3", 0, -1):
             with pytest.raises(ValueError):
@@ -218,14 +238,58 @@ class TestRunScenario:
 
     def test_singular_realizations_are_counted(self, monkeypatch):
         # a failure is charged to the failing scheme alone: capacity keeps
-        # every sample while the ZF schemes keep the odd realizations
+        # every sample while the ZF schemes keep the odd realizations.  In
+        # rf_ltap+zf and mf+zf the duplicated user also makes the combined
+        # noise covariance singular, which above LDL_MAX_ORDER is the
+        # Cholesky path on a stack that mixes good and singular draws
         self._degenerate_even_draws(monkeypatch)
-        for schemes in (("capacity", "zf"), ("capacity", "rf_ltap+zf"), ("mf+zf",)):
-            result = run_scenario(small_scenario(schemes=schemes), workers=1)
-            assert result.failures == 3
-            assert result.rows
-            for row in result.rows:
-                assert row.realizations == (6 if row.scheme == "capacity" else 3)
+        for users in (SMALL_DIMS.users, numerics.LDL_MAX_ORDER + 1):
+            dims = replace(SMALL_DIMS, users=users)
+            for schemes in (("capacity", "zf"), ("capacity", "rf_ltap+zf"), ("mf+zf",)):
+                result = run_scenario(small_scenario(dims=dims, schemes=schemes), workers=1)
+                assert result.failures == 3
+                assert result.rows
+                for row in result.rows:
+                    assert row.realizations == (6 if row.scheme == "capacity" else 3)
+                    assert np.isfinite(row.value)
+
+    def test_failing_draws_cost_no_second_evaluation(self, monkeypatch):
+        # a chunk with failing draws still gets one rank check and one rate
+        # evaluation per scheme: the failures are masks, not re-evaluations
+        self._degenerate_even_draws(monkeypatch)
+        checked, rated = [], []
+
+        def counting(original, calls, lead):
+            def counted(*args, **kwargs):
+                calls.append(lead(args[0]))
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            experiments,
+            "first_rank_deficient",
+            counting(experiments.first_rank_deficient, checked, lambda seq: seq.taps.shape[0]),
+        )
+        monkeypatch.setattr(
+            experiments,
+            "spectral_rates",
+            counting(experiments.spectral_rates, rated, lambda signal: signal.shape[0]),
+        )
+        chunk = experiments.CHUNK
+        s = small_scenario(
+            realizations=chunk + 3,
+            schemes=("capacity", "zf", "rf_ltap", "rf_ltap+zf", "mf+zf"),
+        )
+        out = experiments._scenario_block((s, list(range(chunk + 3)), None))
+        assert [index for index, _ in out] == list(range(chunk + 3))
+        # zf, rf_ltap+zf and mf+zf per chunk; the last two also rate
+        assert checked == [chunk] * 3 + [3] * 3
+        assert rated == [chunk] * 2 + [3] * 2
+        for index, values in out:
+            for scheme, keyed in values.items():
+                failed = index % 2 == 0 and scheme.endswith("zf")
+                assert (keyed is None) == failed, (index, scheme)
 
     def test_failing_scheme_keeps_rows_in_scheme_order(self, monkeypatch):
         # the ZF scheme comes first but first succeeds in realization 1, after
@@ -273,12 +337,11 @@ class TestRunScenario:
         for snr in (0.0, 10.0):
             assert rows[("zf", snr)] == rows[("capacity", snr)]
 
-    def test_planted_subcarrier_fails_zf_alone(self, monkeypatch):
+    @staticmethod
+    def _plant_subcarrier_failures(monkeypatch, dims):
         # realizations 0 and 3: users 0 and 1 coincide on subcarrier 5 alone;
         # realizations 1 and 4: taps [a, -2a, a], whose response vanishes on
-        # subcarrier 0 alone.  zf fails on those four, naming the subcarrier
-        # that the SVD-only test on the DFT names; capacity keeps every sample
-        dims = SystemDims(antennas=24, users=3, taps=3, subcarriers=32)
+        # subcarrier 0 alone
         original = experiments.draw_realization
 
         def planted(scenario, index, antennas=None):
@@ -294,31 +357,57 @@ class TestRunScenario:
                 return ch
             return replace(ch, taps=TapSequence(0, taps))
 
+        monkeypatch.setattr(experiments, "draw_realization", planted)
+        return planted
+
+    def test_planted_subcarrier_fails_zf_alone(self, monkeypatch):
+        # zf fails on the four planted draws, naming the subcarrier that the
+        # SVD-only test on the DFT names; capacity keeps every sample
+        dims = SystemDims(antennas=24, users=3, taps=3, subcarriers=32)
+        planted = self._plant_subcarrier_failures(monkeypatch, dims)
         named = []
-        check = experiments.require_full_column_rank
+        check = experiments.first_rank_deficient
 
         def recorded(seq, *args):
-            try:
-                check(seq, *args)
-            except numerics.SingularMatrixError as exc:
-                # a failing chunk is evaluated again draw by draw; record those
-                if seq.taps.shape[0] == 1:
-                    named.append(exc.subcarrier)
-                raise
+            first = check(seq, *args)
+            named.extend(first.tolist())
+            return first
 
-        monkeypatch.setattr(experiments, "draw_realization", planted)
-        monkeypatch.setattr(experiments, "require_full_column_rank", recorded)
+        monkeypatch.setattr(experiments, "first_rank_deficient", recorded)
         s = small_scenario(dims=dims, schemes=("capacity", "zf"))
         result = run_scenario(s, workers=1)
         assert result.failures == 4
-        assert named == [5, 0, 5, 0]
+        # one rank check of the whole chunk, one verdict per draw
+        assert named == [5, 0, -1, 5, 0, -1]
         for row in result.rows:
             assert row.realizations == (6 if row.scheme == "capacity" else 2)
-        for index, subcarrier in zip((0, 1, 3, 4), named):
+        for index in range(s.realizations):
+            subcarrier = named[index]
             grid = numerics.dft_of_taps(planted(s, index).taps, dims.subcarriers)
             singvals = np.linalg.svd(grid, compute_uv=False)
             failing = ~(singvals[:, -1] > numerics.SINGULARITY_RTOL * singvals[:, 0])
-            assert np.flatnonzero(failing).tolist() == [subcarrier]
+            assert np.flatnonzero(failing).tolist() == ([] if subcarrier < 0 else [subcarrier])
+
+    def test_planted_subcarrier_failures_above_the_threshold(self, monkeypatch):
+        # above LDL_MAX_ORDER the noise covariance of mf+zf, H(k)^H H(k), is
+        # singular on the planted subcarrier too, within rounding: its pivots
+        # may pass where LAPACK's Cholesky fails, and that must not stop the
+        # chunk.  zf and mf+zf fail on all four planted draws, rf_ltap+zf on
+        # the two collisions, exactly as when each draw is evaluated alone
+        dims = SystemDims(antennas=16, users=numerics.LDL_MAX_ORDER + 1, taps=3, subcarriers=32)
+        planted = self._plant_subcarrier_failures(monkeypatch, dims)
+        s = small_scenario(dims=dims, schemes=("capacity", "zf", "mf+zf", "rf_ltap+zf"))
+        result = run_scenario(s, workers=1)
+        assert result.failures == 4
+        samples = {"capacity": 6, "zf": 2, "mf+zf": 2, "rf_ltap+zf": 4}
+        for row in result.rows:
+            assert row.realizations == samples[row.scheme]
+            assert np.isfinite(row.value)
+        for index in range(s.realizations):
+            alone = _evaluate_realization(s, planted(s, index))
+            failed = {scheme for scheme, values in alone.items() if values is None}
+            expected = {"zf", "mf+zf"} | ({"rf_ltap+zf"} if index % 3 == 0 else set())
+            assert failed == (expected if index % 3 < 2 else set()), index
 
     def test_orders_above_the_threshold_match_the_eigenvalue_oracle(self):
         # U above LDL_MAX_ORDER takes the eigenvalue path; rebuild every

@@ -1,6 +1,7 @@
 """Rate metrics against independent oracles; SINR accounting; delay spread."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -129,10 +130,51 @@ class TestSpectralRates:
         assert spectral_rates(signal, None, [1.0])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_indefinite_noise_covariance(self):
+        # an indefinite C has no rate: NaN at every SNR, and no warning
         signal = complex_normal(stream(530), (2, 2, 2))
         cov = np.broadcast_to(np.diag([1.0, -1.0]), (2, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = spectral_rates(signal, cov, [1.0, 10.0])
+        assert rates.shape == (2,)
+        assert np.all(np.isnan(rates))
+
+    @pytest.mark.parametrize("n", [LDL_MAX_ORDER, LDL_MAX_ORDER + 1])
+    def test_singular_noise_marks_only_its_own_grid(self, n):
+        # both sides of LDL_MAX_ORDER: in a stack of six grids, one C with a
+        # zero row and column on one subcarrier, one all zero and one negative
+        # definite on one subcarrier read NaN; the rest are what they are alone
+        k, antennas = 4, n + 3
+        rng = stream(560, n)
+        w = complex_normal(rng, (6, k, n, antennas))
+        h = complex_normal(rng, (6, k, antennas, n))
+        w[1, 2, 0] = 0.0
+        w[4] = 0.0
+        signal, cov = w @ h, w @ np.conj(np.swapaxes(w, -1, -2))
+        cov[3, 0] = -cov[3, 0]
+        snrs = [0.1, 1.0, 100.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = spectral_rates(signal, cov, snrs)
+            alone = [spectral_rates(signal[draw], cov[draw], snrs) for draw in range(6)]
+        for draw in range(6):
+            if draw in (1, 3, 4):
+                assert np.all(np.isnan(rates[:, draw])) and np.all(np.isnan(alone[draw]))
+            else:
+                np.testing.assert_array_equal(rates[:, draw], alone[draw])
+                assert np.all(np.isfinite(alone[draw]))
+        # the one-grid adapters raise instead
+        link = LinkBudget.from_snr_db(10.0)
+        for draw in (1, 4):
+            with pytest.raises(SingularMatrixError, match="singular noise covariance"):
+                rate_spectral(w[draw], h[draw], link)
+        combiner = complex_normal(rng, (2, n, antennas))
+        combiner[:, 0] = 0.0
+        eff = EffectiveChannel(
+            CombinerIR(TapSequence(0, combiner)), TapSequence(0, complex_normal(rng, (3, n, n))), k
+        )
         with pytest.raises(SingularMatrixError, match="singular noise covariance"):
-            spectral_rates(signal, cov, [1.0])
+            achievable_rate_hybrid(eff, None, link)
 
     def test_rejects_misshaped_signal(self):
         with pytest.raises(ValueError, match="signal grid"):

@@ -16,10 +16,10 @@ from hybeam.numerics import (
     TapSequence,
     circular_convolve,
     dft_of_taps,
+    first_rank_deficient,
     gram_eigvals,
     gram_spectrum,
     ldl_pivots,
-    require_full_column_rank,
 )
 
 
@@ -288,11 +288,9 @@ def lag_gram(seq, k):
 
 
 def rank_verdict(seq, k, gram):
-    try:
-        require_full_column_rank(seq, k, gram)
-    except SingularMatrixError as exc:
-        return exc.subcarrier
-    return "full rank"
+    """First rank-deficient subcarrier per sequence, -1 for full rank, as a list
+    (an int for a sequence without leading axes)."""
+    return first_rank_deficient(seq, k, gram).tolist()
 
 
 def adjoint(mats):
@@ -457,13 +455,12 @@ class TestRankCheck:
     def test_planted_ratios_around_the_threshold(self):
         kinds = [1e-3, 1e-5, 1e-9, 1e-11, 0.0]
         stack = np.stack([planted(660 + i, 6, 3, kind) for i, kind in enumerate(kinds)])
-        for part, verdict in ((stack, 3), (stack[:3], "full rank"), (stack[4:], 0)):
+        for part, verdict in ((stack, 3), (stack[:3], -1), (stack[4:], 0)):
             seq = spectrum_seq(part)
             assert rank_verdict(seq, len(part), lag_gram(seq, len(part))) == verdict
-        # a stack of sequences names the first deficient subcarrier of the
-        # first sequence that has one
+        # a stack of sequences names the first deficient subcarrier of each
         seqs = TapSequence.stack([spectrum_seq(stack[:3]), spectrum_seq(stack[2:])])
-        assert rank_verdict(seqs, 3, lag_gram(seqs, 3)) == 1
+        assert rank_verdict(seqs, 3, lag_gram(seqs, 3)) == [-1, 1]
 
     def test_vanishing_response_is_rejected(self):
         # taps [a, -2a, a] cancel exactly at subcarrier 0 and nowhere else; the
@@ -486,9 +483,9 @@ class TestRankCheck:
             raise AssertionError("the Gram screen should have decided")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        require_full_column_rank(seq, 16, lag_gram(seq, 16))
+        assert rank_verdict(seq, 16, lag_gram(seq, 16)) == -1
         stacked = TapSequence.stack([seq] + [random_seq(671 + key, 3, 12, 4, offset=-1) for key in range(3)])
-        require_full_column_rank(stacked, 16, lag_gram(stacked, 16))
+        assert rank_verdict(stacked, 16, lag_gram(stacked, 16)) == [-1] * 4
 
     def test_small_orders_run_without_eigendecompositions(self, monkeypatch):
         # at orders up to LDL_MAX_ORDER every rate, screen and noise check
@@ -518,7 +515,7 @@ class TestRankCheck:
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
-            require_full_column_rank(TapSequence(0, np.ones((3, 2, 4))), 4)
+            first_rank_deficient(TapSequence(0, np.ones((3, 2, 4))), 4)
 
     def test_gram_eigvals_ascending_and_match_singular_values(self):
         stack = complex_normal(stream(690), (3, 7, 3))
