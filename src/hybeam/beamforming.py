@@ -52,23 +52,29 @@ def mf_combiner(channel: ChannelRealization) -> CombinerIR:
     """Time-reversed conjugate-transpose combiner, scaled by ``1/sqrt(M)``.
 
     Tap ``-l`` is ``H_l^H / sqrt(M)``, so each user coherently sums its own
-    delayed copies at composite delay 0.
+    delayed copies at composite delay 0.  Like every combiner builder here,
+    it keeps the leading axes of a stacked channel: one combiner per draw.
     """
-    h = channel.taps.taps
     scale = 1.0 / np.sqrt(channel.dims.antennas)
-    taps = scale * np.conj(h[::-1].transpose(0, 2, 1))
+    taps = scale * np.conj(np.swapaxes(channel.taps.taps[..., ::-1, :, :], -1, -2))
     return CombinerIR(TapSequence(-(channel.dims.taps - 1), taps))
 
 
 def _phase_only(target: np.ndarray, offset: int) -> CombinerIR:
     """Constant-modulus ``1/sqrt(M)`` combiner conjugating the phases of ``target``.
 
-    ``target`` is ``(span, U, M)``; tap ``i`` of the result sits at delay
-    ``offset + i``.
+    ``target`` is ``(..., span, U, M)``; tap ``i`` of the result sits at
+    delay ``offset + i``.  Each phase is ``conj(z) / |z|``, without
+    trigonometry; an entry ``z = 0`` keeps phase 0.
     """
     root_m = np.sqrt(target.shape[-1])
+    magnitude = np.abs(target)
+    vanished = magnitude == 0.0
+    phases = np.conj(target) / np.where(vanished, 1.0, magnitude)
+    phases[vanished] = 1.0
+    phases /= root_m
     return CombinerIR(
-        TapSequence(offset, np.exp(-1j * np.angle(target)) / root_m),
+        TapSequence(offset, phases),
         constant_modulus=True,
         modulus=1.0 / root_m,
     )
@@ -81,12 +87,13 @@ def rf_ltap(channel: ChannelRealization) -> CombinerIR:
     ``1/sqrt(M)``: the closest phase-only network to the matched filter,
     equivalently per-entry equal-gain combining.
     """
-    return _phase_only(channel.taps.taps[::-1].transpose(0, 2, 1), -(channel.dims.taps - 1))
+    reversed_taps = channel.taps.taps[..., ::-1, :, :]
+    return _phase_only(np.swapaxes(reversed_taps, -1, -2), -(channel.dims.taps - 1))
 
 
 def rf_1tap(channel: ChannelRealization) -> CombinerIR:
     """Single-tap constant-modulus combiner aligned to the leading channel tap."""
-    return _phase_only(channel.taps.taps[0].T[None], 0)
+    return _phase_only(np.swapaxes(channel.taps.taps[..., :1, :, :], -1, -2), 0)
 
 
 def rf_1tap_sum_heuristic(channel: ChannelRealization) -> CombinerIR:
@@ -95,7 +102,7 @@ def rf_1tap_sum_heuristic(channel: ChannelRealization) -> CombinerIR:
     A cheaper rule than per-tap alignment; the taps it mixes add with random
     relative phases, which costs array gain on frequency-selective channels.
     """
-    return _phase_only(channel.taps.taps.sum(axis=0).T[None], 0)
+    return _phase_only(np.swapaxes(channel.taps.taps.sum(axis=-3, keepdims=True), -1, -2), 0)
 
 
 @dataclass
@@ -111,8 +118,8 @@ class PhaseNetworkBank:
 
     plus: TapSequence
     minus: TapSequence
-    gamma: float
-    scale: float
+    gamma: float | np.ndarray
+    scale: float | np.ndarray
 
     def combined(self) -> CombinerIR:
         """Sum of the two banks (no longer constant-modulus)."""
@@ -125,14 +132,15 @@ def decompose_to_phase_banks(combiner: CombinerIR) -> PhaseNetworkBank:
     The target is normalized by its largest entry magnitude ``gamma`` so
     every entry lands in the closed unit disk; the returned ``scale`` is
     ``2 / (gamma * sqrt(M))``, the factor from the target to the summed
-    banks.
+    banks.  A stacked combiner gets one ``gamma`` and ``scale`` per
+    sequence, of the leading axes' shape.
     """
     a = combiner.taps.taps
-    gamma = float(np.max(np.abs(a)))
-    if not np.isfinite(gamma) or gamma == 0.0:
+    gamma = np.max(np.abs(a), axis=(-3, -2, -1))
+    if not np.all(np.isfinite(gamma)) or np.any(gamma == 0.0):
         raise ValueError("cannot decompose an all-zero combiner")
-    m = a.shape[2]
-    normalized = a / gamma
+    m = a.shape[-1]
+    normalized = a / gamma[..., None, None, None]
     theta = np.angle(normalized)
     alpha = np.arccos(np.clip(np.abs(normalized), 0.0, 1.0))
     root_m = np.sqrt(m)
@@ -161,8 +169,8 @@ class EffectiveChannel:
     frequency response ``W(k)``.  That covariance comes from the combiner's
     taps without forming ``W(k)``: the taps ``W_n^H`` have the response
     ``W(-k)^H``, so their ``gram_spectrum`` read at ``-k mod K`` is
-    ``W(k) W(k)^H``.  Taps with leading axes (``stack_effective``) give
-    every view the same leading axes.
+    ``W(k) W(k)^H``.  Taps with leading axes (the effective channels of a
+    stacked channel) give every view the same leading axes.
     """
 
     combiner: CombinerIR
@@ -190,27 +198,21 @@ def effective_channel(combiner: CombinerIR, channel: ChannelRealization) -> Effe
     """Convolve a combiner with a channel on the channel's subcarrier grid.
 
     The grid must hold the combined span without aliasing; no spectrum is
-    computed here.
+    computed here.  Leading axes of a stacked channel and its combiner are
+    kept.
     """
     k = channel.dims.subcarriers
     return EffectiveChannel(combiner, circular_convolve(combiner.taps, channel.taps, k), k)
 
 
-def stack_effective(effectives) -> EffectiveChannel:
-    """One effective channel whose taps, and combiner taps, gain a leading
-    axis over ``effectives``, which share their grid, shapes and offsets."""
-    combiner = CombinerIR(TapSequence.stack([effective.combiner.taps for effective in effectives]))
-    taps = TapSequence.stack([effective.taps for effective in effectives])
-    return EffectiveChannel(combiner, taps, effectives[0].num_subcarriers)
-
-
 def zf_spectrum(spectrum: np.ndarray) -> np.ndarray:
     """Per-subcarrier left pseudoinverse of a ``(K, rows, cols)`` grid of tall matrices.
 
-    One batched SVD checks every rank, with the test of
-    ``first_rank_deficient``, and one batched solve of the normal
-    equations gives every inverse.  The raised ``SingularMatrixError`` names
-    the first rank-deficient subcarrier.
+    One batched SVD checks every rank, and one batched solve of the normal
+    equations gives every inverse.  A grid has no taps, so its rank test is
+    ``first_rank_deficient``'s against each matrix's own largest singular
+    value.  The raised ``SingularMatrixError`` names the first
+    rank-deficient subcarrier.
     """
     grid = np.asarray(spectrum, dtype=complex)
     if grid.ndim != 3 or grid.shape[1] < grid.shape[2]:
@@ -234,7 +236,10 @@ def zf_baseband(effective: EffectiveChannel) -> np.ndarray:
 
 
 def combiner_noise_power(combiner: CombinerIR, noise_variance: float) -> np.ndarray:
-    """Per-user noise power after combining: ``sigma^2 * sum_l ||row_u(W_l)||^2``."""
+    """Per-user noise power after combining: ``sigma^2 * sum_l ||row_u(W_l)||^2``.
+
+    A stacked combiner gives one row of powers per sequence.
+    """
     if not noise_variance > 0.0:
         raise ValueError("noise variance must be positive")
-    return noise_variance * np.sum(np.abs(combiner.taps.taps) ** 2, axis=(0, 2))
+    return noise_variance * np.sum(np.abs(combiner.taps.taps) ** 2, axis=(-3, -1))

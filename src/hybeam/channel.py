@@ -107,7 +107,10 @@ def exponential_pdp(num_taps: int, num_users: int) -> PowerDelayProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One channel draw: causal taps ``(L, M, U)`` plus the profile behind it."""
+    """One channel draw: causal taps ``(L, M, U)`` plus the profile behind it.
+
+    Taps with leading axes stack draws that share the dimensions and profile.
+    """
 
     dims: SystemDims
     taps: TapSequence
@@ -115,8 +118,8 @@ class ChannelRealization:
 
     def __post_init__(self):
         expected = (self.dims.taps, self.dims.antennas, self.dims.users)
-        if self.taps.taps.shape != expected:
-            raise ValueError(f"taps shape {self.taps.taps.shape} != {expected}")
+        if self.taps.taps.shape[-3:] != expected:
+            raise ValueError(f"taps shape {self.taps.taps.shape[-3:]} != {expected}")
         if self.taps.offset != 0:
             raise ValueError("channel taps must start at delay 0")
 

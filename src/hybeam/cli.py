@@ -24,7 +24,6 @@ from .experiments import (
     VALIDATED_SWEEP,
     Preset,
     ResultRow,
-    rms_study,
     run_scenario,
     validate_closed_forms,
 )
@@ -245,21 +244,13 @@ def cmd_run(args) -> int:
         if args.dump_channels:
             dump_dir = os.path.join(args.outdir, f"{scenario.name}_channels")
             os.makedirs(dump_dir, exist_ok=True)
-        rows: list[ResultRow] = []
-        run_rows: list[ResultRow] = []
-        failures = 0
-        if run.scenario.schemes:
-            result = run_scenario(run.scenario, dump_dir=dump_dir)
-            run_rows.extend(result.rows)
-            rows.extend(row for row in result.rows if row.scheme in scenario.schemes)
-            failures = result.failures
-        if run.antenna_sweep:
-            sweep_rows = rms_study(run.antenna_sweep, scenario)
-            run_rows.extend(sweep_rows)
-            rows.extend(row for row in sweep_rows if row.snr_db in preset.antenna_sweep)
+        result = run_scenario(run.scenario, dump_dir=dump_dir, antenna_sweep=run.antenna_sweep)
+        rows = [row for row in result.rows if row.scheme in scenario.schemes]
+        rows += [row for row in result.sweep if row.snr_db in preset.antenna_sweep]
+        failures = result.failures
         trailer = None
         if args.validate:
-            report = validate_closed_forms(scenario, run_rows)
+            report = validate_closed_forms(scenario, result.rows + result.sweep)
             trailer = report.render()
             print(trailer)
         csv_path = os.path.join(args.outdir, f"{scenario.name}.csv")

@@ -20,7 +20,6 @@ from numbers import Integral
 import numpy as np
 
 from .beamforming import (
-    CombinerIR,
     EffectiveChannel,
     combiner_noise_power,
     decompose_to_phase_banks,
@@ -29,7 +28,6 @@ from .beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
-    stack_effective,
 )
 from .channel import (
     ChannelRealization,
@@ -48,6 +46,7 @@ from .closed_forms import (
     predict,
 )
 from .metrics import (
+    EffectivePdp,
     LinkBudget,
     delay_moments,
     delay_spread_report,
@@ -91,6 +90,16 @@ def _integer(what: str, value, low: int, high: float = np.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or not low <= int(value) < high:
         raise ValueError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
     return int(value)
+
+
+def _sweep_sizes(what: str, sizes, users: int) -> tuple[int, ...]:
+    """An antenna sweep as distinct integers, none below ``users``."""
+    sizes = tuple(_integer(f"{what} size", m, 1) for m in sizes)
+    _reject_repeats(what, sizes)
+    small = [m for m in sizes if m < users]
+    if small:
+        raise ValueError(f"{what} has sizes below its {users} users: {small}")
+    return sizes
 
 
 def _has_link(snr_db: float) -> bool:
@@ -158,11 +167,16 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Aggregated rows plus the bookkeeping the exit-code contract needs."""
+    """Aggregated rows plus the bookkeeping the exit-code contract needs.
+
+    ``rows`` are the schemes' rows and ``sweep`` the delay-spread rows of
+    the antenna sweep, if one was asked for; iterating gives ``rows``.
+    """
 
     rows: tuple[ResultRow, ...]
     realizations: int
     failures: int
+    sweep: tuple[ResultRow, ...] = ()
 
     @property
     def failure_fraction(self) -> float:
@@ -205,28 +219,40 @@ def draw_realization(
     return draw_rich(dims, pdp, seed)
 
 
-def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> list[dict]:
-    """Per channel draw, per scheme, its ``(metric, snr)`` values, or ``None``
-    on a draw where the scheme fails.
+# The combiners whose effective delay spread is swept; ``siso`` is the
+# unprocessed per-antenna baseline.
+_RMS_COMBINERS = ("mf", "rf_1tap", "rf_ltap")
+_RMS_QUANTILES = (5, 25, 50, 75, 95)
 
-    Combiners, convolutions and the RF-only SINR rates are per draw; every
-    Gram, spectrum, rank screen and log-det rate is one stacked computation
-    over the chunk, and each scheme is evaluated once.  Every log-det rate
-    covers the whole SNR grid.  Rates keep the combined noise at its exact
-    covariance ``C``, so an invertible ZF baseband ``B`` drops out of them:
-    ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a rank
-    check here: ``zf`` has the raw capacity's rates (``W = H^+`` leaves
-    ``H^H H``), and ``base+zf`` the colored-noise rate of the effective
-    channel itself.  A failure is a per-draw mask, charged to its own scheme
-    alone: ``zf`` fails on the draws whose raw channel loses rank on some
-    subcarrier, and ``base+zf`` on those whose effective channel does or
-    whose ``C`` is singular (NaN rates).  The raw ``H(k)^H H(k)`` comes from
-    the channel's lag products (``gram_spectrum``), so no ``(K, M, U)``
-    spectrum is formed unless the rank check doubts a subcarrier.
+
+def _evaluate_chunk(
+    scenario: Scenario, channels: list[ChannelRealization], spreads: bool = False
+) -> list[tuple[dict, dict | None]]:
+    """Per channel draw: per scheme, its ``(metric, snr)`` values, or ``None``
+    on a draw where the scheme fails; and, if ``spreads`` is set, the RMS
+    delay spreads of the swept combiners and ``siso``, else ``None``.
+
+    Everything after the draws is one stacked computation over the chunk:
+    combiners, convolutions, SINR rates, delay spreads, Grams, spectra, rank
+    screens and log-det rates, and each scheme is evaluated once.  Every
+    log-det rate covers the whole SNR grid.  Rates keep the combined noise
+    at its exact covariance ``C``, so an invertible ZF baseband ``B`` drops
+    out of them: ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is
+    therefore only a rank check here: ``zf`` has the raw capacity's rates
+    (``W = H^+`` leaves ``H^H H``), and ``base+zf`` the colored-noise rate
+    of the effective channel itself.  A failure is a per-draw mask, charged
+    to its own scheme alone: ``zf`` fails on the draws whose raw channel
+    loses rank on some subcarrier, and ``base+zf`` on those whose effective
+    channel does or whose ``C`` is singular (NaN rates).  The raw
+    ``H(k)^H H(k)`` comes from the channel's lag products
+    (``gram_spectrum``), so no ``(K, M, U)`` spectrum is formed unless the
+    rank check doubts a subcarrier.  The delay spreads read the same cached
+    effective channels as the schemes.
     """
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
     raw = TapSequence.stack([channel.taps for channel in channels])
+    stacked = replace(channels[0], taps=raw)
     no_failures = np.zeros(len(channels), dtype=bool)
 
     @cache
@@ -238,12 +264,12 @@ def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> l
         return gram_rates(raw_gram(), snrs)
 
     @cache
-    def build(base: str) -> tuple[list[tuple[CombinerIR, EffectiveChannel]], EffectiveChannel]:
-        pairs = []
-        for channel in channels:
-            combiner = _COMBINERS[base](channel)
-            pairs.append((combiner, effective_channel(combiner, channel)))
-        return pairs, stack_effective([effective for _, effective in pairs])
+    def build(base: str) -> EffectiveChannel:
+        return effective_channel(_COMBINERS[base](stacked), stacked)
+
+    @cache
+    def pdp(base: str) -> EffectivePdp:
+        return pdp_of_effective(build(base))
 
     def evaluate(scheme: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Metric -> ``(len(snrs), draws)`` values, and the mask of failed draws."""
@@ -252,18 +278,15 @@ def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> l
         if scheme == "zf":
             return {"rate": raw_rates()}, first_rank_deficient(raw, k, raw_gram()) >= 0
         base = scheme.removesuffix("+zf")
-        pairs, effective = build(base)
+        effective = build(base)
         if base != scheme:
             rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
             rank = first_rank_deficient(effective.taps, k, effective.gram)
             return {"rate": rates}, (rank >= 0) | np.isnan(rates[0])
         # every link of the grid has unit noise variance: its transmit power is its SNR
-        sinr = [
-            sinr_sum_rates(pdp_of_effective(eff), combiner_noise_power(combiner, 1.0), snrs)
-            for combiner, eff in pairs
-        ]
-        capacities = gram_rates(effective.gram, snrs)
-        return {"rate": np.stack(sinr, axis=-1), "capacity": capacities}, no_failures
+        noise = combiner_noise_power(effective.combiner, 1.0)
+        rates = sinr_sum_rates(pdp(base), noise, snrs)
+        return {"rate": rates, "capacity": gram_rates(effective.gram, snrs)}, no_failures
 
     outcomes: list[dict] = [{} for _ in channels]
     for scheme in scenario.schemes:
@@ -274,17 +297,30 @@ def _evaluate_chunk(scenario: Scenario, channels: list[ChannelRealization]) -> l
                 for metric, series in values.items()
                 for snr, value in zip(scenario.snr_db, series[:, draw])
             }
-    return outcomes
+    if not spreads:
+        return [(outcome, None) for outcome in outcomes]
+    swept = {base: delay_spread_report(pdp(base))[1] for base in _RMS_COMBINERS}
+    power = np.moveaxis(np.abs(raw.taps) ** 2, -3, -1)
+    swept["siso"] = delay_moments(power, raw.offset)[1].reshape(len(channels), -1)
+    return [
+        (outcome, {name: values[draw] for name, values in swept.items()})
+        for draw, outcome in enumerate(outcomes)
+    ]
 
 
 def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
     """Per scheme, its ``(metric, snr)`` values for one channel draw: a chunk of one."""
-    return _evaluate_chunk(scenario, [channel])[0]
+    return _evaluate_chunk(scenario, [channel])[0][0]
 
 
 def _scenario_block(args) -> list:
-    """Worker entry: evaluate a block of realization indices, chunk by chunk."""
-    scenario, indices, dump_dir = args
+    """Worker entry: evaluate a block of realization indices, chunk by chunk.
+
+    ``args`` is ``(scenario, indices, dump_dir, spreads)``; the result holds
+    one ``(index, outcome, spreads)`` per realization, as ``_evaluate_chunk``
+    returns them.
+    """
+    scenario, indices, dump_dir, spreads = args
     out = []
     for _, group in groupby(indices, key=lambda index: index // CHUNK):
         chunk = list(group)
@@ -297,7 +333,8 @@ def _scenario_block(args) -> list:
                     channel, path, realization_seed(scenario, index), scenario.channel_model
                 )
             channels.append(channel)
-        out += zip(chunk, _evaluate_chunk(scenario, channels))
+        evaluated = _evaluate_chunk(scenario, channels, spreads)
+        out += [(index, *pair) for index, pair in zip(chunk, evaluated)]
     return out
 
 
@@ -324,15 +361,11 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _run_blocks(task, payloads: list, workers: int) -> list:
-    """Run work payloads serially or across processes; order-stable merge."""
+    """Run work payloads serially or across one process pool; one result per payload, in order."""
     if workers <= 1 or len(payloads) <= 1:
-        chunks = [task(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task, payloads))
-    merged = [item for chunk in chunks for item in chunk]
-    merged.sort(key=lambda item: item[0])
-    return merged
+        return [task(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, payloads))
 
 
 def _split_indices(count: int, workers: int) -> list[list[int]]:
@@ -350,6 +383,7 @@ def run_scenario(
     scenario: Scenario,
     workers: int | None = None,
     dump_dir: str | None = None,
+    antenna_sweep=(),
 ) -> RunResult:
     """Evaluate a scenario over all realizations and aggregate per metric.
 
@@ -357,23 +391,45 @@ def run_scenario(
     sample from it, so each row's ``realizations`` is its own scheme's sample
     count; ``failures`` counts the realizations in which any scheme failed,
     and the caller decides how many are tolerable.  A scheme left without a
-    single sample raises.  Output is identical for any worker count.
+    single sample raises.  ``dump_dir`` receives the channels the schemes
+    are evaluated on.
+
+    ``antenna_sweep`` adds the delay-spread study of ``rms_study`` at those
+    array sizes to the same pass, as ``RunResult.sweep``: distinct integers,
+    none below the user count, checked before any draw.  At the scenario's
+    own size the sweep reads the chunks the schemes are evaluated on; every
+    other size is drawn and evaluated by the same worker entry, in the same
+    process pool, so every (size, realization) pair is drawn once.  Output
+    is identical for any worker count.
     """
     workers = resolve_workers(workers)
+    grid = _sweep_sizes(f"antenna sweep of {scenario.name}", antenna_sweep, scenario.dims.users)
+    own = scenario.dims.antennas
+    sized = {own: scenario} if scenario.schemes or own in grid else {}
+    for antennas in grid:
+        sized.setdefault(
+            antennas, replace(scenario, dims=replace(scenario.dims, antennas=antennas), schemes=())
+        )
+    blocks = _split_indices(scenario.realizations, workers)
     payloads = [
-        (scenario, block, dump_dir)
-        for block in _split_indices(scenario.realizations, workers)
+        (sub, block, dump_dir if sub.schemes else None, antennas in grid)
+        for antennas, sub in sized.items()
+        for block in blocks
     ]
     results = _run_blocks(_scenario_block, payloads, workers)
     samples: dict[str, dict[tuple[str, float], list[float]]] = {
         scheme: {} for scheme in scenario.schemes
     }
+    spreads: dict[int, list[dict]] = {antennas: [] for antennas in grid}
     failures = 0
-    for _, outcome in results:
-        failures += any(values is None for values in outcome.values())
-        for scheme, values in outcome.items():
-            for key, value in (values or {}).items():
-                samples[scheme].setdefault(key, []).append(value)
+    for (sub, *_), block in zip(payloads, results):
+        for _, outcome, swept in block:
+            failures += any(values is None for values in outcome.values())
+            for scheme, values in outcome.items():
+                for key, value in (values or {}).items():
+                    samples[scheme].setdefault(key, []).append(value)
+            if swept is not None:
+                spreads[sub.dims.antennas].append(swept)
     empty = [scheme for scheme, keyed in samples.items() if not keyed]
     if empty:
         raise SingularMatrixError(
@@ -384,40 +440,45 @@ def run_scenario(
     for scheme, keyed in samples.items():
         for (metric, snr), values in keyed.items():
             data = np.asarray(values)
-            rows.append(
-                ResultRow(
-                    scenario=scenario.name,
-                    scheme=scheme,
-                    snr_db=snr,
-                    metric=metric,
-                    value=float(data.mean()),
-                    stderr=_stderr(data),
-                    realizations=data.size,
-                    seed=scenario.master_seed,
-                )
-            )
-    return RunResult(rows=tuple(rows), realizations=scenario.realizations, failures=failures)
+            rows.append(_row(scenario, scheme, snr, metric, data.mean(), _stderr(data), data.size))
+    return RunResult(
+        rows=tuple(rows),
+        realizations=scenario.realizations,
+        failures=failures,
+        sweep=_sweep_rows(scenario, spreads),
+    )
 
 
-# The combiners whose effective delay spread is swept; ``siso`` is the
-# unprocessed per-antenna baseline.
-_RMS_COMBINERS = ("mf", "rf_1tap", "rf_ltap")
-_RMS_QUANTILES = (5, 25, 50, 75, 95)
+def _row(scenario: Scenario, scheme: str, snr_db: float, metric: str, value, err, count: int):
+    return ResultRow(
+        scenario=scenario.name,
+        scheme=scheme,
+        snr_db=float(snr_db),
+        metric=metric,
+        value=float(value),
+        stderr=float(err),
+        realizations=count,
+        seed=scenario.master_seed,
+    )
 
 
-def _rms_block(args) -> list:
-    scenario, antennas, indices = args
-    out = []
-    for index in indices:
-        channel = draw_realization(scenario, index, antennas=antennas)
-        samples: dict[str, np.ndarray] = {}
-        for base in _RMS_COMBINERS:
-            effective = effective_channel(_COMBINERS[base](channel), channel)
-            samples[base] = delay_spread_report(pdp_of_effective(effective))[1]
-        power = np.abs(channel.taps.taps.transpose(1, 2, 0)) ** 2
-        samples["siso"] = delay_moments(power, channel.taps.offset)[1].ravel()
-        out.append(((antennas, index), samples))
-    return out
+def _sweep_rows(scenario: Scenario, spreads: dict[int, list[dict]]) -> tuple[ResultRow, ...]:
+    """Per array size and swept combiner, the ``rms_mean`` over realizations
+    and the quantiles of the per-user spreads pooled over them."""
+    rows = []
+    for antennas, draws in spreads.items():
+        for scheme in _RMS_COMBINERS + ("siso",):
+            per_draw = np.stack([swept[scheme] for swept in draws])
+            means = per_draw.mean(axis=-1)
+            cells = [("rms_mean", means.mean(), _stderr(means))] + [
+                (f"rms_cdf_q{q:02d}", value, 0.0)
+                for q, value in zip(_RMS_QUANTILES, np.percentile(per_draw, _RMS_QUANTILES))
+            ]
+            rows += [
+                _row(scenario, scheme, antennas, metric, value, err, scenario.realizations)
+                for metric, value, err in cells
+            ]
+    return tuple(rows)
 
 
 def rms_study(
@@ -428,39 +489,13 @@ def rms_study(
     For each antenna count the per-user spread of every combiner is pooled
     over realizations; the per-antenna-element channels give the unprocessed
     baseline (scheme ``siso``).  The antenna count is reported in the
-    ``snr_db`` column, which doubles as the sweep axis for these rows.  Every
-    (size, realization) pair is drawn once, and the whole sweep shares one
-    worker pool.
+    ``snr_db`` column, which doubles as the sweep axis for these rows.  This
+    is ``run_scenario``'s sweep without the scenario's schemes: the grid
+    must hold distinct integers, none below the user count, every (size,
+    realization) pair is drawn once, and the whole sweep shares one worker
+    pool.
     """
-    workers = resolve_workers(workers)
-    grid = [int(antennas) for antennas in antenna_grid]
-    blocks = _split_indices(scenario.realizations, workers)
-    payloads = [(scenario, antennas, block) for antennas in grid for block in blocks]
-    merged = _run_blocks(_rms_block, payloads, workers)
-    rows: list[ResultRow] = []
-    for antennas in grid:
-        results = [samples for (m, _), samples in merged if m == antennas]
-        for scheme in _RMS_COMBINERS + ("siso",):
-            pooled = np.concatenate([samples[scheme] for samples in results])
-            means = np.array([samples[scheme].mean() for samples in results])
-            cells = [("rms_mean", float(means.mean()), _stderr(means))] + [
-                (f"rms_cdf_q{q:02d}", float(np.percentile(pooled, q)), 0.0)
-                for q in _RMS_QUANTILES
-            ]
-            rows.extend(
-                ResultRow(
-                    scenario=scenario.name,
-                    scheme=scheme,
-                    snr_db=float(antennas),
-                    metric=metric,
-                    value=value,
-                    stderr=err,
-                    realizations=scenario.realizations,
-                    seed=scenario.master_seed,
-                )
-                for metric, value, err in cells
-            )
-    return rows
+    return list(run_scenario(replace(scenario, schemes=()), workers, antenna_sweep=antenna_grid).sweep)
 
 
 @dataclass(frozen=True)
@@ -593,7 +628,8 @@ def validate_closed_forms(scenario: Scenario, rows) -> ValidationReport:
 class Preset:
     """A named ready-to-run scenario, optionally with an antenna sweep.
 
-    Every sweep size is distinct and at least the scenario's user count.
+    Every sweep size is a distinct integer, at least the scenario's user
+    count.
     """
 
     scenario: Scenario
@@ -601,12 +637,9 @@ class Preset:
     description: str = ""
 
     def __post_init__(self):
-        sweep = f"antenna_sweep of {self.scenario.name}"
-        _reject_repeats(sweep, self.antenna_sweep)
-        users = self.scenario.dims.users
-        small = [m for m in self.antenna_sweep if m < users]
-        if small:
-            raise ValueError(f"{sweep} has sizes below its {users} users: {small}")
+        what = f"antenna_sweep of {self.scenario.name}"
+        sizes = _sweep_sizes(what, self.antenna_sweep, self.scenario.dims.users)
+        object.__setattr__(self, "antenna_sweep", sizes)
 
 
 DEFAULT_DIMS = SystemDims(antennas=100, users=4, taps=4, subcarriers=128)

@@ -166,8 +166,9 @@ def achievable_rate_hybrid(
 
 @dataclass(frozen=True)
 class EffectivePdp:
-    """Power profile of an effective channel: ``power[u, v, i]`` is the power
-    coupling user ``v`` into output ``u`` at delay ``offset + i``."""
+    """Power profile of an effective channel: ``power[..., u, v, i]`` is the
+    power coupling user ``v`` into output ``u`` at delay ``offset + i``, and
+    leading axes index the draws of a stack."""
 
     power: np.ndarray
     offset: int
@@ -176,7 +177,7 @@ class EffectivePdp:
 def pdp_of_effective(effective: EffectiveChannel) -> EffectivePdp:
     """Entrywise power of the effective taps, arranged per user pair."""
     power = np.abs(effective.taps.taps) ** 2
-    return EffectivePdp(np.transpose(power, (1, 2, 0)), effective.taps.offset)
+    return EffectivePdp(np.moveaxis(power, -3, -1), effective.taps.offset)
 
 
 @dataclass(frozen=True)
@@ -199,15 +200,16 @@ class SinrBreakdown:
 
 
 def _sinr_breakdown(pdp: EffectivePdp, noise_power: np.ndarray, pt) -> SinrBreakdown:
-    """Breakdown at transmit power ``pt``: a scalar, or a ``(P, 1)`` column of powers."""
+    """Breakdown at transmit power ``pt``: a scalar, or a ``(P, 1, ...)`` column
+    of powers with one axis more than a per-user array."""
     zero = -pdp.offset
-    if not 0 <= zero < pdp.power.shape[2]:
+    if not 0 <= zero < pdp.power.shape[-1]:
         raise ValueError("delay 0 is outside the stored profile")
-    own = np.einsum("uun->un", pdp.power)
-    signal = pt * own[:, zero]
-    isi = pt * (own.sum(axis=1) - own[:, zero])
-    totals = pdp.power.sum(axis=2)
-    mui = pt * (totals.sum(axis=1) - np.einsum("uu->u", totals))
+    own = np.einsum("...uun->...un", pdp.power)
+    signal = pt * own[..., zero]
+    isi = pt * (own.sum(axis=-1) - own[..., zero])
+    totals = pdp.power.sum(axis=-1)
+    mui = pt * (totals.sum(axis=-1) - np.einsum("...uu->...u", totals))
     return SinrBreakdown(signal=signal, isi=isi, mui=mui, noise=noise_power)
 
 
@@ -226,9 +228,10 @@ def sinr_sum_rates(pdp: EffectivePdp, noise_power: np.ndarray, transmit_powers) 
     """``sum_rate_from_sinr(sinr_from_pdp(...))`` for every transmit power at once.
 
     One breakdown with a leading power axis replaces one per link, with the
-    same arithmetic; the result has one sum rate per transmit power.
+    same arithmetic; the result has one sum rate per transmit power, and
+    then the leading axes of a stacked profile and its ``noise_power``.
     """
-    pt = np.asarray(transmit_powers, dtype=float)[:, None]
+    pt = np.asarray(transmit_powers, dtype=float).reshape(-1, *(1,) * (pdp.power.ndim - 2))
     return np.sum(np.log2(1.0 + _sinr_breakdown(pdp, noise_power, pt).sinr), axis=-1)
 
 
@@ -259,4 +262,4 @@ def delay_moments(power: np.ndarray, first_delay: int) -> tuple[np.ndarray, np.n
 
 def delay_spread_report(pdp: EffectivePdp) -> tuple[np.ndarray, np.ndarray]:
     """Per-user mean delay and RMS delay spread of the same-user effective profiles."""
-    return delay_moments(np.einsum("uun->un", pdp.power), pdp.offset)
+    return delay_moments(np.einsum("...uun->...un", pdp.power), pdp.offset)

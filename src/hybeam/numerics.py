@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Relative threshold of the rank check: the smallest singular value must
-# exceed this fraction of the largest.
+# exceed this fraction of a reference, the square root of the sequence's
+# scale ``s`` (below) for ``first_rank_deficient`` and the largest singular
+# value of the same matrix for ``zf_spectrum``, which has no taps.  Against
+# its own largest singular value a response that has vanished to roundoff
+# (taps ``[a, -2a, a]`` at ``k = 0``) would pass.
 SINGULARITY_RTOL = 1e-10
 # Gram screen of the rank check, relative to the scale
 # ``s = span * trace(R_0) = span * sum_i ||A_i||_F^2`` of the tap sequence.
@@ -33,7 +37,7 @@ SINGULARITY_RTOL = 1e-10
 # however it is formed: the lag products of ``gram_spectrum`` and the
 # product of a DFT both err by about ``rows * eps * s``.  A passing
 # subcarrier therefore has a true ``sigma_min^2`` of about
-# ``GRAM_SCREEN_RTOL * s`` or more, so ``sigma_min / sigma_max`` is about
+# ``GRAM_SCREEN_RTOL * s`` or more, so ``sigma_min / sqrt(s)`` is about
 # 1e-4 or more, far above ``SINGULARITY_RTOL`` and the roundoff of the
 # computed ``A(k)``: it passes the SVD test.  The scale must not be
 # ``lambda_max(k)``: where ``A(k)`` nearly vanishes (taps ``[a, -a]`` at
@@ -155,7 +159,7 @@ def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
-    """Matrix convolution of two tap sequences without leading axes.
+    """Matrix convolution of two tap sequences, whose leading axes broadcast.
 
     Tap ``n`` of the result is ``sum_m a(m) @ b(n - m)``; offsets add.  The
     grid length only validates that the combined span fits without aliasing,
@@ -172,9 +176,10 @@ def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> T
         raise ValueError(
             f"spectral aliasing: convolution spans {out_span} taps on a {int(num_subcarriers)}-point grid"
         )
-    out = np.zeros((out_span, rows_a, cols_b), dtype=complex)
+    lead = np.broadcast_shapes(a.taps.shape[:-3], b.taps.shape[:-3])
+    out = np.zeros((*lead, out_span, rows_a, cols_b), dtype=complex)
     for i in range(a.span):
-        out[i : i + b.span] += a.taps[i] @ b.taps
+        out[..., i : i + b.span, :, :] += a.taps[..., i : i + 1, :, :] @ b.taps
     return TapSequence(a.offset + b.offset, out)
 
 
@@ -226,10 +231,12 @@ def ldl_pivots(mat: np.ndarray, snrs=None, base: np.ndarray | None = None) -> np
     return pivots[0] if snrs is None else pivots
 
 
-def _rank_deficient(mat: np.ndarray) -> np.ndarray:
-    """The SVD test per matrix of a stack: all zero, or ``sigma_min < SINGULARITY_RTOL * sigma_max``."""
+def _rank_deficient(mat: np.ndarray, reference: float | None = None) -> np.ndarray:
+    """The SVD test per matrix of a stack: all zero, or
+    ``sigma_min < SINGULARITY_RTOL * reference``, ``sigma_max`` by default."""
     singvals = np.linalg.svd(mat, compute_uv=False)
-    return (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * singvals[..., 0])
+    reference = singvals[..., 0] if reference is None else reference
+    return (singvals[..., 0] == 0.0) | (singvals[..., -1] < SINGULARITY_RTOL * reference)
 
 
 def first_rank_deficient(
@@ -239,12 +246,13 @@ def first_rank_deficient(
     on which its frequency response loses full column rank, or -1.
 
     The result has the leading axes' shape.  The test is the SVD's on
-    ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``: the smallest singular
-    value must exceed ``SINGULARITY_RTOL`` times the largest.  ``gram``, the
+    ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``: ``A(k)`` must not be
+    all zero, and its smallest singular value must exceed
+    ``SINGULARITY_RTOL * sqrt(s)``, for the scale ``s = span * trace(R_0)``
+    that bounds ``||A(k)||^2`` on every subcarrier.  ``gram``, the
     ``(..., K, cols, cols)`` stack of ``A(k)^H A(k)``, screens first: a
     subcarrier passes without an SVD when ``gram`` minus
-    ``GRAM_SCREEN_RTOL * span * trace(R_0)`` times the identity has only
-    positive pivots.  That factors each matrix once, so it reads
+    ``GRAM_SCREEN_RTOL * s`` times the identity has only positive pivots.  That factors each matrix once, so it reads
     ``ldl_pivots`` at every order.  The rest get an SVD, on the full-grid DFT
     of their own sequence, so every decision is the SVD test's on the same
     ``A(k)`` whatever the screen doubted.
@@ -254,10 +262,10 @@ def first_rank_deficient(
         raise ValueError("full column rank needs a tall matrix (rows >= cols)")
     k = int(num_subcarriers)
     lead = seq.taps.shape[:-3]
+    scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
     if gram is None:
         doubted = np.ones((*lead, k), dtype=bool)
     else:
-        scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
         shift = (GRAM_SCREEN_RTOL * scale)[..., None, None, None] * np.eye(cols)
         doubted = ~np.all(ldl_pivots(np.asarray(gram) - shift) > 0.0, axis=-1)
     first = np.full(lead, -1)
@@ -265,7 +273,7 @@ def first_rank_deficient(
         suspect = np.flatnonzero(doubted[index])
         if suspect.size == 0:
             continue
-        bad = _rank_deficient(dft_of_taps(seq[index], k)[suspect])
+        bad = _rank_deficient(dft_of_taps(seq[index], k)[suspect], np.sqrt(scale[index]))
         if np.any(bad):
             first[index] = suspect[np.argmax(bad)]
     return first

@@ -18,19 +18,21 @@ from hybeam.beamforming import (
     rf_1tap,
     rf_1tap_sum_heuristic,
     rf_ltap,
-    stack_effective,
     zf_baseband,
     zf_spectrum,
 )
 from hybeam.channel import (
     ChannelRealization,
+    SparseChannelConfig,
     SystemDims,
     channel_spectrum,
     complex_normal,
     draw_rich,
+    draw_sparse,
     exponential_pdp,
     stream,
 )
+from hybeam.metrics import delay_spread_report, pdp_of_effective, sinr_sum_rates
 from hybeam.numerics import SingularMatrixError, TapSequence, dft_of_taps
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
@@ -40,6 +42,12 @@ WHITE = CombinerIR(TapSequence(0, np.eye(2, dtype=complex)[None]))
 
 def rich(seed, dims=DIMS):
     return draw_rich(dims, exponential_pdp(dims.taps, dims.users), seed=seed)
+
+
+def stack_channels(channels):
+    """One channel whose taps stack those of ``channels`` on a leading axis."""
+    first = channels[0]
+    return ChannelRealization(first.dims, TapSequence.stack([ch.taps for ch in channels]), first.pdp)
 
 
 class TestMfCombiner:
@@ -273,16 +281,102 @@ class TestEffectiveChannel:
         assert eff.gram is eff.gram
 
     def test_stacked_views_are_the_views_of_each_channel(self):
-        effectives = []
-        for seed in range(3):
-            ch = rich(40 + seed)
-            effectives.append(effective_channel(rf_ltap(ch), ch))
-        stacked = stack_effective(effectives)
+        channels = [rich(40 + seed) for seed in range(3)]
+        effectives = [effective_channel(rf_ltap(ch), ch) for ch in channels]
+        stacked_channel = stack_channels(channels)
+        stacked = effective_channel(rf_ltap(stacked_channel), stacked_channel)
         for view in ("spectrum", "gram", "noise_cov_spectrum"):
             expected = np.stack([getattr(eff, view) for eff in effectives])
             np.testing.assert_allclose(
                 getattr(stacked, view), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
+
+
+class TestStackedLayer:
+    """Every builder and reader of the per-realization layer takes a chunk's
+    leading axis and gives each draw the bits it has alone."""
+
+    @pytest.mark.parametrize("base", list(experiments._COMBINERS))
+    @pytest.mark.parametrize(
+        "dims, model",
+        [
+            (DIMS, "rich"),
+            (DIMS, "sparse"),
+            # effective spans of 9 taps: sums long enough to be pairwise
+            (SystemDims(antennas=20, users=2, taps=5, subcarriers=16), "rich"),
+        ],
+    )
+    def test_stack_of_three_draws_equals_each_draw_bit_for_bit(self, base, dims, model):
+        pdp = exponential_pdp(dims.taps, dims.users)
+        if model == "rich":
+            channels = [draw_rich(dims, pdp, seed=50 + i) for i in range(3)]
+        else:
+            channels = [draw_sparse(dims, pdp, SparseChannelConfig(), 50 + i) for i in range(3)]
+        build = experiments._COMBINERS[base]
+        powers = [0.1, 1.0, 1e3]
+        stacked = stack_channels(channels)
+        combiner = build(stacked)
+        effective = effective_channel(combiner, stacked)
+        profile = pdp_of_effective(effective)
+        noise = combiner_noise_power(combiner, 1.0)
+        rates = sinr_sum_rates(profile, noise, powers)
+        spreads = delay_spread_report(profile)
+        assert rates.shape == (len(powers), 3)
+        for draw, ch in enumerate(channels):
+            alone = build(ch)
+            eff = effective_channel(alone, ch)
+            alone_noise = combiner_noise_power(alone, 1.0)
+            alone_profile = pdp_of_effective(eff)
+            assert combiner.taps.offset == alone.taps.offset
+            assert effective.taps.offset == eff.taps.offset
+            np.testing.assert_array_equal(combiner.taps.taps[draw], alone.taps.taps)
+            np.testing.assert_array_equal(effective.taps.taps[draw], eff.taps.taps)
+            np.testing.assert_array_equal(noise[draw], alone_noise)
+            np.testing.assert_array_equal(
+                rates[:, draw], sinr_sum_rates(alone_profile, alone_noise, powers)
+            )
+            for stacked_part, alone_part in zip(spreads, delay_spread_report(alone_profile)):
+                np.testing.assert_array_equal(stacked_part[draw], alone_part)
+
+    def test_phase_banks_normalize_each_draw_by_its_own_gamma(self):
+        # one draw a thousand times stronger: a gamma taken over the whole
+        # stack would shrink the other two draws' banks
+        channels = [rich(60 + seed) for seed in range(3)]
+        channels[1] = ChannelRealization(DIMS, TapSequence(0, 1e3 * channels[1].taps.taps), channels[1].pdp)
+        stacked = stack_channels(channels)
+        bank = decompose_to_phase_banks(mf_combiner(stacked))
+        combined = experiments._COMBINERS["bank_2L"](stacked)
+        assert bank.gamma.shape == bank.scale.shape == (3,)
+        for draw, ch in enumerate(channels):
+            alone = decompose_to_phase_banks(mf_combiner(ch))
+            assert bank.gamma[draw] == alone.gamma
+            assert bank.scale[draw] == alone.scale
+            np.testing.assert_array_equal(bank.plus.taps[draw], alone.plus.taps)
+            np.testing.assert_array_equal(bank.minus.taps[draw], alone.minus.taps)
+            np.testing.assert_array_equal(
+                combined.taps.taps[draw], experiments._COMBINERS["bank_2L"](ch).taps.taps
+            )
+
+    def test_stack_with_one_all_zero_combiner_rejected(self):
+        taps = np.stack([np.ones((1, 2, 2)), np.zeros((1, 2, 2))])
+        with pytest.raises(ValueError, match="all-zero"):
+            decompose_to_phase_banks(CombinerIR(TapSequence(0, taps)))
+
+    def test_zero_channel_entry_gets_a_finite_phase_zero_tap(self):
+        ch = rich(70)
+        taps = ch.taps.taps.copy()
+        taps[:, 2, 1] = 0.0  # antenna 2 never hears user 1
+        ch = ChannelRealization(DIMS, TapSequence(0, taps), ch.pdp)
+        modulus = 1.0 / math.sqrt(DIMS.antennas)
+        for build in (rf_1tap, rf_ltap, rf_1tap_sum_heuristic):
+            w = build(ch).taps.taps
+            assert np.all(np.isfinite(w))
+            np.testing.assert_array_equal(w[:, 1, 2], modulus)
+        # elsewhere the phases are those of exp(-1j * angle), to rounding
+        target = np.swapaxes(taps[::-1], 1, 2)
+        np.testing.assert_allclose(
+            rf_ltap(ch).taps.taps, np.exp(-1j * np.angle(target)) * modulus, rtol=0.0, atol=1e-15
+        )
 
 
 class TestZeroForcing:

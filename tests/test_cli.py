@@ -221,18 +221,13 @@ class TestRunCommand:
     ):
         # serial, so the counting patches see every call
         monkeypatch.delenv("HYBEAM_THREADS", raising=False)
-        runs, sweeps, draws = [], [], []
+        runs, draws = [], []
         original_run = cli.run_scenario
-        original_sweep = cli.rms_study
         original_draw = experiments.draw_realization
 
-        def run(scenario, *args, **kwargs):
-            runs.append(scenario.schemes)
-            return original_run(scenario, *args, **kwargs)
-
-        def sweep(grid, *args, **kwargs):
-            sweeps.append(tuple(grid))
-            return original_sweep(grid, *args, **kwargs)
+        def run(scenario, *args, antenna_sweep=(), **kwargs):
+            runs.append((scenario.schemes, tuple(antenna_sweep)))
+            return original_run(scenario, *args, antenna_sweep=antenna_sweep, **kwargs)
 
         def draw(scenario, index, antennas=None):
             draws.append((index, scenario.dims.antennas if antennas is None else antennas))
@@ -240,36 +235,36 @@ class TestRunCommand:
 
         for module in (cli, experiments):
             monkeypatch.setattr(module, "run_scenario", run)
-        monkeypatch.setattr(cli, "rms_study", sweep)
         monkeypatch.setattr(experiments, "draw_realization", draw)
-        small = ["--M", "16", "--U", "2", "--L", "2", "--K", "16", "--realizations", "3"]
-        # fig3 sweeps only the validated sizes; fig5's own sweep holds all of them
+        small = ["--U", "2", "--L", "2", "--K", "16", "--realizations", "3"]
+        # fig3 sweeps only the validated sizes; fig5's own sweep holds all of
+        # them.  At M=25 the run's own size is one of the swept sizes
         cases = (
-            ("fig3", ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
-            ("fig5", ("rf_1tap", "rf_ltap"), PRESETS["fig5"].antenna_sweep),
+            ("fig3", 16, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
+            ("fig5", 16, ("rf_1tap", "rf_ltap"), PRESETS["fig5"].antenna_sweep),
+            ("fig3", 25, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
         )
-        for target, schemes, grid in cases:
+        for target, antennas, schemes, grid in cases:
             runs.clear()
-            sweeps.clear()
             draws.clear()
             code = run_cli(
-                "run", target, *small, "--snr", "0,10", "--validate",
-                "--outdir", str(tmp_path / target),
+                "run", target, *small, "--M", str(antennas), "--snr", "0,10", "--validate",
+                "--outdir", str(tmp_path / f"{target}_{antennas}"),
             )
             assert code == 0
-            assert runs == [schemes]
-            assert sweeps == [grid]
-            # the run at M=16, then the delay-spread sweep, each draw once
+            # one call runs the schemes and the delay-spread sweep together
+            assert runs == [(schemes, grid)]
+            # and draws every (realization, size) once
             assert sorted(draws) == sorted(
-                (index, m) for index in range(3) for m in (16,) + grid
+                (index, m) for index in range(3) for m in {antennas, *grid}
             )
 
         monkeypatch.undo()
-        for target, _, _ in cases:
+        for target, antennas, _, _ in cases:
             preset = PRESETS[target]
             scenario = replace(
                 preset.scenario,
-                dims=SystemDims(antennas=16, users=2, taps=2, subcarriers=16),
+                dims=SystemDims(antennas=antennas, users=2, taps=2, subcarriers=16),
                 realizations=3,
                 snr_db=(0.0, 10.0),
             )
@@ -278,9 +273,39 @@ class TestRunCommand:
             if preset.antenna_sweep:
                 own += rms_study(preset.antenna_sweep, scenario)
             validated = list(separate.rows) + rms_study(VALIDATED_SWEEP, scenario)
-            expected = tmp_path / f"expected_{target}.csv"
+            expected = tmp_path / f"expected_{target}_{antennas}.csv"
             cli.write_csv(expected, own, validate_closed_forms(scenario, validated).render())
-            assert (tmp_path / target / f"{target}.csv").read_bytes() == expected.read_bytes()
+            written = tmp_path / f"{target}_{antennas}" / f"{target}.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
+    def test_section_sweeping_its_own_size_is_worker_independent(self, tmp_path, monkeypatch):
+        # the sweep's M=16 rows read the chunks the schemes are evaluated on;
+        # 19 realizations make two whole chunks and a partial one
+        config = tmp_path / "own.ini"
+        config.write_text(
+            "[own]\n"
+            "M = 16\n"
+            "U = 2\n"
+            "L = 3\n"
+            "K = 16\n"
+            "realizations = 19\n"
+            "snr = 0, 10\n"
+            "schemes = capacity, rf_ltap, rf_1tap+zf, bank_2L\n"
+            "antenna_sweep = 8, 16, 24\n"
+        )
+        written = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("HYBEAM_THREADS", threads)
+            outdir = tmp_path / f"res{threads}"
+            assert run_cli("run", str(config), "--outdir", str(outdir)) == 0
+            written.append((outdir / "own.csv").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+        (preset,) = cli.load_config(config)
+        expected = tmp_path / "expected.csv"
+        rows = list(run_scenario(preset.scenario, workers=1).rows)
+        cli.write_csv(expected, rows + rms_study(preset.antenna_sweep, preset.scenario, workers=1))
+        assert written[0] == expected.read_bytes()
 
     def test_validate_writes_only_the_sections_schemes(self, tmp_path):
         config = tmp_path / "val.ini"
@@ -312,7 +337,7 @@ class TestRunCommand:
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        def fake_run(scenario, workers=None, dump_dir=None):
+        def fake_run(scenario, workers=None, dump_dir=None, antenna_sweep=()):
             return RunResult(rows=(), realizations=100, failures=5)
 
         monkeypatch.setattr(cli, "run_scenario", fake_run)
@@ -441,7 +466,7 @@ class TestConfigFiles:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(cli, "run_scenario", never_run)
-        monkeypatch.setattr(cli, "rms_study", never_run)
+        monkeypatch.setattr(experiments, "draw_realization", never_run)
         for sweep, message in (
             ("8, 8", "antenna_sweep of x repeats 8"),
             ("8, 1", "antenna_sweep of x has sizes below its 2 users: [1]"),

@@ -1,5 +1,6 @@
 """Scenario runner: reproducibility, aggregation, presets, validation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -180,9 +181,9 @@ class TestRunScenario:
             schemes=PRESETS["fig8"].scenario.schemes,
             channel_model="sparse",
         )
-        out = experiments._scenario_block((s, list(range(chunk + 3)), None))
-        assert [index for index, _ in out] == list(range(chunk + 3))
-        assert all(v is not None for _, values in out for v in values.values())
+        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
+        assert [index for index, _, _ in out] == list(range(chunk + 3))
+        assert all(v is not None for _, values, _ in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
         assert dfts == [(chunk, users, users)] * 2 + [(3, users, users)] * 2
         assert grams == [(chunk, antennas, users)] * 3 + [(3, antennas, users)] * 3
@@ -281,12 +282,12 @@ class TestRunScenario:
             realizations=chunk + 3,
             schemes=("capacity", "zf", "rf_ltap", "rf_ltap+zf", "mf+zf"),
         )
-        out = experiments._scenario_block((s, list(range(chunk + 3)), None))
-        assert [index for index, _ in out] == list(range(chunk + 3))
+        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
+        assert [index for index, _, _ in out] == list(range(chunk + 3))
         # zf, rf_ltap+zf and mf+zf per chunk; the last two also rate
         assert checked == [chunk] * 3 + [3] * 3
         assert rated == [chunk] * 2 + [3] * 2
-        for index, values in out:
+        for index, values, _ in out:
             for scheme, keyed in values.items():
                 failed = index % 2 == 0 and scheme.endswith("zf")
                 assert (keyed is None) == failed, (index, scheme)
@@ -388,25 +389,76 @@ class TestRunScenario:
             failing = ~(singvals[:, -1] > numerics.SINGULARITY_RTOL * singvals[:, 0])
             assert np.flatnonzero(failing).tolist() == ([] if subcarrier < 0 else [subcarrier])
 
+    def test_effective_response_vanished_to_roundoff_fails_its_zf_stage(self, monkeypatch):
+        # realization 1 has taps [a, -2a, a]: its raw response is exactly zero
+        # on subcarrier 0, where rf_ltap's effective response is roundoff with
+        # singular values of one size.  The per-matrix test would keep it;
+        # against the scale of the sequence it fails, so rf_ltap+zf drops the
+        # draw while capacity and rf_ltap keep it
+        dims = SystemDims(antennas=24, users=3, taps=3, subcarriers=32)
+        planted = self._plant_subcarrier_failures(monkeypatch, dims)
+        s = small_scenario(dims=dims, schemes=("capacity", "rf_ltap", "rf_ltap+zf"))
+        ch = planted(s, 1)
+        effective = effective_channel(experiments._COMBINERS["rf_ltap"](ch), ch)
+        singvals = np.linalg.svd(effective.spectrum[0], compute_uv=False)
+        scale = effective.taps.span * np.sum(np.abs(effective.taps.taps) ** 2)
+        assert singvals[0] < 1e-12 * np.sqrt(scale)
+        assert singvals[-1] > numerics.SINGULARITY_RTOL * singvals[0]
+        alone = _evaluate_realization(s, ch)
+        assert {scheme for scheme, values in alone.items() if values is None} == {"rf_ltap+zf"}
+        assert numerics.first_rank_deficient(effective.taps, dims.subcarriers) == 0
+
+    def test_sweep_shares_the_runs_draws_and_pool(self, monkeypatch):
+        # the sweep's size 24 is the scenario's own: it reads the run's
+        # chunks, so every (size, realization) pair is drawn once, one pool
+        # serves every size, and the rows are those of the separate calls
+        s = small_scenario(realizations=experiments.CHUNK + 3)
+        grid = (16, 24, 40)
+        alone = run_scenario(s, workers=1)
+        swept = tuple(rms_study(grid, s, workers=1))
+        draws, pools = [], []
+        original = experiments.draw_realization
+
+        def draw(scenario, index, antennas=None):
+            draws.append((index, scenario.dims.antennas if antennas is None else antennas))
+            return original(scenario, index, antennas)
+
+        class CountedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "draw_realization", draw)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+        combined = run_scenario(s, workers=1, antenna_sweep=grid)
+        assert sorted(draws) == sorted((i, m) for i in range(s.realizations) for m in grid)
+        assert combined.rows == alone.rows
+        assert combined.sweep == swept
+        assert combined.failures == alone.failures
+        for workers in (2, 3):
+            assert run_scenario(s, workers=workers, antenna_sweep=grid) == combined
+        assert pools == [2, 3]
+
     def test_planted_subcarrier_failures_above_the_threshold(self, monkeypatch):
         # above LDL_MAX_ORDER the noise covariance of mf+zf, H(k)^H H(k), is
         # singular on the planted subcarrier too, within rounding: its pivots
         # may pass where LAPACK's Cholesky fails, and that must not stop the
-        # chunk.  zf and mf+zf fail on all four planted draws, rf_ltap+zf on
-        # the two collisions, exactly as when each draw is evaluated alone
+        # chunk.  zf, mf+zf and rf_ltap+zf fail on all four planted draws
+        # (rf_ltap's effective response vanishes to roundoff where the raw one
+        # vanishes), exactly as when each draw is evaluated alone
         dims = SystemDims(antennas=16, users=numerics.LDL_MAX_ORDER + 1, taps=3, subcarriers=32)
         planted = self._plant_subcarrier_failures(monkeypatch, dims)
         s = small_scenario(dims=dims, schemes=("capacity", "zf", "mf+zf", "rf_ltap+zf"))
         result = run_scenario(s, workers=1)
         assert result.failures == 4
-        samples = {"capacity": 6, "zf": 2, "mf+zf": 2, "rf_ltap+zf": 4}
+        samples = {"capacity": 6, "zf": 2, "mf+zf": 2, "rf_ltap+zf": 2}
         for row in result.rows:
             assert row.realizations == samples[row.scheme]
             assert np.isfinite(row.value)
         for index in range(s.realizations):
             alone = _evaluate_realization(s, planted(s, index))
             failed = {scheme for scheme, values in alone.items() if values is None}
-            expected = {"zf", "mf+zf"} | ({"rf_ltap+zf"} if index % 3 == 0 else set())
+            expected = {"zf", "mf+zf", "rf_ltap+zf"}
             assert failed == (expected if index % 3 < 2 else set()), index
 
     def test_orders_above_the_threshold_match_the_eigenvalue_oracle(self):
@@ -622,6 +674,24 @@ class TestRmsStudy:
             iqr_small = by[(scheme, 16.0, "rms_cdf_q75")] - by[(scheme, 16.0, "rms_cdf_q25")]
             iqr_large = by[(scheme, 256.0, "rms_cdf_q75")] - by[(scheme, 256.0, "rms_cdf_q25")]
             assert iqr_large < iqr_small
+
+    def test_grid_it_cannot_honour_rejected_before_any_draw(self, monkeypatch):
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        s = small_scenario(schemes=(), realizations=4)
+        for grid, message in (
+            ([25, 25], "antenna sweep of small repeats 25"),
+            ([16, 25.9], "size must be an integer in [1, inf), got 25.9"),
+            ([25.0], "got 25.0"),
+            ([True], "got True"),
+            ([16, 2], "antenna sweep of small has sizes below its 3 users: [2]"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                rms_study(grid, s)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_scenario(replace(s, schemes=("capacity",)), antenna_sweep=grid)
 
     def test_deterministic(self):
         s = small_scenario(schemes=(), realizations=3)

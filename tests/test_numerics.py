@@ -12,6 +12,7 @@ from hybeam.channel import SystemDims
 from hybeam.numerics import (
     GRAM_SCREEN_RTOL,
     LDL_MAX_ORDER,
+    SINGULARITY_RTOL,
     SingularMatrixError,
     TapSequence,
     circular_convolve,
@@ -139,6 +140,17 @@ class TestLeadingAxes:
                 np.testing.assert_allclose(
                     stacked[index], alone, rtol=0.0, atol=1e-13 * np.abs(alone).max()
                 )
+
+    def test_stacked_convolutions_are_each_convolution(self):
+        # stacked on both sides, and one sequence against a stack
+        a = TapSequence(-2, complex_normal(stream(746), (3, 3, 2, 5)))
+        b = TapSequence(1, complex_normal(stream(747), (3, 4, 5, 2)))
+        single = b[0]
+        both, broadcast = circular_convolve(a, b, 8), circular_convolve(a, single, 8)
+        assert both.offset == broadcast.offset == -1
+        for i in range(3):
+            np.testing.assert_array_equal(both.taps[i], circular_convolve(a[i], b[i], 8).taps)
+            np.testing.assert_array_equal(broadcast.taps[i], circular_convolve(a[i], single, 8).taps)
 
     def test_stack_and_index_round_trip(self):
         seqs = [random_seq(742 + key, 2, 3, 2, offset=-1) for key in range(3)]
@@ -475,6 +487,19 @@ class TestRankCheck:
             fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
             assert rank_verdict(seq, 8, gram) == 0
         assert fooled > 0
+
+    def test_response_vanished_to_roundoff_is_rejected(self):
+        # subcarrier 2 is the others' response scaled by 1e-15: well conditioned
+        # against its own largest singular value, roundoff against the scale
+        # of the sequence.  zf_spectrum has no taps and keeps the per-matrix test
+        stack = np.stack([planted(695 + i, 6, 3, 0.5) for i in range(4)])
+        stack[2] *= 1e-15
+        singvals = np.linalg.svd(stack[2], compute_uv=False)
+        assert singvals[-1] > SINGULARITY_RTOL * singvals[0]
+        seq = spectrum_seq(stack, offset=-1)
+        for gram in (None, lag_gram(seq, 4)):
+            assert rank_verdict(seq, 4, gram) == 2
+        assert np.all(np.isfinite(zf_spectrum(stack)))
 
     def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
         seq = random_seq(670, 3, 12, 4, offset=-1)
