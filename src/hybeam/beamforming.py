@@ -163,14 +163,14 @@ class EffectiveChannel:
     and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
     views are computed on first read and kept, so each is computed at most
     once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
-    DFT of the taps, ``gram`` the column Gram ``G(k)^H G(k)`` of that
-    spectrum ``G(k)``, and ``noise_cov_spectrum`` the per-subcarrier
-    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
-    frequency response ``W(k)``.  That covariance comes from the combiner's
-    taps without forming ``W(k)``: the taps ``W_n^H`` have the response
-    ``W(-k)^H``, so their ``gram_spectrum`` read at ``-k mod K`` is
-    ``W(k) W(k)^H``.  Taps with leading axes (the effective channels of a
-    stacked channel) give every view the same leading axes.
+    DFT ``G(k)`` of the taps, ``gram`` the column Gram ``G(k)^H G(k)``, and
+    ``noise_cov_spectrum`` the per-subcarrier covariance of the combined
+    noise, ``W(k) W(k)^H`` for the combiner's frequency response ``W(k)``.
+    Both Grams come from lag products of taps (``gram_spectrum``), so
+    neither forms a spectrum: the covariance from the combiner's adjoint
+    taps ``W_n^H``, whose response is ``W(-k)^H``, read at ``-k mod K``.
+    Taps with leading axes (the effective channels of a stacked channel)
+    give every view the same leading axes.
     """
 
     combiner: CombinerIR
@@ -183,8 +183,7 @@ class EffectiveChannel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        g = self.spectrum
-        return np.conj(np.swapaxes(g, -1, -2)) @ g
+        return gram_spectrum(self.taps, self.num_subcarriers)
 
     @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:

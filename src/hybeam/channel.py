@@ -39,7 +39,12 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     u_mag = rng.random(shape)
     u_phase = rng.random(shape)
     radius = np.sqrt(-np.log1p(-u_mag))
-    return radius * np.exp(2j * np.pi * u_phase)
+    # radius * exp(2j*pi*u), one real part and one imaginary part at a time
+    angle = (2.0 * np.pi) * u_phase
+    out = np.empty(radius.shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=out.real)
+    np.multiply(radius, np.sin(angle), out=out.imag)
+    return out
 
 
 def laplace(rng: np.random.Generator, scale: float, shape) -> np.ndarray:

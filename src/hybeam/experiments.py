@@ -31,6 +31,7 @@ from .beamforming import (
 )
 from .channel import (
     ChannelRealization,
+    PowerDelayProfile,
     SparseChannelConfig,
     SystemDims,
     _SEED_MASK,
@@ -50,8 +51,9 @@ from .metrics import (
     LinkBudget,
     delay_moments,
     delay_spread_report,
-    gram_rates,
+    hermitian_reduction,
     pdp_of_effective,
+    reduced_rates,
     sinr_sum_rates,
     spectral_rates,
 )
@@ -186,9 +188,12 @@ class RunResult:
         return iter(self.rows)
 
 
-def _stderr(data: np.ndarray) -> float:
-    """Standard error of the mean of ``data``; 0 for a single sample."""
-    return float(np.std(data, ddof=1) / np.sqrt(data.size)) if data.size > 1 else 0.0
+def _stderr(data: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over the last axis of ``data``; 0 for a single sample."""
+    count = data.shape[-1]
+    if count < 2:
+        return np.zeros(data.shape[:-1])
+    return np.std(data, axis=-1, ddof=1) / np.sqrt(count)
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -205,6 +210,12 @@ def realization_seed(scenario: Scenario, index: int, antennas: int | None = None
     )
 
 
+@cache
+def _profile(taps: int, users: int) -> PowerDelayProfile:
+    """``exponential_pdp(taps, users)``, built once per process and shared by the draws."""
+    return exponential_pdp(taps, users)
+
+
 def draw_realization(
     scenario: Scenario, index: int, antennas: int | None = None
 ) -> ChannelRealization:
@@ -212,7 +223,7 @@ def draw_realization(
     dims = scenario.dims
     if antennas is not None:
         dims = replace(dims, antennas=int(antennas))
-    pdp = exponential_pdp(dims.taps, dims.users)
+    pdp = _profile(dims.taps, dims.users)
     seed = realization_seed(scenario, index, antennas)
     if scenario.channel_model == "sparse":
         return draw_sparse(dims, pdp, scenario.sparse, seed)
@@ -225,43 +236,48 @@ _RMS_COMBINERS = ("mf", "rf_1tap", "rf_ltap")
 _RMS_QUANTILES = (5, 25, 50, 75, 95)
 
 
+def _metrics(scheme: str) -> tuple[str, ...]:
+    """The metrics of a scheme's rows, in the order its values hold them."""
+    if scheme == "capacity":
+        return ("capacity",)
+    if scheme == "zf" or scheme.endswith("+zf"):
+        return ("rate",)
+    return ("rate", "capacity")
+
+
 def _evaluate_chunk(
     scenario: Scenario, channels: list[ChannelRealization], spreads: bool = False
 ) -> list[tuple[dict, dict | None]]:
-    """Per channel draw: per scheme, its ``(metric, snr)`` values, or ``None``
-    on a draw where the scheme fails; and, if ``spreads`` is set, the RMS
-    delay spreads of the swept combiners and ``siso``, else ``None``.
+    """Per channel draw: per scheme, its ``(len(_metrics(scheme)), len(snr_db))``
+    values, or ``None`` on a draw where the scheme fails; and, if ``spreads``
+    is set, the RMS delay spreads of the swept combiners and ``siso``, else
+    ``None``.
 
     Everything after the draws is one stacked computation over the chunk:
-    combiners, convolutions, SINR rates, delay spreads, Grams, spectra, rank
-    screens and log-det rates, and each scheme is evaluated once.  Every
-    log-det rate covers the whole SNR grid.  Rates keep the combined noise
-    at its exact covariance ``C``, so an invertible ZF baseband ``B`` drops
-    out of them: ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is
-    therefore only a rank check here: ``zf`` has the raw capacity's rates
-    (``W = H^+`` leaves ``H^H H``), and ``base+zf`` the colored-noise rate
-    of the effective channel itself.  A failure is a per-draw mask, charged
-    to its own scheme alone: ``zf`` fails on the draws whose raw channel
-    loses rank on some subcarrier, and ``base+zf`` on those whose effective
-    channel does or whose ``C`` is singular (NaN rates).  The raw
-    ``H(k)^H H(k)`` comes from the channel's lag products
-    (``gram_spectrum``), so no ``(K, M, U)`` spectrum is formed unless the
-    rank check doubts a subcarrier.  The delay spreads read the same cached
-    effective channels as the schemes.
+    combiners, convolutions, SINR rates, delay spreads, Grams, rank screens
+    and log-det rates, and each scheme is evaluated once.  Every log-det
+    rate covers the whole SNR grid from one Hermitian reduction
+    (``hermitian_reduction``) per Gram: the white Grams of the chunk, the
+    raw channel's and each combiner base's effective one, share a single
+    reduction, which the capacities read and the rank screens too.  Rates
+    keep the combined noise at its exact covariance ``C``, so an invertible
+    ZF baseband ``B`` drops out of them: ``(BG)^H (BCB^H)^{-1} (BG) =
+    G^H C^{-1} G``.  ZF is therefore only a rank check here: ``zf`` has the
+    raw capacity's rates (``W = H^+`` leaves ``H^H H``), and ``base+zf`` the
+    colored-noise rate of the effective channel itself.  A failure is a
+    per-draw mask, charged to its own scheme alone: ``zf`` fails on the
+    draws whose raw channel loses rank on some subcarrier, and ``base+zf``
+    on those whose effective channel does or whose ``C`` is singular (NaN
+    rates).  Every Gram comes from lag products of taps (``gram_spectrum``):
+    the only spectra are the effective ones that ``base+zf`` whitens, and
+    those of the draws whose rank check doubts a subcarrier.  The delay
+    spreads read the same cached effective channels as the schemes.
     """
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
     raw = TapSequence.stack([channel.taps for channel in channels])
     stacked = replace(channels[0], taps=raw)
     no_failures = np.zeros(len(channels), dtype=bool)
-
-    @cache
-    def raw_gram() -> np.ndarray:
-        return gram_spectrum(raw, k)
-
-    @cache
-    def raw_rates() -> np.ndarray:
-        return gram_rates(raw_gram(), snrs)
 
     @cache
     def build(base: str) -> EffectiveChannel:
@@ -271,32 +287,38 @@ def _evaluate_chunk(
     def pdp(base: str) -> EffectivePdp:
         return pdp_of_effective(build(base))
 
-    def evaluate(scheme: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Metric -> ``(len(snrs), draws)`` values, and the mask of failed draws."""
+    # the raw Gram (key None) if a scheme reads it, then each base's effective Gram
+    raw_schemes = ("capacity", "zf")
+    keys = [None] if set(raw_schemes) & set(scenario.schemes) else []
+    keys += dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
+    if keys:
+        grams = [gram_spectrum(raw, k) if key is None else build(key).gram for key in keys]
+        reduced = hermitian_reduction(np.stack(grams))
+        white = dict(zip(keys, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
+        screen = {key: reduced[i] for i, key in enumerate(keys)}
+
+    def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray]:
+        """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of failed draws."""
         if scheme == "capacity":
-            return {"capacity": raw_rates()}, no_failures
+            return [white[None]], no_failures
         if scheme == "zf":
-            return {"rate": raw_rates()}, first_rank_deficient(raw, k, raw_gram()) >= 0
+            return [white[None]], first_rank_deficient(raw, k, screen[None]) >= 0
         base = scheme.removesuffix("+zf")
         effective = build(base)
         if base != scheme:
             rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
-            rank = first_rank_deficient(effective.taps, k, effective.gram)
-            return {"rate": rates}, (rank >= 0) | np.isnan(rates[0])
+            rank = first_rank_deficient(effective.taps, k, screen[base])
+            return [rates], (rank >= 0) | np.isnan(rates[0])
         # every link of the grid has unit noise variance: its transmit power is its SNR
         noise = combiner_noise_power(effective.combiner, 1.0)
-        rates = sinr_sum_rates(pdp(base), noise, snrs)
-        return {"rate": rates, "capacity": gram_rates(effective.gram, snrs)}, no_failures
+        return [sinr_sum_rates(pdp(base), noise, snrs), white[base]], no_failures
 
     outcomes: list[dict] = [{} for _ in channels]
     for scheme in scenario.schemes:
-        values, failed = evaluate(scheme)
+        series, failed = evaluate(scheme)
+        values = np.stack(series)
         for draw, outcome in enumerate(outcomes):
-            outcome[scheme] = None if failed[draw] else {
-                (metric, snr): float(value)
-                for metric, series in values.items()
-                for snr, value in zip(scenario.snr_db, series[:, draw])
-            }
+            outcome[scheme] = None if failed[draw] else values[..., draw]
     if not spreads:
         return [(outcome, None) for outcome in outcomes]
     swept = {base: delay_spread_report(pdp(base))[1] for base in _RMS_COMBINERS}
@@ -309,8 +331,17 @@ def _evaluate_chunk(
 
 
 def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
-    """Per scheme, its ``(metric, snr)`` values for one channel draw: a chunk of one."""
-    return _evaluate_chunk(scenario, [channel])[0][0]
+    """Per scheme, its ``(metric, snr)`` values for one channel draw (a chunk
+    of one), or ``None`` where it fails."""
+    outcome = _evaluate_chunk(scenario, [channel])[0][0]
+    return {
+        scheme: None if values is None else {
+            (metric, snr): float(value)
+            for metric, row in zip(_metrics(scheme), values)
+            for snr, value in zip(scenario.snr_db, row)
+        }
+        for scheme, values in outcome.items()
+    }
 
 
 def _scenario_block(args) -> list:
@@ -417,30 +448,30 @@ def run_scenario(
         for block in blocks
     ]
     results = _run_blocks(_scenario_block, payloads, workers)
-    samples: dict[str, dict[tuple[str, float], list[float]]] = {
-        scheme: {} for scheme in scenario.schemes
-    }
+    samples: dict[str, list[np.ndarray]] = {scheme: [] for scheme in scenario.schemes}
     spreads: dict[int, list[dict]] = {antennas: [] for antennas in grid}
     failures = 0
     for (sub, *_), block in zip(payloads, results):
         for _, outcome, swept in block:
             failures += any(values is None for values in outcome.values())
             for scheme, values in outcome.items():
-                for key, value in (values or {}).items():
-                    samples[scheme].setdefault(key, []).append(value)
+                if values is not None:
+                    samples[scheme].append(values)
             if swept is not None:
                 spreads[sub.dims.antennas].append(swept)
-    empty = [scheme for scheme, keyed in samples.items() if not keyed]
+    empty = [scheme for scheme, drawn in samples.items() if not drawn]
     if empty:
         raise SingularMatrixError(
             f"all {scenario.realizations} realizations of {scenario.name} failed "
             f"for {', '.join(empty)}"
         )
     rows = []
-    for scheme, keyed in samples.items():
-        for (metric, snr), values in keyed.items():
-            data = np.asarray(values)
-            rows.append(_row(scenario, scheme, snr, metric, data.mean(), _stderr(data), data.size))
+    for scheme, drawn in samples.items():
+        # one row per (metric, snr) cell, each cell's samples contiguous
+        cells = np.stack(drawn, axis=-1).reshape(-1, len(drawn))
+        keys = [(metric, snr) for metric in _metrics(scheme) for snr in scenario.snr_db]
+        for (metric, snr), mean, err in zip(keys, cells.mean(axis=-1), _stderr(cells)):
+            rows.append(_row(scenario, scheme, snr, metric, mean, err, len(drawn)))
     return RunResult(
         rows=tuple(rows),
         realizations=scenario.realizations,

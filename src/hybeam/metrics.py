@@ -1,20 +1,22 @@
 """Rate and dispersion metrics for raw and effective channels.
 
 Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
-SNR-independent Gram matrix ``G(k)``, so one kernel serves all of them.  Up
-to ``LDL_MAX_ORDER`` it reads each log-det as the sum of the ``log2`` of the
-pivots of ``I + snr * G(k)`` (``numerics.ldl_pivots``), and colored noise of
-covariance ``C(k)`` costs no whitening: ``det(I + snr A^H C^{-1} A) =
-det(C + snr A A^H) / det(C)``.  Larger orders take one eigendecomposition
-per subcarrier, after whitening with a Cholesky factor, and evaluate the
-whole SNR grid from its eigenvalues.  Either way the noise keeps its exact
-covariance, and ``gram_rates`` and ``spectral_rates`` take stacks with
-leading axes.  At every order the pivots of ``C(k)`` decide whether the
-noise covariance is singular (above ``LDL_MAX_ORDER``, so does a failed
-Cholesky factorization): ``spectral_rates`` marks such a grid of a stack
-with NaN rates instead of raising, and the one-grid adapters
-``rate_spectral`` and ``achievable_rate_hybrid`` raise
-``SingularMatrixError`` for it.
+SNR-independent Hermitian ``G(k)``, so one kernel serves all of them:
+``hermitian_reduction`` reduces each ``G(k)`` once, and the whole SNR grid
+is read from the reduction (``reduced_rates``).  Up to ``LDL_MAX_ORDER``
+the reduction is ``numerics.tridiagonalize``'s tridiagonal ``T``, whose
+``det(I + snr * T)`` is the product of the pivots of an ``O(n)``
+recurrence; larger orders take the eigenvalues of one ``eigvalsh`` per
+matrix.  Colored noise of covariance ``C(k)`` is whitened first: up to
+``LDL_MAX_ORDER`` rows by the ``L D L^H`` factor of ``C`` (its pivots are
+those of ``numerics.ldl_pivots``), above by LAPACK's Cholesky factor.
+Either way the noise keeps its exact covariance, and ``gram_rates`` and
+``spectral_rates`` take stacks with leading axes.  At every order the
+pivots of ``C(k)`` decide whether the noise covariance is singular (above
+``LDL_MAX_ORDER``, so does a failed Cholesky factorization):
+``spectral_rates`` marks such a grid of a stack with NaN rates instead of
+raising, and the one-grid adapters ``rate_spectral`` and
+``achievable_rate_hybrid`` raise ``SingularMatrixError`` for it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,18 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .beamforming import EffectiveChannel
-from .numerics import LDL_MAX_ORDER, SingularMatrixError, gram_eigvals, ldl_pivots
+from .numerics import (
+    LDL_MAX_ORDER,
+    SingularMatrixError,
+    Tridiagonal,
+    ldl_pivots,
+    tridiagonalize,
+    whitened,
+)
+
+
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mats, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -48,29 +61,30 @@ class LinkBudget:
         return cls(10.0 ** (snr_db / 10.0) * noise_variance, noise_variance)
 
 
-def _adjoint(mats: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(mats, -1, -2))
+def hermitian_reduction(mat: np.ndarray) -> Tridiagonal:
+    """The SNR-independent form of a ``(..., n, n)`` Hermitian stack that every rate reads.
+
+    Up to ``LDL_MAX_ORDER`` it is ``numerics.tridiagonalize``'s tridiagonal;
+    above, the eigenvalues from ``eigvalsh`` as a diagonal.  Either has the
+    determinants and the inertia of the stack.
+    """
+    m = np.asarray(mat)
+    if m.shape[-1] <= LDL_MAX_ORDER:
+        return tridiagonalize(m)
+    return Tridiagonal(np.moveaxis(np.linalg.eigvalsh(m), -1, 0))
 
 
-def rates_from_eigvals(eigvals: np.ndarray, snrs) -> np.ndarray:
-    """``mean_k sum log2(1 + snr * lambda)`` of ``(..., K, cols)`` eigenvalues: ``(len(snrs), ...)``."""
-    snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * np.ndim(eigvals))
-    return np.mean(np.sum(np.log2(1.0 + snr * eigvals), axis=-1), axis=-1)
-
-
-def _log2dets(pivots: np.ndarray) -> np.ndarray:
-    return np.sum(np.log2(pivots), axis=-1)
+def reduced_rates(reduced: Tridiagonal, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * T(k))`` of a reduced ``(..., K)`` stack: ``(len(snrs), ...)``."""
+    return np.mean(reduced.log2dets(snrs), axis=-1)
 
 
 def gram_rates(gram: np.ndarray, snrs) -> np.ndarray:
     """``mean_k log2 det(I + snr * G(k))`` of a ``(..., K, n, n)`` Gram stack, per linear SNR.
 
-    Returns ``(len(snrs), ...)``: pivots up to ``LDL_MAX_ORDER``, eigenvalues above.
+    Returns ``(len(snrs), ...)``, from one ``hermitian_reduction`` of the stack.
     """
-    g = np.asarray(gram)
-    if g.shape[-1] <= LDL_MAX_ORDER:
-        return np.mean(_log2dets(ldl_pivots(g, snrs)), axis=-1)
-    return rates_from_eigvals(np.linalg.eigvalsh(g), snrs)
+    return reduced_rates(hermitian_reduction(gram), snrs)
 
 
 def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
@@ -78,15 +92,17 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
 
     ``signal`` is a ``(..., K, rows, cols)`` grid and the result is
     ``(len(snrs), ...)``.  ``A(k)`` is ``signal[k]`` itself in white noise
-    (``noise_cov=None``) and ``L(k)^{-1} signal[k]`` when the noise has
-    covariance ``C(k) = L(k) L(k)^H``.  With ``rows <= LDL_MAX_ORDER`` that
-    rate is ``log2 det(C + snr * S S^H) - log2 det(C)`` for ``S = signal[k]``,
-    from pivots.  A grid whose ``C(k)`` has a pivot that is not positive on
-    some subcarrier, the singularity that stops a Cholesky factorization,
-    has no rate: it reads NaN at every SNR, and the other grids of the stack
-    keep the values they have alone.  Above ``LDL_MAX_ORDER`` a grid whose
-    ``C(k)`` passes that test within rounding of singular, but which LAPACK's
-    Cholesky still rejects, reads NaN as well.
+    (``noise_cov=None``) and the whitened signal when the noise has
+    covariance ``C(k)``; either way the rate is ``gram_rates`` of
+    ``A^H A``.  Up to ``LDL_MAX_ORDER`` rows, ``C`` is factored once,
+    ``L D L^H``, and ``A = D^{-1/2} L^{-1} signal[k]`` (``numerics.whitened``).
+    A grid whose ``C(k)`` has a pivot that is not positive on some
+    subcarrier, the singularity that stops a Cholesky factorization, has no
+    rate: it reads NaN at every SNR, and the other grids of the stack keep
+    the values they have alone.  Above ``LDL_MAX_ORDER`` rows,
+    ``A = L^{-1} signal[k]`` for LAPACK's Cholesky factor ``L``; a grid
+    whose ``C(k)`` passes the pivot test within rounding of singular, but
+    which that Cholesky still rejects, reads NaN as well.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim < 3:
@@ -94,20 +110,21 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
     if noise_cov is None:
         return gram_rates(_adjoint(a) @ a, snrs)
     cov = np.asarray(noise_cov, dtype=complex)
-    base = ldl_pivots(cov)
-    singular = ~np.all(base > 0.0, axis=(-2, -1))
     if a.shape[-2] <= LDL_MAX_ORDER:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            colored = _log2dets(ldl_pivots(a @ _adjoint(a), snrs, cov)) - _log2dets(base)
-        return np.where(singular, np.nan, np.mean(colored, axis=-1))
-    # np.linalg.cholesky's own gufunc, without the error state that makes one
-    # matrix it cannot factor (left NaN) raise for the whole stack: the other
-    # factors are the same bits.  Such a grid has no rate either
-    with np.errstate(invalid="ignore"):
-        chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
-    singular |= np.any(np.isnan(chol), axis=(-3, -2, -1))
-    chol = np.where(singular[..., None, None, None], np.eye(a.shape[-2]), chol)
-    rates = rates_from_eigvals(gram_eigvals(np.linalg.solve(chol, a)), snrs)
+        white, pivots = whitened(a, cov)
+        singular = ~np.all(pivots > 0.0, axis=(-2, -1))
+    else:
+        singular = ~np.all(ldl_pivots(cov) > 0.0, axis=(-2, -1))
+        # np.linalg.cholesky's own gufunc, without the error state that makes
+        # one matrix it cannot factor (left NaN) raise for the whole stack:
+        # the other factors are the same bits.  Such a grid has no rate either
+        with np.errstate(invalid="ignore"):
+            chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
+        singular |= np.any(np.isnan(chol), axis=(-3, -2, -1))
+        chol = np.where(singular[..., None, None, None], np.eye(a.shape[-2]), chol)
+        white = np.linalg.solve(chol, a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rates = gram_rates(_adjoint(white) @ white, snrs)
     return np.where(singular, np.nan, rates)
 
 

@@ -8,14 +8,19 @@ sequence may carry leading axes, one sequence per index (the realizations
 of a chunk), which the DFT, the Gram and the rank check keep.  The rank
 check raises nothing: ``first_rank_deficient`` reports, per sequence, the
 first subcarrier that fails it, so a caller can drop the failing sequences
-of a stack and keep the rest.  ``ldl_pivots`` is the one factorization
-behind the log-det rates of ``metrics``, their singular-noise mask and the
-rank screen.
+of a stack and keep the rest.  Two unrolled kernels, each step one
+operation on a whole stack, serve the log-det rates of ``metrics``:
+``tridiagonalize`` reduces each Hermitian matrix once, after which
+``det(I + snr * T)`` for a whole SNR grid, and the inertia that the rank
+screen reads, are ``O(n)`` recurrences (``Tridiagonal``); ``ldl_pivots``
+factors single matrices, for the singular-noise mask, the whitening of a
+colored signal (``whitened``) and the screen of a plain Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -30,9 +35,11 @@ SINGULARITY_RTOL = 1e-10
 # ``s = span * trace(R_0) = span * sum_i ||A_i||_F^2`` of the tap sequence.
 # A subcarrier passes when every pivot of ``G(k) - GRAM_SCREEN_RTOL * s * I``
 # is positive: that is Cholesky's test, and the pivots of a Hermitian matrix
-# are positive exactly when it is positive definite, so up to the
-# factorization's backward error of ``O(n^2 * eps * s)`` a passing Gram has
-# ``lambda_min > GRAM_SCREEN_RTOL * s``.  By Cauchy-Schwarz ``s`` bounds
+# are positive exactly when it is positive definite.  The pivots of the
+# shifted tridiagonal ``T - GRAM_SCREEN_RTOL * s * I`` decide the same, as
+# ``T`` is unitarily similar to ``G(k)``.  So up to the backward error of
+# the factorization or the reduction, ``O(n^2 * eps * s)``, a passing Gram
+# has ``lambda_min > GRAM_SCREEN_RTOL * s``.  By Cauchy-Schwarz ``s`` bounds
 # ``||A(k)||^2`` on every subcarrier, and it bounds the error of the Gram
 # however it is formed: the lag products of ``gram_spectrum`` and the
 # product of a DFT both err by about ``rows * eps * s``.  A passing
@@ -44,11 +51,14 @@ SINGULARITY_RTOL = 1e-10
 # ``k = 0``) the lag-formed Gram is roundoff of size ``eps * s``, and its
 # ``lambda_min`` can pass against a ``lambda_max`` of the same size.
 GRAM_SCREEN_RTOL = 1e-8
-# Largest matrix order whose log-det rates come from ``ldl_pivots``.  The
-# unrolled factorization repeats its ``O(n^3)`` Python-level steps at every
-# SNR point while ``eigvalsh`` runs once per matrix, so the pivots win only
-# on small matrices; larger orders take the eigenvalue path.
-LDL_MAX_ORDER = 7
+# Largest matrix order whose log-det rates come from the unrolled kernels
+# (``tridiagonalize``, and ``ldl_pivots``' factor for whitening); larger
+# orders take ``eigvalsh``, and LAPACK's Cholesky and ``solve``.  Both read
+# the whole SNR grid from one reduction per matrix, but the unrolled one
+# costs ``O(n^3)`` Python-level steps on the whole stack: timed on fig2 and
+# fig8 at U = 6..12 (and fig2 at 14, 16 and 20), it was faster at every
+# order, by a margin that narrows from about 45% to 10% at U = 20.
+LDL_MAX_ORDER = 12
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -131,31 +141,40 @@ def dft_of_taps(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     return (phases.T @ flat).reshape(*lead, k, *seq.shape)
 
 
+@cache
+def _lag_phases(num_subcarriers: int, span: int) -> np.ndarray:
+    """``exp(-2j*pi*d*k/K)`` for ``k < K`` and lags ``|d| < span``, ascending."""
+    turns = np.outer(np.arange(num_subcarriers), np.arange(1 - span, span)) % num_subcarriers
+    return np.exp(-2j * np.pi * turns / num_subcarriers)
+
+
 def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
 
     Returns a ``(..., num_subcarriers, cols, cols)`` array formed from the
     ``2S - 1`` lag products ``R_d = sum_i A_i^H A_{i+d}`` of the ``S`` taps:
     the Gram at ``k`` is ``sum_d R_d exp(-2j*pi*d*k/K)``, and the offset
-    cancels.  That sum samples a trigonometric polynomial, so it is exact on
-    any grid, one shorter than the sequence included.
+    cancels.  One product ``X^H X`` of the taps side by side,
+    ``X = [A_0 ... A_{S-1}]``, holds every ``A_i^H A_j``.  The sum samples
+    a trigonometric polynomial, so it is exact on any grid, one shorter
+    than the sequence included.
     """
     k = int(num_subcarriers)
     if k < 1:
         raise ValueError("num_subcarriers must be positive")
     span = seq.span
-    cols = seq.shape[1]
-    taps = seq.taps
-    lead = taps.shape[:-3]
-    adjoint = np.conj(np.swapaxes(taps, -1, -2))
+    rows, cols = seq.shape
+    lead = seq.taps.shape[:-3]
+    side_by_side = np.moveaxis(seq.taps, -3, -2).reshape(*lead, rows, span * cols)
+    products = np.conj(np.swapaxes(side_by_side, -1, -2)) @ side_by_side
+    # (..., i, j, u, v): block (i, j) is A_i^H A_j
+    products = np.swapaxes(products.reshape(*lead, span, cols, span, cols), -3, -2)
     lags = np.zeros((*lead, 2 * span - 1, cols, cols), dtype=complex)
     for i in range(span):
         # tap i against every tap j is lag j - i, stored at j - i + span - 1
-        lags[..., span - 1 - i : 2 * span - 1 - i, :, :] += adjoint[..., i : i + 1, :, :] @ taps
-    turns = np.outer(np.arange(k), np.arange(1 - span, span)) % k
-    phases = np.exp(-2j * np.pi * turns / k)
-    flat = lags.reshape(*lead, 2 * span - 1, -1)
-    return (phases @ flat).reshape(*lead, k, cols, cols)
+        lags[..., span - 1 - i : 2 * span - 1 - i, :, :] += products[..., i, :, :, :]
+    flat = lags.reshape(*lead, 2 * span - 1, cols * cols)
+    return (_lag_phases(k, span) @ flat).reshape(*lead, k, cols, cols)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
@@ -183,52 +202,193 @@ def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> T
     return TapSequence(a.offset + b.offset, out)
 
 
-def gram_eigvals(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``A^H A`` for every matrix ``A`` of a ``(..., rows, cols)`` stack."""
-    m = np.asarray(mat, dtype=complex)
-    return np.linalg.eigvalsh(np.conj(np.swapaxes(m, -1, -2)) @ m)
+def _lower_entries(m: np.ndarray) -> dict:
+    """The lower triangle of a Hermitian stack, one ``(i, j)`` entry per key; the diagonal real."""
+    n = m.shape[-1]
+    return {(i, j): m[..., i, j].real if i == j else m[..., i, j] for i in range(n) for j in range(i + 1)}
 
 
-def ldl_pivots(mat: np.ndarray, snrs=None, base: np.ndarray | None = None) -> np.ndarray:
+def _ldl(mat: np.ndarray) -> tuple[dict, np.ndarray]:
+    """``L D L^H`` of a Hermitian stack: the below-diagonal entries of the unit
+    lower factor ``L``, keyed ``(i, j)``, and the ``(..., n)`` pivots ``D``."""
+    m = np.asarray(mat)
+    n = m.shape[-1]
+    a = _lower_entries(m)
+    lower = {}
+    pivots = np.empty(m.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n):
+            d = a[j, j]
+            pivots[..., j] = d
+            for i in range(j + 1, n):
+                ratio = lower[i, j] = a[i, j] / d
+                a[i, i] = a[i, i] - (ratio * np.conj(a[i, j])).real
+                for c in range(j + 1, i):
+                    a[i, c] = a[i, c] - ratio * np.conj(a[c, j])
+    return lower, pivots
+
+
+def ldl_pivots(mat: np.ndarray) -> np.ndarray:
     """Pivots ``d`` of the ``L D L^H`` factorization of Hermitian matrices.
 
-    ``mat`` is a ``(..., n, n)`` stack read through its lower triangle.
-    Without ``snrs`` the result is the ``(..., n)`` pivots of ``mat`` itself;
-    with them it is the ``(len(snrs), ..., n)`` pivots of
-    ``base + snr * mat`` for each ``snr``, ``base`` defaulting to the
-    identity.  The product of the pivots is the determinant, and they are
-    all positive exactly when the matrix is positive definite.  The
-    elimination is unrolled over the ``n^2`` entries, each step one
-    operation on the whole stack, and it never pivots: after a pivot that
-    is not positive the later ones are meaningless (possibly NaN), which
-    still leaves that matrix with a pivot that is not positive.
+    ``mat`` is a ``(..., n, n)`` stack read through its lower triangle, and
+    the result its ``(..., n)`` pivots.  The product of the pivots is the
+    determinant, and they are all positive exactly when the matrix is
+    positive definite.  The elimination is unrolled over the ``n^2``
+    entries, each step one operation on the whole stack, and it never
+    pivots: after a pivot that is not positive the later ones are
+    meaningless (possibly NaN), which still leaves that matrix with a pivot
+    that is not positive.  It factors single matrices (the singular-noise
+    check, the rank screen of a plain Gram); rates over an SNR grid read
+    ``tridiagonalize`` instead.
+    """
+    return _ldl(mat)[1]
+
+
+def whitened(signal: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whitened signal ``Y = D^{-1/2} L^{-1} S`` for ``C = L D L^H``, and the pivots ``D``.
+
+    ``signal`` (``S``) is a ``(..., n, cols)`` stack and ``cov`` (``C``) the
+    ``(..., n, n)`` Hermitian stack of its noise covariances, so ``Y^H Y =
+    S^H C^{-1} S``.  ``C`` is factored once (``ldl_pivots``' elimination)
+    and the substitution runs row by row over the stack.  A matrix whose
+    ``C`` has a pivot that is not positive gets meaningless entries (NaN or
+    infinite) and no warning, and its pivots say so.
+    """
+    lower, pivots = _ldl(cov)
+    rows = list(np.moveaxis(np.asarray(signal), -2, 0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, len(rows)):
+            for j in range(i):
+                rows[i] = rows[i] - lower[i, j][..., None] * rows[j]
+        return np.stack(rows, axis=-2) / np.sqrt(pivots)[..., None], pivots
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Real symmetric tridiagonal matrices, one per index of the leading axes.
+
+    Entry first: ``diag[i]`` is the ``i``-th diagonal entry of every matrix
+    (``diag`` is ``(n, ...)``) and ``off2[i]`` the squared magnitude of the
+    entry below it (``off2`` is ``(n - 1, ...)``), all that the pivots and
+    the determinants read; ``off2=None`` is a diagonal matrix.
+    """
+
+    diag: np.ndarray
+    off2: np.ndarray | None = None
+
+    def __getitem__(self, index) -> "Tridiagonal":
+        """The matrices at ``index`` of the leading axes."""
+        index = (slice(None), *(index if isinstance(index, tuple) else (index,)))
+        return Tridiagonal(self.diag[index], None if self.off2 is None else self.off2[index])
+
+    def _pivots(self, scale, shift) -> list[np.ndarray]:
+        """Pivots of ``shift * I + scale * T``, one array per row.
+
+        ``scale`` and ``shift`` broadcast against the leading axes, which
+        they may extend on the left.  The recurrence is
+        ``d_i = shift + scale * a_i - scale^2 * b_{i-1}^2 / d_{i-1}``: all
+        pivots are positive exactly when the matrix is positive definite,
+        and after one that is not the rest are meaningless.
+        """
+        scale = np.asarray(scale, dtype=float)
+        d = [shift + scale * self.diag[0]]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, len(self.diag)):
+                entry = shift + scale * self.diag[i]
+                if self.off2 is not None:
+                    entry = entry - (scale * scale) * self.off2[i - 1] / d[-1]
+                d.append(entry)
+        return d
+
+    def positive_definite(self, shift) -> np.ndarray:
+        """Whether ``T + shift * I`` is positive definite: all its pivots are positive."""
+        d = self._pivots(1.0, shift)
+        positive = d[0] > 0.0
+        for pivot in d[1:]:
+            positive &= pivot > 0.0
+        return positive
+
+    def log2dets(self, snrs) -> np.ndarray:
+        """``log2 det(I + snr * T)`` for every linear SNR: ``(len(snrs), ...)``.
+
+        The determinant is the product of the pivots, and one ``log2`` per
+        matrix reads it.  A matrix whose product is not finite (it
+        overflows, or a pivot is NaN) takes the sum of the ``log2`` of its
+        pivots instead, so every result depends on its own matrix alone.
+        """
+        snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
+        pivots = self._pivots(snr, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dets = pivots[0]
+            for pivot in pivots[1:]:
+                dets = dets * pivot
+            dets = np.log2(dets)
+            spoiled = ~np.isfinite(dets)
+            if np.any(spoiled):
+                dets[spoiled] = sum(np.log2(pivot[spoiled]) for pivot in pivots)
+        return dets
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
+    """The tridiagonal ``T = Q^H A Q`` of every Hermitian matrix of a ``(..., n, n)`` stack.
+
+    Householder reflections, one per column ``k < n - 2``, read ``A``
+    through its lower triangle, unrolled over the entries like
+    ``ldl_pivots``: every step is one operation on the whole stack.  ``Q``
+    is unitary, so ``T`` has the eigenvalues, the determinant and the
+    inertia of ``A``, and it does not depend on any SNR: ``det(I + snr A)``
+    is ``det(I + snr T)`` for the whole grid.  Reflection ``k`` maps the
+    sub-column ``x`` of column ``k`` onto its first entry, so the squared
+    off-diagonal entry is ``||x||^2``; a sub-column already on its first
+    entry (a zero one included) is left as it is.  The reduction is
+    backward stable: ``T`` is exactly similar to ``A + E`` with
+    ``||E|| = O(n^2 * eps * ||A||)``.
     """
     m = np.asarray(mat)
     n = m.shape[-1]
-    lower = [(i, j) for i in range(n) for j in range(i + 1)]
-    grid = [None] if snrs is None else [float(snr) for snr in snrs]
-    pivots = np.empty((len(grid), *m.shape[:-2], n))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, snr in enumerate(grid):
-            a = {}
-            for i, j in lower:
-                entry = m[..., i, j].real if i == j else m[..., i, j]
-                if snr is not None:
-                    entry = snr * entry
-                    if base is not None:
-                        entry = entry + (base[..., i, j].real if i == j else base[..., i, j])
-                    elif i == j:
-                        entry = entry + 1.0
-                a[i, j] = entry
-            for j in range(n):
-                d = a[j, j]
-                pivots[p, ..., j] = d
-                for i in range(j + 1, n):
-                    ratio = a[i, j] / d
-                    a[i, i] = a[i, i] - (ratio * np.conj(a[i, j])).real
-                    for c in range(j + 1, i):
-                        a[i, c] = a[i, c] - ratio * np.conj(a[c, j])
-    return pivots[0] if snrs is None else pivots
+    a = _lower_entries(m)
+    diag, off2 = [], []
+    with np.errstate(all="ignore"):
+        for k in range(n - 2):
+            trail = range(k + 1, n)
+            x0 = a[k + 1, k]
+            tail = sum(_abs2(a[i, k]) for i in range(k + 2, n))
+            size0 = np.abs(x0)
+            norm2 = size0 * size0 + tail
+            norm = np.sqrt(norm2)
+            diag.append(a[k, k])
+            off2.append(norm2)
+            # H = I - tau v v^H for v = x + phase(x0) ||x|| e_1, H x = -phase(x0) ||x|| e_1
+            v = {k + 1: x0 + np.where(size0 > 0.0, x0 / size0, 1.0) * norm}
+            v.update((i, a[i, k]) for i in range(k + 2, n))
+            tau = np.where(tail > 0.0, 1.0 / (norm * (norm + size0)), 0.0)
+            vc = {i: np.conj(v[i]) for i in trail}
+            # H A H = A - v w^H - w v^H for p = tau A v and w = p - (tau/2)(v^H p) v
+            p = {}
+            for i in trail:
+                acc = a[i, i] * v[i]
+                for j in trail:
+                    if j != i:
+                        acc = acc + (a[i, j] if j < i else np.conj(a[j, i])) * v[j]
+                p[i] = tau * acc
+            half = 0.5 * tau * sum((vc[i] * p[i]).real for i in trail)
+            w = {i: p[i] - half * v[i] for i in trail}
+            wc = {i: np.conj(w[i]) for i in trail}
+            for i in trail:
+                a[i, i] = a[i, i] - 2.0 * (v[i] * wc[i]).real
+                for j in range(k + 1, i):
+                    a[i, j] = a[i, j] - (v[i] * wc[j] + w[i] * vc[j])
+    if n >= 2:
+        diag.append(a[n - 2, n - 2])
+        off2.append(_abs2(a[n - 1, n - 2]))
+    diag.append(a[n - 1, n - 1])
+    off2 = np.stack(off2) if off2 else np.empty((0, *m.shape[:-2]))
+    return Tridiagonal(np.stack(diag), off2)
 
 
 def _rank_deficient(mat: np.ndarray, reference: float | None = None) -> np.ndarray:
@@ -240,7 +400,7 @@ def _rank_deficient(mat: np.ndarray, reference: float | None = None) -> np.ndarr
 
 
 def first_rank_deficient(
-    seq: TapSequence, num_subcarriers: int, gram: np.ndarray | None = None
+    seq: TapSequence, num_subcarriers: int, gram: np.ndarray | Tridiagonal | None = None
 ) -> np.ndarray:
     """For every sequence of the leading axes of ``seq``, the first subcarrier
     on which its frequency response loses full column rank, or -1.
@@ -250,12 +410,13 @@ def first_rank_deficient(
     all zero, and its smallest singular value must exceed
     ``SINGULARITY_RTOL * sqrt(s)``, for the scale ``s = span * trace(R_0)``
     that bounds ``||A(k)||^2`` on every subcarrier.  ``gram``, the
-    ``(..., K, cols, cols)`` stack of ``A(k)^H A(k)``, screens first: a
-    subcarrier passes without an SVD when ``gram`` minus
-    ``GRAM_SCREEN_RTOL * s`` times the identity has only positive pivots.  That factors each matrix once, so it reads
-    ``ldl_pivots`` at every order.  The rest get an SVD, on the full-grid DFT
-    of their own sequence, so every decision is the SVD test's on the same
-    ``A(k)`` whatever the screen doubted.
+    ``(..., K, cols, cols)`` stack of ``A(k)^H A(k)`` or a reduction of it
+    with the same inertia (a ``Tridiagonal``), screens first: a subcarrier
+    passes without an SVD when ``gram`` minus ``GRAM_SCREEN_RTOL * s`` times
+    the identity has only positive pivots.  That factors each matrix once,
+    with ``ldl_pivots`` or the tridiagonal's recurrence.  The rest get an
+    SVD, on the full-grid DFT of their own sequence, so every decision is
+    the SVD test's on the same ``A(k)`` whatever the screen doubted.
     """
     rows, cols = seq.shape
     if rows < cols:
@@ -263,16 +424,17 @@ def first_rank_deficient(
     k = int(num_subcarriers)
     lead = seq.taps.shape[:-3]
     scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
+    shift = GRAM_SCREEN_RTOL * scale
     if gram is None:
         doubted = np.ones((*lead, k), dtype=bool)
+    elif isinstance(gram, Tridiagonal):
+        doubted = ~gram.positive_definite(-shift[..., None])
     else:
-        shift = (GRAM_SCREEN_RTOL * scale)[..., None, None, None] * np.eye(cols)
-        doubted = ~np.all(ldl_pivots(np.asarray(gram) - shift) > 0.0, axis=-1)
+        shifted = np.asarray(gram) - shift[..., None, None, None] * np.eye(cols)
+        doubted = ~np.all(ldl_pivots(shifted) > 0.0, axis=-1)
     first = np.full(lead, -1)
-    for index in np.ndindex(*lead):
+    for index in map(tuple, np.argwhere(np.any(doubted, axis=-1))):
         suspect = np.flatnonzero(doubted[index])
-        if suspect.size == 0:
-            continue
         bad = _rank_deficient(dft_of_taps(seq[index], k)[suspect], np.sqrt(scale[index]))
         if np.any(bad):
             first[index] = suspect[np.argmax(bad)]

@@ -277,7 +277,8 @@ class TestEffectiveChannel:
         eff = effective_channel(rf_1tap(ch), ch)
         g = eff.spectrum
         expected = np.conj(np.swapaxes(g, 1, 2)) @ g
-        np.testing.assert_array_equal(eff.gram, expected)
+        atol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(eff.gram, expected, rtol=0.0, atol=atol)
         assert eff.gram is eff.gram
 
     def test_stacked_views_are_the_views_of_each_channel(self):

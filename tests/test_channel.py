@@ -54,6 +54,16 @@ class TestStreams:
         assert np.var(z.real) == pytest.approx(0.5, rel=0.03)
         assert np.var(z.imag) == pytest.approx(0.5, rel=0.03)
 
+    @pytest.mark.parametrize("shape", [(7,), (4, 25, 4), (2, 3, 400, 1)])
+    def test_complex_normal_is_the_polar_inverse_transform(self, shape):
+        # the magnitude from the first draw, the phase exp(2j*pi*u) from the second
+        rng = stream(12, len(shape))
+        u_mag, u_phase = rng.random(shape), rng.random(shape)
+        expected = np.sqrt(-np.log1p(-u_mag)) * np.exp(2j * np.pi * u_phase)
+        z = complex_normal(stream(12, len(shape)), shape)
+        assert z.shape == shape and z.dtype == complex
+        np.testing.assert_allclose(z, expected, rtol=1e-15, atol=0.0)
+
     def test_distinct_seeds_uncorrelated(self):
         a = complex_normal(stream(21), (10_000,)).real
         b = complex_normal(stream(22), (10_000,)).real

@@ -151,10 +151,11 @@ class TestRunScenario:
             assert row.seed == 99
 
     def test_each_spectrum_computed_once(self, monkeypatch):
-        # per chunk, two stacked DFTs, the effective spectra of both RF bases;
-        # three stacked lag-product Grams, the raw channel's and the noise
-        # covariance of each base that feeds a ZF stage; and no (K, M, U)
-        # array while the rank screen passes
+        # per chunk, two stacked DFTs, the effective spectra that both RF
+        # bases' ZF stages whiten; five stacked lag-product Grams, the raw
+        # channel's and both bases' effective ones, then the noise covariance
+        # of each base that feeds a ZF stage; and no (K, M, U) array while
+        # the rank screen passes
         dfts, grams = [], []
 
         def counting(original, calls):
@@ -186,13 +187,19 @@ class TestRunScenario:
         assert all(v is not None for _, values, _ in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
         assert dfts == [(chunk, users, users)] * 2 + [(3, users, users)] * 2
-        assert grams == [(chunk, antennas, users)] * 3 + [(3, antennas, users)] * 3
+        per_chunk = [(antennas, users)] + [(users, users)] * 2 + [(antennas, users)] * 2
+        assert grams == [(draws, *shape) for draws in (chunk, 3) for shape in per_chunk]
         # the raw rank check of zf shares the capacity's Gram and needs no DFT
         dfts.clear()
         grams.clear()
         _evaluate_realization(replace(s, schemes=("capacity", "zf")), draw_realization(s, 0))
         assert dfts == []
         assert grams == [(1, antennas, users)]
+        # nor do the RF-only schemes' capacities
+        grams.clear()
+        _evaluate_realization(replace(s, schemes=("rf_1tap", "rf_ltap")), draw_realization(s, 0))
+        assert dfts == []
+        assert grams == [(1, users, users)] * 2
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_zf_rates_equal_the_explicit_zf_stage(self, model):
@@ -236,6 +243,22 @@ class TestRunScenario:
             return replace(ch, taps=TapSequence(0, taps))
 
         monkeypatch.setattr(experiments, "draw_realization", degenerate)
+
+    def test_rows_are_the_mean_and_stderr_of_each_draws_values(self, monkeypatch):
+        # each row reads its own (metric, snr) cell of the draws that kept
+        # the scheme, with the arithmetic of a 1-D sample: bit for bit
+        self._degenerate_even_draws(monkeypatch)
+        s = small_scenario(realizations=11, schemes=("capacity", "rf_ltap", "rf_ltap+zf"))
+        per_draw = [_evaluate_realization(s, experiments.draw_realization(s, i)) for i in range(11)]
+        for row in run_scenario(s, workers=1).rows:
+            data = np.array([
+                values[row.scheme][(row.metric, row.snr_db)]
+                for values in per_draw
+                if values[row.scheme] is not None
+            ])
+            assert row.realizations == data.size == (5 if row.scheme.endswith("zf") else 11)
+            assert row.value == data.mean()
+            assert row.stderr == np.std(data, ddof=1) / np.sqrt(data.size)
 
     def test_singular_realizations_are_counted(self, monkeypatch):
         # a failure is charged to the failing scheme alone: capacity keeps

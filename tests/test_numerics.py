@@ -1,5 +1,7 @@
 """Tap-sequence transforms against naive oracles and algebraic identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +20,11 @@ from hybeam.numerics import (
     circular_convolve,
     dft_of_taps,
     first_rank_deficient,
-    gram_eigvals,
+    Tridiagonal,
     gram_spectrum,
     ldl_pivots,
+    tridiagonalize,
+    whitened,
 )
 
 
@@ -339,6 +343,9 @@ class TestLdlPivots:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_pivot_product_is_the_determinant(self, n, lead, snr_db, form, seed):
+        # "plain" factors the matrix itself; the SNR forms read the pivot
+        # products of the reduction, of the whitened matrix for a base B:
+        # det(B + snr G) = det(B) det(I + snr T)
         rng = stream(710, seed)
         a = complex_normal(rng, (*lead, 2 * n, n))
         gram = adjoint(a) @ a + 0.5 * np.eye(n)
@@ -346,17 +353,22 @@ class TestLdlPivots:
         base = b @ adjoint(b) + 0.5 * np.eye(n)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
         if form == "plain":
-            mats, pivots = gram[None], ldl_pivots(gram)[None]
+            mats, dets = gram[None], np.prod(ldl_pivots(gram), axis=-1)[None]
         elif form == "identity base":
             mats = np.eye(n) + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
-            pivots = ldl_pivots(gram, snrs)
+            dets = np.exp2(tridiagonalize(gram).log2dets(snrs))
         else:
             mats = base + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
-            pivots = ldl_pivots(gram, snrs, base)
-        assert pivots.shape == (*mats.shape[:-2], n)
+            # a signal S with S S^H = gram, whitened against the base
+            root = np.broadcast_to(np.sqrt(0.5) * np.eye(n), (*lead, n, n))
+            signal = np.concatenate([adjoint(a), root], axis=-1)
+            white, base_pivots = whitened(signal, base)
+            dets = np.exp2(tridiagonalize(white @ adjoint(white)).log2dets(snrs))
+            dets = dets * np.prod(base_pivots, axis=-1)
+        assert dets.shape == mats.shape[:-2]
         sign, logabs = np.linalg.slogdet(mats)
         np.testing.assert_allclose(sign, 1.0, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(np.prod(pivots, axis=-1), np.exp(logabs), rtol=1e-12)
+        np.testing.assert_allclose(dets, np.exp(logabs), rtol=1e-12)
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
@@ -380,6 +392,130 @@ class TestLdlPivots:
             except np.linalg.LinAlgError:
                 factored = False
             assert positive[index] == factored, kinds[index[1]]
+
+
+def log2det(mats):
+    sign, logabs = np.linalg.slogdet(mats)
+    np.testing.assert_allclose(sign, 1.0, rtol=0.0, atol=1e-12)
+    return logabs / np.log(2.0)
+
+
+class TestTridiagonal:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, LDL_MAX_ORDER),
+        extra_rows=st.integers(0, 3),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        snr_db=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=7),
+        colored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log2dets_match_slogdet(self, n, extra_rows, lead, snr_db, colored, seed):
+        # white: det(I + snr G); colored: det(C + snr S S^H) / det(C) through
+        # the reduction of the whitened signal's Gram
+        rng = stream(730, seed)
+        snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+        grid = snrs[(...,) + (None,) * (len(lead) + 2)]
+        if colored:
+            s = complex_normal(rng, (*lead, n, n + extra_rows))
+            b = complex_normal(rng, (*lead, n, n))
+            cov = b @ adjoint(b) + 0.5 * np.eye(n)
+            white, pivots = whitened(s, cov)
+            assert np.all(pivots > 0.0)
+            expected = log2det(cov + grid * (s @ adjoint(s))) - log2det(cov)
+            white = adjoint(white) @ white
+        else:
+            a = complex_normal(rng, (*lead, n + extra_rows, n))
+            white = adjoint(a) @ a
+            expected = log2det(np.eye(n) + grid * white)
+        got = tridiagonalize(white).log2dets(snrs)
+        assert got.shape == (len(snrs), *lead)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_zero_sub_column_is_not_reflected(self):
+        # column 0 has no entries below the diagonal: T keeps it as it is
+        rng = stream(731)
+        a = complex_normal(rng, (6, 3))
+        gram = np.zeros((2, 4, 4), dtype=complex)
+        gram[:, 0, 0] = 2.0
+        gram[:, 1:, 1:] = adjoint(a) @ a
+        reduced = tridiagonalize(gram)
+        assert np.all(reduced.diag[0] == 2.0) and np.all(reduced.off2[0] == 0.0)
+        np.testing.assert_array_equal(reduced.diag[:, 0], reduced.diag[:, 1])
+        snrs = [0.1, 10.0]
+        expected = log2det(np.eye(4) + np.asarray(snrs)[:, None, None, None] * gram)
+        np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
+
+    def test_reducible_tridiagonal(self):
+        # a zero off-diagonal splits T: the determinant is the blocks' product
+        diag = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        off2 = np.array([0.5, 0.0, 2.0, 0.25])
+        dense = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+        snrs = [0.01, 1.0, 100.0]
+        got = Tridiagonal(diag, off2).log2dets(snrs)
+        expected = log2det(np.eye(5) + np.asarray(snrs)[:, None, None] * dense)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        # and a Hermitian matrix made of two blocks reduces to a split T
+        rng = stream(732)
+        a, b = complex_normal(rng, (4, 2)), complex_normal(rng, (5, 3))
+        blocks = np.zeros((5, 5), dtype=complex)
+        blocks[:2, :2] = adjoint(a) @ a
+        blocks[2:, 2:] = adjoint(b) @ b
+        reduced = tridiagonalize(blocks)
+        assert reduced.off2[1] == 0.0
+        expected = log2det(np.eye(5) + np.asarray(snrs)[:, None, None] * blocks)
+        np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
+
+    def test_overflowing_product_falls_back_to_the_sum_of_logs(self):
+        # three pivots of 1e200 overflow their product; the other matrix's
+        # result is the same bits as alone
+        diag = np.array([[1e200, 1.0], [1e200, 2.0], [1e200, 3.0]])
+        reduced = Tridiagonal(diag, np.zeros((2, 2)))
+        got = reduced.log2dets([1.0, 10.0])
+        expected = np.sum(np.log2(1.0 + np.array([1.0, 10.0])[:, None, None] * diag), axis=1)
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        np.testing.assert_array_equal(got[:, 1], reduced[1].log2dets([1.0, 10.0]))
+
+    @pytest.mark.parametrize("n", [2, 4, LDL_MAX_ORDER])
+    def test_rank_deficient_gram(self, n):
+        # a repeated column: det(I + snr G) is still read exactly, and the
+        # shifted reduction has a pivot that is not positive, as the LDL does
+        a = complex_normal(stream(733, n), (3, 2 * n, n))
+        a[..., -1] = a[..., 0]
+        gram = adjoint(a) @ a
+        snrs = [0.1, 1.0, 1e3]
+        expected = log2det(np.eye(n) + np.asarray(snrs)[:, None, None, None] * gram)
+        reduced = tridiagonalize(gram)
+        np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
+        shift = 1e-8 * np.trace(gram, axis1=-2, axis2=-1).real
+        factored = ldl_pivots(gram - shift[:, None, None] * np.eye(n))
+        assert not np.any(reduced.positive_definite(-shift))
+        assert not np.any(np.all(factored > 0.0, axis=-1))
+        assert np.all(reduced.positive_definite(shift))
+
+    @pytest.mark.parametrize("n", [1, 3, LDL_MAX_ORDER])
+    def test_singular_noise_spoils_only_its_own_matrix(self, n):
+        # in a stack of four grids of two, one C has a zero row and column
+        # and one is negative definite: their pivots say so, and the other
+        # grids whiten and reduce to the bits they have alone, without a warning
+        rng = stream(734, n)
+        signal = complex_normal(rng, (4, 2, n, n + 1))
+        kinds = ("pd", "singular", "negative", "pd")
+        cov = np.stack([[hermitian(rng, kind, n), hermitian(rng, "pd", n)] for kind in kinds])
+        snrs = [1.0, 10.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            white, pivots = whitened(signal, cov)
+            alone = [whitened(signal[i], cov[i]) for i in range(4)]
+        # the spoiled matrices' Grams are NaN by design
+        with np.errstate(invalid="ignore"):
+            rates = tridiagonalize(adjoint(white) @ white).log2dets(snrs)
+            alone_rates = [tridiagonalize(adjoint(w) @ w).log2dets(snrs) for w, _ in alone]
+        assert np.all(pivots > 0.0, axis=(-2, -1)).tolist() == [True, False, False, True]
+        for i in (0, 3):
+            np.testing.assert_array_equal(white[i], alone[i][0])
+            np.testing.assert_array_equal(rates[:, i], alone_rates[i])
+            assert np.all(np.isfinite(rates[:, i]))
 
 
 class TestGramSpectrum:
@@ -462,7 +598,9 @@ class TestRankCheck:
         )
         seq = spectrum_seq(stack, offset)
         k = len(kinds)
-        assert rank_verdict(seq, k, lag_gram(seq, k)) == rank_verdict(seq, k, None)
+        alone = rank_verdict(seq, k, None)
+        assert rank_verdict(seq, k, lag_gram(seq, k)) == alone
+        assert rank_verdict(seq, k, tridiagonalize(lag_gram(seq, k))) == alone
 
     def test_planted_ratios_around_the_threshold(self):
         kinds = [1e-3, 1e-5, 1e-9, 1e-11, 0.0]
@@ -511,6 +649,7 @@ class TestRankCheck:
         assert rank_verdict(seq, 16, lag_gram(seq, 16)) == -1
         stacked = TapSequence.stack([seq] + [random_seq(671 + key, 3, 12, 4, offset=-1) for key in range(3)])
         assert rank_verdict(stacked, 16, lag_gram(stacked, 16)) == [-1] * 4
+        assert rank_verdict(stacked, 16, tridiagonalize(lag_gram(stacked, 16))) == [-1] * 4
 
     def test_small_orders_run_without_eigendecompositions(self, monkeypatch):
         # at orders up to LDL_MAX_ORDER every rate, screen and noise check
@@ -541,9 +680,3 @@ class TestRankCheck:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
             first_rank_deficient(TapSequence(0, np.ones((3, 2, 4))), 4)
-
-    def test_gram_eigvals_ascending_and_match_singular_values(self):
-        stack = complex_normal(stream(690), (3, 7, 3))
-        lam = gram_eigvals(stack)
-        singvals = np.linalg.svd(stack, compute_uv=False)
-        np.testing.assert_allclose(lam, singvals[:, ::-1] ** 2, rtol=1e-12)
