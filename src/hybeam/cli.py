@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -211,34 +210,6 @@ def _joined(own: tuple, needed: tuple) -> tuple:
     return own + tuple(item for item in needed if item not in own)
 
 
-# glibc's mallopt parameters, and the values a run sets them to.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_KEPT_ON_TRIM = 64 << 20
-_LARGEST_FROM_HEAP = 32 << 20
-
-
-def _keep_freed_memory() -> None:
-    """Let glibc's malloc keep the memory a run frees, for the next chunk to reuse.
-
-    Every chunk allocates and frees the same few megabytes of arrays.  By
-    default glibc serves arrays above its mmap threshold with fresh pages
-    and returns free memory at the top of the heap to the system past a
-    threshold of twice the largest array freed so far, so every chunk faults
-    its pages in again (about 450 page faults per fig2 chunk of 8 draws,
-    15 ms of a 0.11 s run).  Arrays up to ``_LARGEST_FROM_HEAP`` now come
-    from the heap, which keeps up to ``_KEPT_ON_TRIM`` free.  The peak
-    memory of a run is what it was; pool workers inherit the setting.  Where
-    the C library has no ``mallopt`` (not glibc), nothing changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _LARGEST_FROM_HEAP)
-    mallopt(_M_TRIM_THRESHOLD, _KEPT_ON_TRIM)
-
-
 def cmd_run(args) -> int:
     if args.target in PRESETS:
         presets = [PRESETS[args.target]]
@@ -266,7 +237,6 @@ def cmd_run(args) -> int:
             for p in presets
         ]
     os.makedirs(args.outdir, exist_ok=True)
-    _keep_freed_memory()
     status = EXIT_OK
     for preset, run in zip(presets, runs):
         scenario = preset.scenario

@@ -57,7 +57,13 @@ from .metrics import (
     sinr_sum_rates,
     spectral_rates,
 )
-from .numerics import SingularMatrixError, TapSequence, first_rank_deficient, gram_spectrum
+from .numerics import (
+    SingularMatrixError,
+    TapSequence,
+    Tridiagonal,
+    first_rank_deficient,
+    gram_spectrum,
+)
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
 DEFAULT_SEED = 12345
@@ -245,6 +251,17 @@ def _metrics(scheme: str) -> tuple[str, ...]:
     return ("rate", "capacity")
 
 
+def _gram_reduction(seqs: list[TapSequence], num_subcarriers: int) -> Tridiagonal:
+    """``hermitian_reduction`` of the lag Grams of ``seqs``, which share their
+    leading axes and column count, stacked on a new first axis.  Each Gram is
+    written into its slot of one array, which is freed on return."""
+    lead, cols = seqs[0].taps.shape[:-3], seqs[0].shape[1]
+    grams = np.empty((len(seqs), *lead, num_subcarriers, cols, cols), dtype=complex)
+    for seq, gram in zip(seqs, grams):
+        gram_spectrum(seq, num_subcarriers, out=gram)
+    return hermitian_reduction(grams)
+
+
 def _evaluate_chunk(
     scenario: Scenario, channels: list[ChannelRealization], spreads: bool = False
 ) -> list[tuple[dict, dict | None]]:
@@ -292,8 +309,7 @@ def _evaluate_chunk(
     keys = [None] if set(raw_schemes) & set(scenario.schemes) else []
     keys += dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
     if keys:
-        grams = [gram_spectrum(raw, k) if key is None else build(key).gram for key in keys]
-        reduced = hermitian_reduction(np.stack(grams))
+        reduced = _gram_reduction([raw if key is None else build(key).taps for key in keys], k)
         white = dict(zip(keys, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
         screen = {key: reduced[i] for i, key in enumerate(keys)}
 
@@ -328,20 +344,6 @@ def _evaluate_chunk(
         (outcome, {name: values[draw] for name, values in swept.items()})
         for draw, outcome in enumerate(outcomes)
     ]
-
-
-def _evaluate_realization(scenario: Scenario, channel: ChannelRealization) -> dict:
-    """Per scheme, its ``(metric, snr)`` values for one channel draw (a chunk
-    of one), or ``None`` where it fails."""
-    outcome = _evaluate_chunk(scenario, [channel])[0][0]
-    return {
-        scheme: None if values is None else {
-            (metric, snr): float(value)
-            for metric, row in zip(_metrics(scheme), values)
-            for snr, value in zip(scenario.snr_db, row)
-        }
-        for scheme, values in outcome.items()
-    }
 
 
 def _scenario_block(args) -> list:

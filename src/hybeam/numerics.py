@@ -13,8 +13,8 @@ operation on a whole stack, serve the log-det rates of ``metrics``:
 ``tridiagonalize`` reduces each Hermitian matrix once, after which
 ``det(I + snr * T)`` for a whole SNR grid, and the inertia that the rank
 screen reads, are ``O(n)`` recurrences (``Tridiagonal``); ``ldl_pivots``
-factors single matrices, for the singular-noise mask, the whitening of a
-colored signal (``whitened``) and the screen of a plain Gram.
+factors single matrices, for the singular-noise mask and the whitening of a
+colored signal (``whitened``).
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ import numpy as np
 SINGULARITY_RTOL = 1e-10
 # Gram screen of the rank check, relative to the scale
 # ``s = span * trace(R_0) = span * sum_i ||A_i||_F^2`` of the tap sequence.
-# A subcarrier passes when every pivot of ``G(k) - GRAM_SCREEN_RTOL * s * I``
-# is positive: that is Cholesky's test, and the pivots of a Hermitian matrix
-# are positive exactly when it is positive definite.  The pivots of the
-# shifted tridiagonal ``T - GRAM_SCREEN_RTOL * s * I`` decide the same, as
-# ``T`` is unitarily similar to ``G(k)``.  So up to the backward error of
-# the factorization or the reduction, ``O(n^2 * eps * s)``, a passing Gram
+# A subcarrier passes when every pivot of ``T - GRAM_SCREEN_RTOL * s * I``
+# is positive, ``T`` the tridiagonal to which ``G(k)`` reduces (or its
+# eigenvalues): the pivots of a Hermitian matrix are positive exactly when
+# it is positive definite, and ``T`` is unitarily similar to ``G(k)``.  So
+# up to the backward error of the reduction, ``O(n^2 * eps * s)``, a passing Gram
 # has ``lambda_min > GRAM_SCREEN_RTOL * s``.  By Cauchy-Schwarz ``s`` bounds
 # ``||A(k)||^2`` on every subcarrier, and it bounds the error of the Gram
 # however it is formed: the lag products of ``gram_spectrum`` and the
@@ -55,9 +54,12 @@ GRAM_SCREEN_RTOL = 1e-8
 # (``tridiagonalize``, and ``ldl_pivots``' factor for whitening); larger
 # orders take ``eigvalsh``, and LAPACK's Cholesky and ``solve``.  Both read
 # the whole SNR grid from one reduction per matrix, but the unrolled one
-# costs ``O(n^3)`` Python-level steps on the whole stack: timed on fig2 and
+# costs ``O(n^3)`` Python-level steps on the whole stack.  Timed on fig2 and
 # fig8 at U = 6..12 (and fig2 at 14, 16 and 20), it was faster at every
-# order, by a margin that narrows from about 45% to 10% at U = 20.
+# order, by a margin that narrows from about 45% to 10% at U = 20, so no
+# crossover was found.  The bound is 12, the largest order timed on both
+# presets, so that nothing above it takes the unrolled path untimed on fig8;
+# the kernel's property tests run every order up to it.
 LDL_MAX_ORDER = 12
 
 
@@ -148,7 +150,9 @@ def _lag_phases(num_subcarriers: int, span: int) -> np.ndarray:
     return np.exp(-2j * np.pi * turns / num_subcarriers)
 
 
-def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
+def gram_spectrum(
+    seq: TapSequence, num_subcarriers: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
 
     Returns a ``(..., num_subcarriers, cols, cols)`` array formed from the
@@ -157,7 +161,8 @@ def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
     cancels.  One product ``X^H X`` of the taps side by side,
     ``X = [A_0 ... A_{S-1}]``, holds every ``A_i^H A_j``.  The sum samples
     a trigonometric polynomial, so it is exact on any grid, one shorter
-    than the sequence included.
+    than the sequence included.  A C-contiguous ``out`` of the result's
+    shape receives it in place.
     """
     k = int(num_subcarriers)
     if k < 1:
@@ -174,7 +179,8 @@ def gram_spectrum(seq: TapSequence, num_subcarriers: int) -> np.ndarray:
         # tap i against every tap j is lag j - i, stored at j - i + span - 1
         lags[..., span - 1 - i : 2 * span - 1 - i, :, :] += products[..., i, :, :, :]
     flat = lags.reshape(*lead, 2 * span - 1, cols * cols)
-    return (_lag_phases(k, span) @ flat).reshape(*lead, k, cols, cols)
+    target = None if out is None else out.reshape(*lead, k, cols * cols)
+    return np.matmul(_lag_phases(k, span), flat, out=target).reshape(*lead, k, cols, cols)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
@@ -239,7 +245,7 @@ def ldl_pivots(mat: np.ndarray) -> np.ndarray:
     pivots: after a pivot that is not positive the later ones are
     meaningless (possibly NaN), which still leaves that matrix with a pivot
     that is not positive.  It factors single matrices (the singular-noise
-    check, the rank screen of a plain Gram); rates over an SNR grid read
+    check); rates over an SNR grid and the rank screen read
     ``tridiagonalize`` instead.
     """
     return _ldl(mat)[1]
@@ -400,7 +406,7 @@ def _rank_deficient(mat: np.ndarray, reference: float | None = None) -> np.ndarr
 
 
 def first_rank_deficient(
-    seq: TapSequence, num_subcarriers: int, gram: np.ndarray | Tridiagonal | None = None
+    seq: TapSequence, num_subcarriers: int, reduced: Tridiagonal | None = None
 ) -> np.ndarray:
     """For every sequence of the leading axes of ``seq``, the first subcarrier
     on which its frequency response loses full column rank, or -1.
@@ -409,14 +415,14 @@ def first_rank_deficient(
     ``A(k) = dft_of_taps(seq, num_subcarriers)[k]``: ``A(k)`` must not be
     all zero, and its smallest singular value must exceed
     ``SINGULARITY_RTOL * sqrt(s)``, for the scale ``s = span * trace(R_0)``
-    that bounds ``||A(k)||^2`` on every subcarrier.  ``gram``, the
-    ``(..., K, cols, cols)`` stack of ``A(k)^H A(k)`` or a reduction of it
-    with the same inertia (a ``Tridiagonal``), screens first: a subcarrier
-    passes without an SVD when ``gram`` minus ``GRAM_SCREEN_RTOL * s`` times
-    the identity has only positive pivots.  That factors each matrix once,
-    with ``ldl_pivots`` or the tridiagonal's recurrence.  The rest get an
-    SVD, on the full-grid DFT of their own sequence, so every decision is
-    the SVD test's on the same ``A(k)`` whatever the screen doubted.
+    that bounds ``||A(k)||^2`` on every subcarrier.  ``reduced``, a
+    ``(..., K)`` reduction of the Grams ``A(k)^H A(k)`` with their inertia
+    (``tridiagonalize``'s, or eigenvalues on the diagonal), screens first:
+    a subcarrier passes without an SVD when ``reduced`` minus
+    ``GRAM_SCREEN_RTOL * s`` times the identity has only positive pivots.
+    The rest get an SVD, on the full-grid DFT of their own sequence, so
+    every decision is the SVD test's on the same ``A(k)`` whatever the
+    screen doubted.
     """
     rows, cols = seq.shape
     if rows < cols:
@@ -424,14 +430,10 @@ def first_rank_deficient(
     k = int(num_subcarriers)
     lead = seq.taps.shape[:-3]
     scale = seq.span * np.sum(np.abs(seq.taps) ** 2, axis=(-3, -2, -1))
-    shift = GRAM_SCREEN_RTOL * scale
-    if gram is None:
+    if reduced is None:
         doubted = np.ones((*lead, k), dtype=bool)
-    elif isinstance(gram, Tridiagonal):
-        doubted = ~gram.positive_definite(-shift[..., None])
     else:
-        shifted = np.asarray(gram) - shift[..., None, None, None] * np.eye(cols)
-        doubted = ~np.all(ldl_pivots(shifted) > 0.0, axis=-1)
+        doubted = ~reduced.positive_definite(-GRAM_SCREEN_RTOL * scale[..., None])
     first = np.full(lead, -1)
     for index in map(tuple, np.argwhere(np.any(doubted, axis=-1))):
         suspect = np.flatnonzero(doubted[index])

@@ -13,7 +13,8 @@ from hybeam.beamforming import effective_channel, zf_baseband, zf_spectrum
 from hybeam.channel import PowerDelayProfile, SparseChannelConfig, SystemDims, channel_spectrum
 from hybeam.experiments import (
     PRESETS,
-    _evaluate_realization,
+    _evaluate_chunk,
+    _metrics,
     ClosedFormCheck,
     Scenario,
     ValidationReport,
@@ -33,6 +34,20 @@ from hybeam.metrics import (
 from hybeam.numerics import TapSequence
 
 SMALL_DIMS = SystemDims(antennas=24, users=3, taps=4, subcarriers=32)
+
+
+def evaluate_draw(scenario, channel):
+    """Per scheme, its ``(metric, snr)`` values for one channel draw (a chunk
+    of one), or ``None`` where it fails."""
+    outcome = _evaluate_chunk(scenario, [channel])[0][0]
+    return {
+        scheme: None if values is None else {
+            (metric, snr): float(value)
+            for metric, row in zip(_metrics(scheme), values)
+            for snr, value in zip(scenario.snr_db, row)
+        }
+        for scheme, values in outcome.items()
+    }
 
 
 def small_scenario(**overrides):
@@ -192,12 +207,12 @@ class TestRunScenario:
         # the raw rank check of zf shares the capacity's Gram and needs no DFT
         dfts.clear()
         grams.clear()
-        _evaluate_realization(replace(s, schemes=("capacity", "zf")), draw_realization(s, 0))
+        evaluate_draw(replace(s, schemes=("capacity", "zf")), draw_realization(s, 0))
         assert dfts == []
         assert grams == [(1, antennas, users)]
         # nor do the RF-only schemes' capacities
         grams.clear()
-        _evaluate_realization(replace(s, schemes=("rf_1tap", "rf_ltap")), draw_realization(s, 0))
+        evaluate_draw(replace(s, schemes=("rf_1tap", "rf_ltap")), draw_realization(s, 0))
         assert dfts == []
         assert grams == [(1, users, users)] * 2
 
@@ -213,7 +228,7 @@ class TestRunScenario:
         )
         for index in range(3):
             ch = draw_realization(s, index)
-            values = _evaluate_realization(s, ch)
+            values = evaluate_draw(s, ch)
             grid = channel_spectrum(ch)
             links = [LinkBudget.from_snr_db(snr) for snr in s.snr_db]
             explicit = [rate_spectral(zf_spectrum(grid), grid, link) for link in links]
@@ -249,7 +264,7 @@ class TestRunScenario:
         # the scheme, with the arithmetic of a 1-D sample: bit for bit
         self._degenerate_even_draws(monkeypatch)
         s = small_scenario(realizations=11, schemes=("capacity", "rf_ltap", "rf_ltap+zf"))
-        per_draw = [_evaluate_realization(s, experiments.draw_realization(s, i)) for i in range(11)]
+        per_draw = [evaluate_draw(s, experiments.draw_realization(s, i)) for i in range(11)]
         for row in run_scenario(s, workers=1).rows:
             data = np.array([
                 values[row.scheme][(row.metric, row.snr_db)]
@@ -427,7 +442,7 @@ class TestRunScenario:
         scale = effective.taps.span * np.sum(np.abs(effective.taps.taps) ** 2)
         assert singvals[0] < 1e-12 * np.sqrt(scale)
         assert singvals[-1] > numerics.SINGULARITY_RTOL * singvals[0]
-        alone = _evaluate_realization(s, ch)
+        alone = evaluate_draw(s, ch)
         assert {scheme for scheme, values in alone.items() if values is None} == {"rf_ltap+zf"}
         assert numerics.first_rank_deficient(effective.taps, dims.subcarriers) == 0
 
@@ -479,7 +494,7 @@ class TestRunScenario:
             assert row.realizations == samples[row.scheme]
             assert np.isfinite(row.value)
         for index in range(s.realizations):
-            alone = _evaluate_realization(s, planted(s, index))
+            alone = evaluate_draw(s, planted(s, index))
             failed = {scheme for scheme, values in alone.items() if values is None}
             expected = {"zf", "mf+zf", "rf_ltap+zf"}
             assert failed == (expected if index % 3 < 2 else set()), index
@@ -636,7 +651,7 @@ class TestRateProperties:
     def test_zf_rates_never_exceed_the_raw_capacity(self, s):
         # combining cannot add information: every ZF rate is at most the
         # capacity of the draw it combines
-        values = _evaluate_realization(s, draw_realization(s, 0))
+        values = evaluate_draw(s, draw_realization(s, 0))
         snr = s.snr_db[0]
         cap = values["capacity"][("capacity", snr)]
         for scheme in ZF_SCHEMES:
@@ -653,8 +668,8 @@ class TestRateProperties:
             taps=TapSequence(0, ch.taps.taps[:, :, perm]),
             pdp=PowerDelayProfile(ch.pdp.gains[:, perm]),
         )
-        values = _evaluate_realization(s, ch)
-        swapped = _evaluate_realization(s, permuted)
+        values = evaluate_draw(s, ch)
+        swapped = evaluate_draw(s, permuted)
         assert swapped.keys() == values.keys()
         for scheme, keyed in values.items():
             if keyed is None:

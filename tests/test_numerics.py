@@ -299,14 +299,15 @@ def spectrum_seq(stack, offset=0):
     return TapSequence(offset, np.fft.ifft(stack, axis=0))
 
 
-def lag_gram(seq, k):
-    return gram_spectrum(seq, k)
+def lag_screen(seq, k):
+    """The rank screen the runner passes: the reduction of the lag-formed Grams."""
+    return tridiagonalize(gram_spectrum(seq, k))
 
 
-def rank_verdict(seq, k, gram):
+def rank_verdict(seq, k, screen):
     """First rank-deficient subcarrier per sequence, -1 for full rank, as a list
     (an int for a sequence without leading axes)."""
-    return first_rank_deficient(seq, k, gram).tolist()
+    return first_rank_deficient(seq, k, screen).tolist()
 
 
 def adjoint(mats):
@@ -584,7 +585,7 @@ class TestRankCheck:
     # depend on how many subcarriers the screen doubted
     @example(kinds=[None, 1e-10, None], cols=2, extra_rows=0, scale_exp=0, offset=1, seed=60)
     def test_screen_decides_as_the_svd_alone(self, kinds, cols, extra_rows, scale_exp, offset, seed):
-        # the lag-formed Gram screens; the decision is the SVD's on the DFT
+        # the reduced lag-formed Gram screens; the decision is the SVD's on the DFT
         rows = cols + extra_rows
         stack = 10.0**scale_exp * np.stack(
             [
@@ -599,18 +600,17 @@ class TestRankCheck:
         seq = spectrum_seq(stack, offset)
         k = len(kinds)
         alone = rank_verdict(seq, k, None)
-        assert rank_verdict(seq, k, lag_gram(seq, k)) == alone
-        assert rank_verdict(seq, k, tridiagonalize(lag_gram(seq, k))) == alone
+        assert rank_verdict(seq, k, lag_screen(seq, k)) == alone
 
     def test_planted_ratios_around_the_threshold(self):
         kinds = [1e-3, 1e-5, 1e-9, 1e-11, 0.0]
         stack = np.stack([planted(660 + i, 6, 3, kind) for i, kind in enumerate(kinds)])
         for part, verdict in ((stack, 3), (stack[:3], -1), (stack[4:], 0)):
             seq = spectrum_seq(part)
-            assert rank_verdict(seq, len(part), lag_gram(seq, len(part))) == verdict
+            assert rank_verdict(seq, len(part), lag_screen(seq, len(part))) == verdict
         # a stack of sequences names the first deficient subcarrier of each
         seqs = TapSequence.stack([spectrum_seq(stack[:3]), spectrum_seq(stack[2:])])
-        assert rank_verdict(seqs, 3, lag_gram(seqs, 3)) == [-1, 1]
+        assert rank_verdict(seqs, 3, lag_screen(seqs, 3)) == [-1, 1]
 
     def test_vanishing_response_is_rejected(self):
         # taps [a, -2a, a] cancel exactly at subcarrier 0 and nowhere else; the
@@ -620,10 +620,10 @@ class TestRankCheck:
         for seed in range(200):
             a = complex_normal(stream(700, seed), (6, 3))
             seq = TapSequence(seed % 5 - 2, np.stack([a, -2.0 * a, a]))
-            gram = lag_gram(seq, 8)
+            gram = gram_spectrum(seq, 8)
             lam = np.linalg.eigvalsh(gram)
             fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
-            assert rank_verdict(seq, 8, gram) == 0
+            assert rank_verdict(seq, 8, tridiagonalize(gram)) == 0
         assert fooled > 0
 
     def test_response_vanished_to_roundoff_is_rejected(self):
@@ -635,8 +635,8 @@ class TestRankCheck:
         singvals = np.linalg.svd(stack[2], compute_uv=False)
         assert singvals[-1] > SINGULARITY_RTOL * singvals[0]
         seq = spectrum_seq(stack, offset=-1)
-        for gram in (None, lag_gram(seq, 4)):
-            assert rank_verdict(seq, 4, gram) == 2
+        for screen in (None, lag_screen(seq, 4)):
+            assert rank_verdict(seq, 4, screen) == 2
         assert np.all(np.isfinite(zf_spectrum(stack)))
 
     def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
@@ -646,10 +646,9 @@ class TestRankCheck:
             raise AssertionError("the Gram screen should have decided")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert rank_verdict(seq, 16, lag_gram(seq, 16)) == -1
+        assert rank_verdict(seq, 16, lag_screen(seq, 16)) == -1
         stacked = TapSequence.stack([seq] + [random_seq(671 + key, 3, 12, 4, offset=-1) for key in range(3)])
-        assert rank_verdict(stacked, 16, lag_gram(stacked, 16)) == [-1] * 4
-        assert rank_verdict(stacked, 16, tridiagonalize(lag_gram(stacked, 16))) == [-1] * 4
+        assert rank_verdict(stacked, 16, lag_screen(stacked, 16)) == [-1] * 4
 
     def test_small_orders_run_without_eigendecompositions(self, monkeypatch):
         # at orders up to LDL_MAX_ORDER every rate, screen and noise check
@@ -674,8 +673,8 @@ class TestRankCheck:
 
     def test_one_subcarrier_grid_names_subcarrier_0(self):
         seq = TapSequence(0, planted(680, 5, 3, 0.0)[None])
-        for gram in (None, lag_gram(seq, 1)):
-            assert rank_verdict(seq, 1, gram) == 0
+        for screen in (None, lag_screen(seq, 1)):
+            assert rank_verdict(seq, 1, screen) == 0
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="tall"):
