@@ -10,6 +10,7 @@ uniform-linear-array steering vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -149,14 +150,40 @@ def steering_vector(
     """Unit-norm uniform-linear-array responses, one per arrival angle.
 
     ``spacing_ratio`` is element spacing over wavelength; the phase ramp is
-    ``2*pi*spacing_ratio*cos(angle)`` per element.  ``angle`` is a scalar or
-    an array; the antenna axis comes first, so the result has shape
+    ``phi = 2*pi*spacing_ratio*cos(angle)`` per element, and entry ``m`` is
+    ``exp(1j*m*phi) / sqrt(num_antennas)``.  ``angle`` is a scalar or an
+    array; the antenna axis comes first, so the result has shape
     ``(num_antennas, *angle.shape)``.
+
+    The entries are built by doubling, not by one complex ``exp`` each: one
+    ``cos`` and one ``sin`` call give ``exp(1j*2**j*phi)`` for every
+    ``j < ceil(log2(num_antennas))``, on the exact arguments ``2**j * phi``,
+    and rows ``[2**j, 2**(j+1))`` are rows ``[0, 2**j)`` times
+    ``exp(1j*2**j*phi)``.  Entry ``m`` is then a product of at most
+    ``ceil(log2(num_antennas))`` correctly rounded unit phasors, so its
+    error is a few ``eps`` per doubling, about ``1e-15`` at 500 antennas,
+    against ``eps * m * |phi|`` for ``exp`` of the rounded product ``m*phi``.
+    A ramp that is not finite for some ``m`` raises ``ValueError``.
     """
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
-    ramp = 2j * np.pi * spacing_ratio * np.arange(num_antennas)
-    return np.exp(np.multiply.outer(ramp, np.cos(angle))) / np.sqrt(num_antennas)
+    levels = int(num_antennas - 1).bit_length()
+    with np.errstate(all="ignore"):
+        phase = (2.0 * np.pi * spacing_ratio) * np.cos(angle)
+        doubled = np.multiply.outer(2.0 ** np.arange(levels), phase)
+    if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(doubled))):
+        raise ValueError(
+            f"phase ramp 2*pi*spacing_ratio*m*cos(angle) is not finite for m < {num_antennas}"
+        )
+    rotations = np.empty(doubled.shape, dtype=complex)
+    np.cos(doubled, out=rotations.real)
+    np.sin(doubled, out=rotations.imag)
+    out = np.empty((num_antennas, *phase.shape), dtype=complex)
+    out[0] = 1.0 / np.sqrt(num_antennas)
+    for j, rotation in enumerate(rotations):
+        n = 1 << j
+        np.multiply(out[: min(n, num_antennas - n)], rotation, out=out[n : 2 * n])
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +191,9 @@ class SparseChannelConfig:
     """Clustered-arrival geometry: one cluster per delay tap.
 
     ``angular_spread_deg`` is the standard deviation of the Laplacian offsets
-    of in-cluster paths around the cluster center.
+    of in-cluster paths around the cluster center.  The path count is an
+    integer of at least 1 (not a bool); the spread and the spacing ratio are
+    positive and finite, and so is the phase step ``2*pi*spacing_ratio``.
     """
 
     paths_per_cluster: int = 5
@@ -172,12 +201,20 @@ class SparseChannelConfig:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.paths_per_cluster < 1:
-            raise ValueError("need at least one path per cluster")
-        if not self.angular_spread_deg > 0.0:
-            raise ValueError("angular spread must be positive")
-        if not self.spacing_ratio > 0.0:
-            raise ValueError("spacing ratio must be positive")
+        paths = self.paths_per_cluster
+        if isinstance(paths, bool) or not isinstance(paths, Integral) or paths < 1:
+            raise ValueError(f"paths_per_cluster must be an integer >= 1, got {paths!r}")
+        object.__setattr__(self, "paths_per_cluster", int(paths))
+        if not 0.0 < self.angular_spread_deg < np.inf:
+            raise ValueError(
+                f"angular_spread_deg must be positive and finite, got {self.angular_spread_deg!r}"
+            )
+        # the phase step between neighbouring elements must be a number too
+        if not 0.0 < 2.0 * np.pi * self.spacing_ratio < np.inf:
+            raise ValueError(
+                "spacing_ratio must be positive with a finite phase step "
+                f"2*pi*spacing_ratio, got {self.spacing_ratio!r}"
+            )
 
 
 def draw_sparse(
@@ -202,9 +239,11 @@ def draw_sparse(
     offsets = laplace(rng, spread / np.sqrt(2.0), shape)
     gains = complex_normal(rng, shape) * np.sqrt(pdp.gains)[:, None, :]
     angles = centers[:, None, :] + offsets
-    responses = steering_vector(dims.antennas, angles, config.spacing_ratio)
     scale = np.sqrt(dims.antennas / (dims.taps * num_paths))
-    taps = scale * np.einsum("lpu,mlpu->lmu", gains, responses)
+    # paths first after the antennas: (M, paths, L, U), summed over paths
+    responses = steering_vector(dims.antennas, np.moveaxis(angles, 1, 0), config.spacing_ratio)
+    responses *= scale * np.moveaxis(gains, 1, 0)
+    taps = np.swapaxes(responses.sum(axis=1), 0, 1)
     return ChannelRealization(dims, TapSequence(0, taps), pdp)
 
 

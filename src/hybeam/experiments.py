@@ -56,6 +56,7 @@ from .metrics import (
     reduced_rates,
     sinr_sum_rates,
     spectral_rates,
+    whiten,
 )
 from .numerics import (
     SingularMatrixError,
@@ -262,6 +263,16 @@ def _gram_reduction(seqs: list[TapSequence], num_subcarriers: int) -> Tridiagona
     return hermitian_reduction(grams)
 
 
+def _tap_whitened(effective: EffectiveChannel) -> tuple[TapSequence, np.ndarray]:
+    """The effective taps of a one-tap combiner ``W_0``, whitened against the
+    noise covariance ``C = W_0 W_0^H`` that all its subcarriers share, and
+    the mask of the draws whose ``C`` is singular (their taps read zero)."""
+    w0 = effective.combiner.taps.taps[..., 0, :, :]
+    cov = w0 @ np.conj(np.swapaxes(w0, -1, -2))
+    white, singular = whiten(effective.taps.taps, cov[..., None, :, :])
+    return TapSequence(effective.taps.offset, white), np.any(singular, axis=-1)
+
+
 def _evaluate_chunk(
     scenario: Scenario, channels: list[ChannelRealization], spreads: bool = False
 ) -> list[tuple[dict, dict | None]]:
@@ -274,21 +285,28 @@ def _evaluate_chunk(
     combiners, convolutions, SINR rates, delay spreads, Grams, rank screens
     and log-det rates, and each scheme is evaluated once.  Every log-det
     rate covers the whole SNR grid from one Hermitian reduction
-    (``hermitian_reduction``) per Gram: the white Grams of the chunk, the
-    raw channel's and each combiner base's effective one, share a single
-    reduction, which the capacities read and the rank screens too.  Rates
+    (``hermitian_reduction``) per Gram, and the chunk's lag Grams share a
+    single reduction: the raw channel's, each combiner base's effective
+    one, which the capacities and the rank screens read, and the whitened
+    effective Gram of each ``base+zf`` whose combiner has one tap.  Rates
     keep the combined noise at its exact covariance ``C``, so an invertible
     ZF baseband ``B`` drops out of them: ``(BG)^H (BCB^H)^{-1} (BG) =
     G^H C^{-1} G``.  ZF is therefore only a rank check here: ``zf`` has the
     raw capacity's rates (``W = H^+`` leaves ``H^H H``), and ``base+zf`` the
-    colored-noise rate of the effective channel itself.  A failure is a
-    per-draw mask, charged to its own scheme alone: ``zf`` fails on the
-    draws whose raw channel loses rank on some subcarrier, and ``base+zf``
-    on those whose effective channel does or whose ``C`` is singular (NaN
-    rates).  Every Gram comes from lag products of taps (``gram_spectrum``):
-    the only spectra are the effective ones that ``base+zf`` whitens, and
-    those of the draws whose rank check doubts a subcarrier.  The delay
-    spreads read the same cached effective channels as the schemes.
+    colored-noise rate of the effective channel itself.  The colored noise
+    is whitened where ``C`` is known (``metrics.whiten``): a one-tap
+    combiner's ``C = W_0 W_0^H`` is the same on every subcarrier, so its
+    effective taps are whitened once per draw (``_tap_whitened``) and their
+    lag Gram joins the reduction; a multi-tap combiner's ``C(k)`` changes
+    with the subcarrier, so ``spectral_rates`` whitens its effective
+    spectrum bin by bin.  A failure is a per-draw mask, charged to its own
+    scheme alone: ``zf`` fails on the draws whose raw channel loses rank on
+    some subcarrier, and ``base+zf`` on those whose effective channel does
+    or whose ``C`` is singular (NaN rates).  Every Gram comes from lag
+    products of taps (``gram_spectrum``): the only spectra are the
+    effective ones of multi-tap ``base+zf`` schemes, and those of the draws
+    whose rank check doubts a subcarrier.  The delay spreads read the same
+    cached effective channels as the schemes.
     """
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
@@ -304,14 +322,22 @@ def _evaluate_chunk(
     def pdp(base: str) -> EffectivePdp:
         return pdp_of_effective(build(base))
 
-    # the raw Gram (key None) if a scheme reads it, then each base's effective Gram
+    # the raw Gram (key None) if a scheme reads it, then each base's effective
+    # Gram, then the whitened Gram of each one-tap base+zf (key: the scheme)
     raw_schemes = ("capacity", "zf")
-    keys = [None] if set(raw_schemes) & set(scenario.schemes) else []
-    keys += dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
-    if keys:
-        reduced = _gram_reduction([raw if key is None else build(key).taps for key in keys], k)
-        white = dict(zip(keys, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
-        screen = {key: reduced[i] for i, key in enumerate(keys)}
+    seqs = {None: raw} if set(raw_schemes) & set(scenario.schemes) else {}
+    bases = dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
+    seqs.update((base, build(base).taps) for base in bases)
+    tap_whitened = {
+        base: _tap_whitened(build(base))
+        for base in bases
+        if f"{base}+zf" in scenario.schemes and build(base).combiner.taps.span == 1
+    }
+    seqs.update((f"{base}+zf", taps) for base, (taps, _) in tap_whitened.items())
+    if seqs:
+        reduced = _gram_reduction(list(seqs.values()), k)
+        white = dict(zip(seqs, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
+        screen = {key: reduced[i] for i, key in enumerate(seqs)}
 
     def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray]:
         """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of failed draws."""
@@ -322,7 +348,10 @@ def _evaluate_chunk(
         base = scheme.removesuffix("+zf")
         effective = build(base)
         if base != scheme:
-            rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
+            if base in tap_whitened:
+                rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
+            else:
+                rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
             rank = first_rank_deficient(effective.taps, k, screen[base])
             return [rates], (rank >= 0) | np.isnan(rates[0])
         # every link of the grid has unit noise variance: its transmit power is its SNR

@@ -7,16 +7,20 @@ is read from the reduction (``reduced_rates``).  Up to ``LDL_MAX_ORDER``
 the reduction is ``numerics.tridiagonalize``'s tridiagonal ``T``, whose
 ``det(I + snr * T)`` is the product of the pivots of an ``O(n)``
 recurrence; larger orders take the eigenvalues of one ``eigvalsh`` per
-matrix.  Colored noise of covariance ``C(k)`` is whitened first: up to
-``LDL_MAX_ORDER`` rows by the ``L D L^H`` factor of ``C`` (its pivots are
-those of ``numerics.ldl_pivots``), above by LAPACK's Cholesky factor.
-Either way the noise keeps its exact covariance, and ``gram_rates`` and
-``spectral_rates`` take stacks with leading axes.  At every order the
-pivots of ``C(k)`` decide whether the noise covariance is singular (above
-``LDL_MAX_ORDER``, so does a failed Cholesky factorization):
-``spectral_rates`` marks such a grid of a stack with NaN rates instead of
-raising, and the one-grid adapters ``rate_spectral`` and
-``achievable_rate_hybrid`` raise ``SingularMatrixError`` for it.
+matrix.  Colored noise of covariance ``C`` is whitened first, in one
+place, ``whiten``: up to ``LDL_MAX_ORDER`` rows by the ``L D L^H`` factor
+of ``C`` (its pivots are those of ``numerics.ldl_pivots``), above by
+LAPACK's Cholesky factor.  ``spectral_rates`` whitens a signal grid
+against its per-subcarrier ``C(k)``; the runner whitens the effective taps
+of a one-tap combiner against the one ``C = W_0 W_0^H`` that every
+subcarrier shares, and reads their lag Gram.  Either way the noise keeps
+its exact covariance, and ``whiten``, ``gram_rates`` and ``spectral_rates``
+take stacks with leading axes.  At every order the pivots of ``C`` decide
+whether the noise covariance is singular (above ``LDL_MAX_ORDER``, so does
+a failed Cholesky factorization): ``spectral_rates`` marks such a grid of a
+stack with NaN rates instead of raising, and the one-grid adapters
+``rate_spectral`` and ``achievable_rate_hybrid`` raise
+``SingularMatrixError`` for it.
 """
 
 from __future__ import annotations
@@ -87,45 +91,60 @@ def gram_rates(gram: np.ndarray, snrs) -> np.ndarray:
     return reduced_rates(hermitian_reduction(gram), snrs)
 
 
+def whiten(signal: np.ndarray, noise_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whitened signal ``A`` with ``A^H A = S^H C^{-1} S``, and where ``C`` is singular.
+
+    ``signal`` (``S``) is a ``(..., rows, cols)`` stack and ``noise_cov``
+    (``C``) a Hermitian ``(..., rows, rows)`` stack of its noise
+    covariances; their leading axes broadcast, so one ``C`` can whiten a
+    subcarrier grid or a tap sequence.  Up to ``LDL_MAX_ORDER`` rows, ``C``
+    is factored once, ``L D L^H``, and ``A = D^{-1/2} L^{-1} S``
+    (``numerics.whitened``); above, ``A = L^{-1} S`` for LAPACK's Cholesky
+    factor ``L``.  The mask, of ``C``'s leading shape, marks each ``C``
+    with a pivot that is not positive, the singularity that stops a
+    Cholesky factorization; above ``LDL_MAX_ORDER`` also one that passes
+    that test within rounding of singular but which the Cholesky still
+    rejects.  The whitened signal of a marked ``C`` reads zero.
+    """
+    a = np.asarray(signal, dtype=complex)
+    cov = np.asarray(noise_cov, dtype=complex)
+    if a.shape[-2] <= LDL_MAX_ORDER:
+        white, pivots = whitened(a, cov)
+        singular = ~np.all(pivots > 0.0, axis=-1)
+    else:
+        singular = ~np.all(ldl_pivots(cov) > 0.0, axis=-1)
+        # np.linalg.cholesky's own gufunc, without the error state that makes
+        # one matrix it cannot factor (left NaN) raise for the whole stack:
+        # the other factors are the same bits
+        with np.errstate(invalid="ignore"):
+            chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
+        singular |= np.any(np.isnan(chol), axis=(-2, -1))
+        chol = np.where(singular[..., None, None], np.eye(a.shape[-2]), chol)
+        white = np.linalg.solve(chol, a)
+    if np.any(singular):
+        white = np.where(singular[..., None, None], 0.0, white)
+    return white, singular
+
+
 def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np.ndarray:
     """``mean_k log2 det(I + snr * A(k)^H A(k))`` for every linear SNR in ``snrs``.
 
     ``signal`` is a ``(..., K, rows, cols)`` grid and the result is
     ``(len(snrs), ...)``.  ``A(k)`` is ``signal[k]`` itself in white noise
-    (``noise_cov=None``) and the whitened signal when the noise has
-    covariance ``C(k)``; either way the rate is ``gram_rates`` of
-    ``A^H A``.  Up to ``LDL_MAX_ORDER`` rows, ``C`` is factored once,
-    ``L D L^H``, and ``A = D^{-1/2} L^{-1} signal[k]`` (``numerics.whitened``).
-    A grid whose ``C(k)`` has a pivot that is not positive on some
-    subcarrier, the singularity that stops a Cholesky factorization, has no
-    rate: it reads NaN at every SNR, and the other grids of the stack keep
-    the values they have alone.  Above ``LDL_MAX_ORDER`` rows,
-    ``A = L^{-1} signal[k]`` for LAPACK's Cholesky factor ``L``; a grid
-    whose ``C(k)`` passes the pivot test within rounding of singular, but
-    which that Cholesky still rejects, reads NaN as well.
+    (``noise_cov=None``) and, when the noise has covariance ``C(k)``, the
+    signal whitened on each subcarrier (``whiten``); either way the rate is
+    ``gram_rates`` of ``A^H A``.  A grid whose ``C(k)`` ``whiten`` marks
+    singular on some subcarrier has no rate: it reads NaN at every SNR,
+    and the other grids of the stack keep the values they have alone.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim < 3:
         raise ValueError("expected a (K, rows, cols) signal grid")
     if noise_cov is None:
         return gram_rates(_adjoint(a) @ a, snrs)
-    cov = np.asarray(noise_cov, dtype=complex)
-    if a.shape[-2] <= LDL_MAX_ORDER:
-        white, pivots = whitened(a, cov)
-        singular = ~np.all(pivots > 0.0, axis=(-2, -1))
-    else:
-        singular = ~np.all(ldl_pivots(cov) > 0.0, axis=(-2, -1))
-        # np.linalg.cholesky's own gufunc, without the error state that makes
-        # one matrix it cannot factor (left NaN) raise for the whole stack:
-        # the other factors are the same bits.  Such a grid has no rate either
-        with np.errstate(invalid="ignore"):
-            chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
-        singular |= np.any(np.isnan(chol), axis=(-3, -2, -1))
-        chol = np.where(singular[..., None, None, None], np.eye(a.shape[-2]), chol)
-        white = np.linalg.solve(chol, a)
-    with np.errstate(invalid="ignore", over="ignore"):
-        rates = gram_rates(_adjoint(white) @ white, snrs)
-    return np.where(singular, np.nan, rates)
+    white, singular = whiten(a, noise_cov)
+    rates = gram_rates(_adjoint(white) @ white, snrs)
+    return np.where(np.any(singular, axis=-1), np.nan, rates)
 
 
 def _colored_rate(signal: np.ndarray, noise_cov: np.ndarray, link: LinkBudget) -> float:

@@ -187,8 +187,52 @@ class TestSteeringVector:
                 grid[(slice(None), *index)], steering_vector(6, angles[index], 0.3), atol=1e-15
             )
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 100, 400, 500])
+    def test_doubling_matches_long_double_phasors(self, m):
+        # exp(1j*k*phi) for the same rounded phase phi, with k*phi and the
+        # phasor evaluated in long double
+        angles = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 37), [0.3, 1.0e-9, 2.9]])
+        for ratio in (0.5, 0.3, 2.7):
+            phase = (2.0 * np.pi * ratio) * np.cos(angles)
+            wide = np.arange(m, dtype=np.longdouble)
+            turns = np.multiply.outer(wide, phase.astype(np.longdouble))
+            exact = np.cos(turns) + 1j * np.sin(turns)
+            unit = steering_vector(m, angles, ratio) * math.sqrt(m)
+            assert float(np.max(np.abs(unit - exact))) < 1e-13
+
+    def test_ramp_that_is_not_finite_raises_without_warnings(self):
+        # warnings are errors under this suite's settings, so a leaked
+        # RuntimeWarning would fail the match
+        cases = ((np.inf, 0.5, 4), (np.nan, 0.5, 4), (0.0, np.inf, 4), (0.0, 1.0e306, 500))
+        for angle, ratio, m in cases:
+            with pytest.raises(ValueError, match="phase ramp"):
+                steering_vector(m, np.array([0.2, angle]), ratio)
+        # the same step over too few elements to overflow is a number
+        assert np.all(np.isfinite(steering_vector(2, 0.0, 1.0e306)))
+
 
 class TestDrawSparse:
+    def test_matches_einsum_oracle(self):
+        # the path sum and the phasors against einsum of complex exponentials
+        for dims, cfg, seed in (
+            (DIMS, SparseChannelConfig(), 4),
+            (SystemDims(100, 4, 4, 128), SparseChannelConfig(), 5),
+            (SystemDims(7, 2, 1, 4), SparseChannelConfig(3, 20.0, 0.3), 6),
+        ):
+            pdp = exponential_pdp(dims.taps, dims.users)
+            shape = (dims.taps, cfg.paths_per_cluster, dims.users)
+            rng = stream(seed)
+            centers = 2.0 * np.pi * rng.random((dims.taps, dims.users))
+            offsets = laplace(rng, np.deg2rad(cfg.angular_spread_deg) / np.sqrt(2.0), shape)
+            gains = complex_normal(rng, shape) * np.sqrt(pdp.gains)[:, None, :]
+            angles = centers[:, None, :] + offsets
+            ramp = 2j * np.pi * cfg.spacing_ratio * np.arange(dims.antennas)
+            responses = np.exp(np.multiply.outer(ramp, np.cos(angles))) / np.sqrt(dims.antennas)
+            scale = np.sqrt(dims.antennas / (dims.taps * cfg.paths_per_cluster))
+            oracle = scale * np.einsum("lpu,mlpu->lmu", gains, responses)
+            taps = draw_sparse(dims, pdp, cfg, seed).taps.taps
+            np.testing.assert_allclose(taps, oracle, rtol=0.0, atol=1e-12 * np.max(np.abs(oracle)))
+
     def test_reproducible(self):
         pdp = exponential_pdp(DIMS.taps, DIMS.users)
         cfg = SparseChannelConfig()
@@ -229,6 +273,26 @@ class TestDrawSparse:
             SparseChannelConfig(angular_spread_deg=0.0)
         with pytest.raises(ValueError):
             SparseChannelConfig(spacing_ratio=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("paths_per_cluster", 2.5),
+            ("paths_per_cluster", True),
+            ("paths_per_cluster", "3"),
+            ("angular_spread_deg", math.inf),
+            ("angular_spread_deg", math.nan),
+            ("spacing_ratio", math.inf),
+            ("spacing_ratio", 1e308),
+        ],
+    )
+    def test_config_rejects_what_a_draw_cannot_honour(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SparseChannelConfig(**{field: value})
+
+    def test_config_takes_integer_path_counts(self):
+        cfg = SparseChannelConfig(paths_per_cluster=np.int64(3))
+        assert cfg.paths_per_cluster == 3 and type(cfg.paths_per_cluster) is int
 
 
 class TestSpectrumAndDump:

@@ -485,6 +485,25 @@ class TestConfigFiles:
             assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_sparse_values_a_draw_cannot_honour_rejected_before_any_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        monkeypatch.setattr(experiments, "draw_realization", never_run)
+        for key, value in (
+            ("angular_spread_deg", "inf"),
+            ("spacing_ratio", "1e308"),
+            ("paths_per_cluster", "0"),
+        ):
+            config = tmp_path / "sparse.ini"
+            config.write_text(f"[x]\nM = 16\nmodel = sparse\nschemes = capacity\n{key} = {value}\n")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[x]\nschemes = capacity\nbogus = 1\n")

@@ -30,6 +30,7 @@ from hybeam.metrics import (
     achievable_rate_hybrid,
     capacity,
     rate_spectral,
+    spectral_rates,
 )
 from hybeam.numerics import TapSequence
 
@@ -166,11 +167,11 @@ class TestRunScenario:
             assert row.seed == 99
 
     def test_each_spectrum_computed_once(self, monkeypatch):
-        # per chunk, two stacked DFTs, the effective spectra that both RF
-        # bases' ZF stages whiten; five stacked lag-product Grams, the raw
-        # channel's and both bases' effective ones, then the noise covariance
-        # of each base that feeds a ZF stage; and no (K, M, U) array while
-        # the rank screen passes
+        # per chunk, one stacked DFT, the effective spectrum that rf_ltap's
+        # ZF stage whitens bin by bin; five stacked lag-product Grams, the raw
+        # channel's, both bases' effective ones and rf_1tap's effective taps
+        # whitened against its one-tap noise covariance, then rf_ltap's noise
+        # covariance; and no (K, M, U) array while the rank screen passes
         dfts, grams = [], []
 
         def counting(original, calls):
@@ -201,8 +202,8 @@ class TestRunScenario:
         assert [index for index, _, _ in out] == list(range(chunk + 3))
         assert all(v is not None for _, values, _ in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
-        assert dfts == [(chunk, users, users)] * 2 + [(3, users, users)] * 2
-        per_chunk = [(antennas, users)] + [(users, users)] * 2 + [(antennas, users)] * 2
+        assert dfts == [(chunk, users, users), (3, users, users)]
+        per_chunk = [(antennas, users)] + [(users, users)] * 3 + [(antennas, users)]
         assert grams == [(draws, *shape) for draws in (chunk, 3) for shape in per_chunk]
         # the raw rank check of zf shares the capacity's Gram and needs no DFT
         dfts.clear()
@@ -643,6 +644,73 @@ def one_draw_scenarios(draw):
         channel_model=draw(st.sampled_from(["rich", "sparse"])),
         master_seed=draw(st.integers(0, 2**32 - 1)),
     )
+
+
+ONE_TAP_ZF = ("rf_1tap+zf", "heuristic_1tap+zf")
+
+
+class TestTapWhitenedZf:
+    """A one-tap combiner's noise covariance ``W_0 W_0^H`` is the same on every
+    subcarrier, so the runner whitens its effective taps once per draw."""
+
+    @pytest.mark.parametrize("model", ["rich", "sparse"])
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            SMALL_DIMS,
+            replace(SMALL_DIMS, taps=1),
+            SystemDims(antennas=24, users=numerics.LDL_MAX_ORDER + 1, taps=2, subcarriers=8),
+        ],
+        ids=["multi-tap", "L=1", "above LDL_MAX_ORDER"],
+    )
+    def test_equals_the_spectrum_whitened_per_subcarrier(self, monkeypatch, model, dims):
+        s = small_scenario(
+            dims=dims, snr_db=(-10.0, 10.0, 30.0), schemes=ONE_TAP_ZF, channel_model=model
+        )
+        channels = [draw_realization(s, index) for index in range(3)]
+
+        def per_subcarrier(*args, **kwargs):
+            raise AssertionError("a one-tap ZF scheme was whitened per subcarrier")
+
+        monkeypatch.setattr(experiments, "spectral_rates", per_subcarrier)
+        outcomes = _evaluate_chunk(s, channels)
+        monkeypatch.undo()
+        snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
+        for ch, (values, _) in zip(channels, outcomes):
+            for scheme in ONE_TAP_ZF:
+                eff = effective_channel(experiments._COMBINERS[scheme[:-3]](ch), ch)
+                expected = spectral_rates(eff.spectrum, eff.noise_cov_spectrum, snrs)
+                np.testing.assert_allclose(values[scheme][0], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("users", [SMALL_DIMS.users, numerics.LDL_MAX_ORDER + 1])
+    def test_planted_singular_noise_covariance_fails_its_draw_alone(self, monkeypatch, users):
+        # users 0 and 1 of draw 1 share their leading tap up to a positive
+        # factor, so rf_1tap gives them the same row and C_0 = W_0 W_0^H is
+        # singular: rf_1tap+zf fails there and nothing else anywhere, both
+        # with the rank screen and with a screen that passes every draw,
+        # where the noise mask alone decides
+        s = small_scenario(
+            dims=replace(SMALL_DIMS, users=users),
+            schemes=("capacity", "rf_1tap", "rf_ltap+zf") + ONE_TAP_ZF,
+        )
+        channels = [draw_realization(s, index) for index in range(3)]
+        taps = channels[1].taps.taps.copy()
+        taps[0, :, 1] = 2.0 * taps[0, :, 0]
+        channels[1] = replace(channels[1], taps=TapSequence(0, taps))
+        alone = [_evaluate_chunk(s, [ch])[0][0] for ch in channels]
+        for unscreened in (False, True):
+            if unscreened:
+                monkeypatch.setattr(
+                    experiments,
+                    "first_rank_deficient",
+                    lambda seq, k, reduced=None: np.full(seq.taps.shape[:-3], -1),
+                )
+            outcomes = [values for values, _ in _evaluate_chunk(s, channels)]
+            for draw, values in enumerate(outcomes):
+                for scheme, got in values.items():
+                    assert (got is None) == (draw == 1 and scheme == "rf_1tap+zf"), (draw, scheme)
+                    if got is not None:
+                        np.testing.assert_allclose(got, alone[draw][scheme], rtol=1e-13, atol=0.0)
 
 
 class TestRateProperties:
