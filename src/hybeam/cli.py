@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -116,16 +117,18 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
 _DIM_KEYS = ("antennas", "users", "taps", "subcarriers")
 _KEY_ALIASES = {"m": "antennas", "u": "users", "l": "taps", "k": "subcarriers"}
 _SPARSE_KEYS = {"paths_per_cluster": int, "angular_spread_deg": float, "spacing_ratio": float}
-# key -> (Scenario field, parser)
-_SCENARIO_KEYS = {
-    "snr": ("snr_db", parse_snr_spec),
-    "realizations": ("realizations", int),
-    "seed": ("master_seed", int),
-}
-_CONFIG_KEYS = set(_DIM_KEYS) | set(_SPARSE_KEYS) | set(_SCENARIO_KEYS) | {
-    "model",
-    "schemes",
-    "antenna_sweep",
+# key -> Scenario field
+_SCENARIO_KEYS = {"snr": "snr_db", "realizations": "realizations", "seed": "master_seed"}
+# key -> parser of its value; an integer key rejects "16.5" instead of truncating it
+_CONFIG_KEYS = {
+    **dict.fromkeys(_DIM_KEYS, int),
+    **_SPARSE_KEYS,
+    "snr": parse_snr_spec,
+    "realizations": int,
+    "seed": int,
+    "model": str,
+    "schemes": lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
+    "antenna_sweep": lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
 }
 
 
@@ -134,7 +137,8 @@ def load_config(path) -> list[Preset]:
 
     Geometry, SNR grid, realization count and seed that a section leaves out
     take the presets' standard values, which ``fig2`` uses unchanged; sparse
-    keys it leaves out keep the defaults of ``SparseChannelConfig``.
+    keys it leaves out keep the defaults of ``SparseChannelConfig``.  A value
+    that does not parse fails as ``[section] key: reason``.
     """
     template = PRESETS["fig2"].scenario
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -143,25 +147,23 @@ def load_config(path) -> list[Preset]:
     presets = []
     for section in parser.sections():
         raw = {}
-        for key, value in parser.items(section):
-            key = _KEY_ALIASES.get(key.lower(), key.lower())
+        for name, value in parser.items(section):
+            key = _KEY_ALIASES.get(name.lower(), name.lower())
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"[{section}] unknown key {key!r}")
-            raw[key] = value.strip()
-        dims = {key: int(raw[key]) for key in _DIM_KEYS if key in raw}
+            try:
+                raw[key] = _CONFIG_KEYS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {name}: {exc}") from None
+        dims = {key: raw[key] for key in _DIM_KEYS if key in raw}
         model = raw.get("model", template.channel_model)
-        updates = {
-            field: parse(raw[key]) for key, (field, parse) in _SCENARIO_KEYS.items() if key in raw
-        }
+        updates = {field: raw[key] for key, field in _SCENARIO_KEYS.items() if key in raw}
         if model == "sparse":
-            sparse = {key: cast(raw[key]) for key, cast in _SPARSE_KEYS.items() if key in raw}
+            sparse = {key: raw[key] for key in _SPARSE_KEYS if key in raw}
             updates["sparse"] = replace(SparseChannelConfig(), **sparse)
         elif any(key in raw for key in _SPARSE_KEYS):
             raise ValueError(f"[{section}] sparse keys given but model is {model!r}")
-        schemes = tuple(tok.strip() for tok in raw.get("schemes", "").split(",") if tok.strip())
-        sweep = tuple(
-            int(tok) for tok in raw.get("antenna_sweep", "").split(",") if tok.strip()
-        )
+        schemes, sweep = raw.get("schemes", ()), raw.get("antenna_sweep", ())
         if not schemes and not sweep:
             raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
         scenario = replace(
@@ -179,16 +181,14 @@ def load_config(path) -> list[Preset]:
 
 
 def _apply_overrides(preset: Preset, args) -> Preset:
+    given = {key: value for key, value in vars(args).items() if value is not None}
     scenario = preset.scenario
-    dims = {key: getattr(args, key) for key in _DIM_KEYS if getattr(args, key) is not None}
-    updates = {"dims": replace(scenario.dims, **dims)}
-    if args.realizations is not None:
-        updates["realizations"] = args.realizations
-    if args.snr is not None:
-        updates["snr_db"] = parse_snr_spec(args.snr)
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    return replace(preset, scenario=replace(scenario, **updates))
+    dims = replace(scenario.dims, **{key: given[key] for key in _DIM_KEYS if key in given})
+    # the scenario keys' options share their names and parsers with the config keys
+    updates = {
+        field: _CONFIG_KEYS[key](given[key]) for key, field in _SCENARIO_KEYS.items() if key in given
+    }
+    return replace(preset, scenario=replace(scenario, dims=dims, **updates))
 
 
 def cmd_list(args) -> int:
@@ -347,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # run as the program: the objects made at import live until exit, so
+        # no collection, the one at exit included, need traverse them again
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

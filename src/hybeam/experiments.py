@@ -39,6 +39,7 @@ from .channel import (
     draw_sparse,
     dump_channel,
     exponential_pdp,
+    steering_vector,
 )
 from .closed_forms import (
     MODEL_1TAP,
@@ -56,6 +57,7 @@ from .metrics import (
     reduced_rates,
     sinr_sum_rates,
     spectral_rates,
+    squared_rates,
     whiten,
 )
 from .numerics import (
@@ -63,7 +65,8 @@ from .numerics import (
     TapSequence,
     Tridiagonal,
     first_rank_deficient,
-    gram_spectrum,
+    gram_of_lags,
+    lag_products,
 )
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
@@ -252,14 +255,14 @@ def _metrics(scheme: str) -> tuple[str, ...]:
     return ("rate", "capacity")
 
 
-def _gram_reduction(seqs: list[TapSequence], num_subcarriers: int) -> Tridiagonal:
-    """``hermitian_reduction`` of the lag Grams of ``seqs``, which share their
-    leading axes and column count, stacked on a new first axis.  Each Gram is
-    written into its slot of one array, which is freed on return."""
-    lead, cols = seqs[0].taps.shape[:-3], seqs[0].shape[1]
-    grams = np.empty((len(seqs), *lead, num_subcarriers, cols, cols), dtype=complex)
-    for seq, gram in zip(seqs, grams):
-        gram_spectrum(seq, num_subcarriers, out=gram)
+def _gram_reduction(lags: list[np.ndarray], num_subcarriers: int) -> Tridiagonal:
+    """``hermitian_reduction`` of the Grams of ``lags`` (``lag_products`` that
+    share their leading axes and column count), stacked on a new first axis.
+    Each Gram is written into its slot of one array, which is freed on return."""
+    lead, cols = lags[0].shape[:-3], lags[0].shape[-1]
+    grams = np.empty((len(lags), *lead, num_subcarriers, cols, cols), dtype=complex)
+    for products, gram in zip(lags, grams):
+        gram_of_lags(products, num_subcarriers, out=gram)
     return hermitian_reduction(grams)
 
 
@@ -283,30 +286,36 @@ def _evaluate_chunk(
 
     Everything after the draws is one stacked computation over the chunk:
     combiners, convolutions, SINR rates, delay spreads, Grams, rank screens
-    and log-det rates, and each scheme is evaluated once.  Every log-det
-    rate covers the whole SNR grid from one Hermitian reduction
-    (``hermitian_reduction``) per Gram, and the chunk's lag Grams share a
-    single reduction: the raw channel's, each combiner base's effective
-    one, which the capacities and the rank screens read, and the whitened
-    effective Gram of each ``base+zf`` whose combiner has one tap.  Rates
-    keep the combined noise at its exact covariance ``C``, so an invertible
-    ZF baseband ``B`` drops out of them: ``(BG)^H (BCB^H)^{-1} (BG) =
-    G^H C^{-1} G``.  ZF is therefore only a rank check here: ``zf`` has the
-    raw capacity's rates (``W = H^+`` leaves ``H^H H``), and ``base+zf`` the
-    colored-noise rate of the effective channel itself.  The colored noise
-    is whitened where ``C`` is known (``metrics.whiten``): a one-tap
-    combiner's ``C = W_0 W_0^H`` is the same on every subcarrier, so its
-    effective taps are whitened once per draw (``_tap_whitened``) and their
-    lag Gram joins the reduction; a multi-tap combiner's ``C(k)`` changes
-    with the subcarrier, so ``spectral_rates`` whitens its effective
-    spectrum bin by bin.  A failure is a per-draw mask, charged to its own
-    scheme alone: ``zf`` fails on the draws whose raw channel loses rank on
-    some subcarrier, and ``base+zf`` on those whose effective channel does
-    or whose ``C`` is singular (NaN rates).  Every Gram comes from lag
-    products of taps (``gram_spectrum``): the only spectra are the
-    effective ones of multi-tap ``base+zf`` schemes, and those of the draws
-    whose rank check doubts a subcarrier.  The delay spreads read the same
-    cached effective channels as the schemes.
+    and log-det rates, and each scheme is evaluated once.  The raw lag
+    products ``R_d = sum_i H_i^H H_{i+d}`` (``lag_products``) are formed
+    once per chunk.  They give the raw Gram, and the matched filter's
+    effective taps ``R_d / sqrt(M)`` without a convolution: its tap ``-l``
+    is ``H_l^H / sqrt(M)``.  Every log-det rate covers the whole SNR grid
+    from one Hermitian reduction (``hermitian_reduction``) per Gram, and the
+    chunk's Grams share a single reduction: the raw channel's; each other
+    combiner base's effective one, which the capacities and the rank
+    screens read; and the whitened effective Gram of each ``base+zf`` whose
+    combiner has one tap.  The MF's capacity reads the raw reduction: its
+    Gram is ``R(k)^2 / M`` (``metrics.squared_rates``), so fig2 forms one
+    Gram per chunk, and the MF's own Gram joins only for the rank screen of
+    ``mf+zf``.  Rates keep the combined noise at its exact covariance
+    ``C``, so an invertible ZF baseband ``B`` drops out of them:
+    ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a
+    rank check here: ``zf`` has the raw capacity's rates (``W = H^+``
+    leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
+    effective channel itself.  The colored noise is whitened where ``C`` is
+    known (``metrics.whiten``): a one-tap combiner's ``C = W_0 W_0^H`` is
+    the same on every subcarrier, so its effective taps are whitened once
+    per draw (``_tap_whitened``) and their lag Gram joins the reduction; a
+    multi-tap combiner's ``C(k)`` changes with the subcarrier, so
+    ``spectral_rates`` whitens its effective spectrum bin by bin.  A failure
+    is a per-draw mask, charged to its own scheme alone: ``zf`` fails on the
+    draws whose raw channel loses rank on some subcarrier, and ``base+zf``
+    on those whose effective channel does or whose ``C`` is singular (NaN
+    rates).  Every Gram comes from lag products of taps: the only spectra
+    are the effective ones of multi-tap ``base+zf`` schemes, and those of
+    the draws whose rank check doubts a subcarrier.  The delay spreads read
+    the same cached effective channels as the schemes.
     """
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
@@ -315,29 +324,46 @@ def _evaluate_chunk(
     no_failures = np.zeros(len(channels), dtype=bool)
 
     @cache
+    def raw_lags() -> np.ndarray:
+        return lag_products(raw)
+
+    @cache
     def build(base: str) -> EffectiveChannel:
-        return effective_channel(_COMBINERS[base](stacked), stacked)
+        combiner = _COMBINERS[base](stacked)
+        if base != "mf":
+            return effective_channel(combiner, stacked)
+        # tap -l of the MF is H_l^H / sqrt(M), so its effective tap d is R_d / sqrt(M)
+        scale = 1.0 / np.sqrt(scenario.dims.antennas)
+        return EffectiveChannel(combiner, TapSequence(1 - raw.span, scale * raw_lags()), k)
 
     @cache
     def pdp(base: str) -> EffectivePdp:
         return pdp_of_effective(build(base))
 
     # the raw Gram (key None) if a scheme reads it, then each base's effective
-    # Gram, then the whitened Gram of each one-tap base+zf (key: the scheme)
+    # Gram (the MF's only for the rank screen of mf+zf), then the whitened
+    # Gram of each one-tap base+zf (key: the scheme)
     raw_schemes = ("capacity", "zf")
-    seqs = {None: raw} if set(raw_schemes) & set(scenario.schemes) else {}
+    lags = {None: raw_lags()} if {*raw_schemes, "mf"} & set(scenario.schemes) else {}
     bases = dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
-    seqs.update((base, build(base).taps) for base in bases)
+    lags.update(
+        (base, lag_products(build(base).taps))
+        for base in bases
+        if base != "mf" or "mf+zf" in scenario.schemes
+    )
     tap_whitened = {
         base: _tap_whitened(build(base))
         for base in bases
         if f"{base}+zf" in scenario.schemes and build(base).combiner.taps.span == 1
     }
-    seqs.update((f"{base}+zf", taps) for base, (taps, _) in tap_whitened.items())
-    if seqs:
-        reduced = _gram_reduction(list(seqs.values()), k)
-        white = dict(zip(seqs, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
-        screen = {key: reduced[i] for i, key in enumerate(seqs)}
+    lags.update((f"{base}+zf", lag_products(taps)) for base, (taps, _) in tap_whitened.items())
+    if lags:
+        reduced = _gram_reduction(list(lags.values()), k)
+        white = dict(zip(lags, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
+        screen = {key: reduced[i] for i, key in enumerate(lags)}
+    if "mf" in scenario.schemes:
+        # the MF's Gram is R(k)^2 / M for the raw Gram R(k)
+        white["mf"] = squared_rates(screen[None], [snr / scenario.dims.antennas for snr in snrs])
 
     def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray]:
         """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of failed draws."""
@@ -462,7 +488,9 @@ def run_scenario(
     own size the sweep reads the chunks the schemes are evaluated on; every
     other size is drawn and evaluated by the same worker entry, in the same
     process pool, so every (size, realization) pair is drawn once.  Output
-    is identical for any worker count.
+    is identical for any worker count.  A sparse scenario's steering phase
+    ramp must be finite at the largest size drawn, which is also checked
+    before any draw.
     """
     workers = resolve_workers(workers)
     grid = _sweep_sizes(f"antenna sweep of {scenario.name}", antenna_sweep, scenario.dims.users)
@@ -472,6 +500,12 @@ def run_scenario(
         sized.setdefault(
             antennas, replace(scenario, dims=replace(scenario.dims, antennas=antennas), schemes=())
         )
+    if scenario.sparse is not None and sized:
+        # the steepest ramp of any draw: cos(angle) = 1 on the largest array
+        try:
+            steering_vector(max(sized), 0.0, scenario.sparse.spacing_ratio)
+        except ValueError as exc:
+            raise ValueError(f"spacing_ratio of {scenario.name}: {exc}") from None
     blocks = _split_indices(scenario.realizations, workers)
     payloads = [
         (sub, block, dump_dir if sub.schemes else None, antennas in grid)

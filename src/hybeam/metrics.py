@@ -7,13 +7,16 @@ is read from the reduction (``reduced_rates``).  Up to ``LDL_MAX_ORDER``
 the reduction is ``numerics.tridiagonalize``'s tridiagonal ``T``, whose
 ``det(I + snr * T)`` is the product of the pivots of an ``O(n)``
 recurrence; larger orders take the eigenvalues of one ``eigvalsh`` per
-matrix.  Colored noise of covariance ``C`` is whitened first, in one
-place, ``whiten``: up to ``LDL_MAX_ORDER`` rows by the ``L D L^H`` factor
-of ``C`` (its pivots are those of ``numerics.ldl_pivots``), above by
-LAPACK's Cholesky factor.  ``spectral_rates`` whitens a signal grid
-against its per-subcarrier ``C(k)``; the runner whitens the effective taps
-of a one-tap combiner against the one ``C = W_0 W_0^H`` that every
-subcarrier shares, and reads their lag Gram.  Either way the noise keeps
+matrix.  The same reduction of a Hermitian ``G(k)`` also gives the rates of
+``G(k)^2`` (``squared_rates``), the Gram of the matched filter's effective
+channel when ``G(k)`` is the raw one's.  Colored noise of covariance ``C``
+is whitened first, in one place, ``whiten``: up to ``LDL_MAX_ORDER`` rows
+by the ``L D L^H`` factor of ``C`` (its pivots are those of
+``numerics.ldl_pivots``), above by LAPACK's Cholesky factor.
+``spectral_rates`` whitens a signal grid against its per-subcarrier
+``C(k)``; the runner whitens the effective taps of a one-tap combiner
+against the one ``C = W_0 W_0^H`` that every subcarrier shares, and reads
+their lag Gram.  Either way the noise keeps
 its exact covariance, and ``whiten``, ``gram_rates`` and ``spectral_rates``
 take stacks with leading axes.  At every order the pivots of ``C`` decide
 whether the noise covariance is singular (above ``LDL_MAX_ORDER``, so does
@@ -81,6 +84,15 @@ def hermitian_reduction(mat: np.ndarray) -> Tridiagonal:
 def reduced_rates(reduced: Tridiagonal, snrs) -> np.ndarray:
     """``mean_k log2 det(I + snr * T(k))`` of a reduced ``(..., K)`` stack: ``(len(snrs), ...)``."""
     return np.mean(reduced.log2dets(snrs), axis=-1)
+
+
+def squared_rates(reduced: Tridiagonal, snrs) -> np.ndarray:
+    """``mean_k log2 det(I + snr * T(k)^2)`` of a reduced ``(..., K)`` stack: ``(len(snrs), ...)``.
+
+    The rates of the Grams ``G(k)^2`` of Hermitian ``G(k)``, read from the
+    reduction of ``G(k)`` itself (``Tridiagonal.log2dets_of_square``).
+    """
+    return np.mean(reduced.log2dets_of_square(snrs), axis=-1)
 
 
 def gram_rates(gram: np.ndarray, snrs) -> np.ndarray:

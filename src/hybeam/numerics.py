@@ -11,10 +11,10 @@ first subcarrier that fails it, so a caller can drop the failing sequences
 of a stack and keep the rest.  Two unrolled kernels, each step one
 operation on a whole stack, serve the log-det rates of ``metrics``:
 ``tridiagonalize`` reduces each Hermitian matrix once, after which
-``det(I + snr * T)`` for a whole SNR grid, and the inertia that the rank
-screen reads, are ``O(n)`` recurrences (``Tridiagonal``); ``ldl_pivots``
-factors single matrices, for the singular-noise mask and the whitening of a
-colored signal (``whitened``).
+``det(I + snr * T)`` and ``det(I + snr * T^2)`` for a whole SNR grid, and
+the inertia that the rank screen reads, are ``O(n)`` recurrences
+(``Tridiagonal``); ``ldl_pivots`` factors single matrices, for the
+singular-noise mask and the whitening of a colored signal (``whitened``).
 """
 
 from __future__ import annotations
@@ -150,23 +150,13 @@ def _lag_phases(num_subcarriers: int, span: int) -> np.ndarray:
     return np.exp(-2j * np.pi * turns / num_subcarriers)
 
 
-def gram_spectrum(
-    seq: TapSequence, num_subcarriers: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
+def lag_products(seq: TapSequence) -> np.ndarray:
+    """The ``2S - 1`` lag products ``R_d = sum_i A_i^H A_{i+d}`` of the ``S`` taps of ``seq``.
 
-    Returns a ``(..., num_subcarriers, cols, cols)`` array formed from the
-    ``2S - 1`` lag products ``R_d = sum_i A_i^H A_{i+d}`` of the ``S`` taps:
-    the Gram at ``k`` is ``sum_d R_d exp(-2j*pi*d*k/K)``, and the offset
-    cancels.  One product ``X^H X`` of the taps side by side,
-    ``X = [A_0 ... A_{S-1}]``, holds every ``A_i^H A_j``.  The sum samples
-    a trigonometric polynomial, so it is exact on any grid, one shorter
-    than the sequence included.  A C-contiguous ``out`` of the result's
-    shape receives it in place.
+    Returns a ``(..., 2S - 1, cols, cols)`` array, lags ``d = 1 - S .. S - 1``
+    ascending.  One product ``X^H X`` of the taps side by side,
+    ``X = [A_0 ... A_{S-1}]``, holds every ``A_i^H A_j``.
     """
-    k = int(num_subcarriers)
-    if k < 1:
-        raise ValueError("num_subcarriers must be positive")
     span = seq.span
     rows, cols = seq.shape
     lead = seq.taps.shape[:-3]
@@ -178,9 +168,39 @@ def gram_spectrum(
     for i in range(span):
         # tap i against every tap j is lag j - i, stored at j - i + span - 1
         lags[..., span - 1 - i : 2 * span - 1 - i, :, :] += products[..., i, :, :, :]
-    flat = lags.reshape(*lead, 2 * span - 1, cols * cols)
+    return lags
+
+
+def gram_of_lags(lags: np.ndarray, num_subcarriers: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gram ``sum_d R_d exp(-2j*pi*d*k/K)`` on every subcarrier, from ``lag_products``.
+
+    ``lags`` is ``(..., 2S - 1, cols, cols)`` and the result
+    ``(..., num_subcarriers, cols, cols)``.  The sum samples a trigonometric
+    polynomial, so it is exact on any grid, one shorter than the sequence
+    included.  A C-contiguous ``out`` of the result's shape receives it in
+    place.
+    """
+    k = int(num_subcarriers)
+    if k < 1:
+        raise ValueError("num_subcarriers must be positive")
+    *lead, count, cols, _ = lags.shape
+    flat = lags.reshape(*lead, count, cols * cols)
     target = None if out is None else out.reshape(*lead, k, cols * cols)
-    return np.matmul(_lag_phases(k, span), flat, out=target).reshape(*lead, k, cols, cols)
+    phases = _lag_phases(k, (count + 1) // 2)
+    return np.matmul(phases, flat, out=target).reshape(*lead, k, cols, cols)
+
+
+def gram_spectrum(
+    seq: TapSequence, num_subcarriers: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
+
+    Returns a ``(..., num_subcarriers, cols, cols)`` array, the
+    ``gram_of_lags`` of the ``lag_products`` of the taps: the offset
+    cancels, and no spectrum is formed.  A C-contiguous ``out`` of the
+    result's shape receives it in place.
+    """
+    return gram_of_lags(lag_products(seq), num_subcarriers, out)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:
@@ -318,22 +338,56 @@ class Tridiagonal:
     def log2dets(self, snrs) -> np.ndarray:
         """``log2 det(I + snr * T)`` for every linear SNR: ``(len(snrs), ...)``.
 
-        The determinant is the product of the pivots, and one ``log2`` per
-        matrix reads it.  A matrix whose product is not finite (it
-        overflows, or a pivot is NaN) takes the sum of the ``log2`` of its
-        pivots instead, so every result depends on its own matrix alone.
+        The determinant is the product of the pivots (``_log2_product``).
         """
         snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
-        pivots = self._pivots(snr, 1.0)
+        return _log2_product(self._pivots(snr, 1.0))
+
+    def log2dets_of_square(self, snrs) -> np.ndarray:
+        """``log2 det(I + snr * T^2)`` for every linear SNR: ``(len(snrs), ...)``.
+
+        ``I + snr T^2 = (I + i c T)(I - i c T)`` for ``c = sqrt(snr)``, and
+        the two factors are conjugate, so the determinant is
+        ``|det(I + i c T)|^2``: the product of ``|d_i|^2`` over the pivots
+        ``d_i = 1 + i c a_i + snr b_{i-1}^2 / d_{i-1}`` of ``_pivots``'
+        recurrence with an imaginary scale, run on the real part ``x_i`` and
+        the imaginary part ``y_i``.  Every ``x_i`` is at least 1, so the
+        recurrence cannot break down.  A diagonal ``T`` (eigenvalues) gives
+        ``prod (1 + snr * a_i^2)``.
+        """
+        snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dets = pivots[0]
-            for pivot in pivots[1:]:
-                dets = dets * pivot
-            dets = np.log2(dets)
-            spoiled = ~np.isfinite(dets)
-            if np.any(spoiled):
-                dets[spoiled] = sum(np.log2(pivot[spoiled]) for pivot in pivots)
-        return dets
+            scaled = np.sqrt(snr) * self.diag[:, None]
+            x, y = 1.0, scaled[0]
+            magnitudes = [1.0 + y * y]
+            for i in range(1, len(self.diag)):
+                if self.off2 is None:
+                    y = scaled[i]
+                else:
+                    # snr b^2 / d = gain * (x - i y) for gain = snr b^2 / |d|^2
+                    gain = snr * self.off2[i - 1] / magnitudes[-1]
+                    x, y = 1.0 + gain * x, scaled[i] - gain * y
+                magnitudes.append(x * x + y * y)
+        return _log2_product(magnitudes)
+
+
+def _log2_product(factors: list[np.ndarray]) -> np.ndarray:
+    """``log2`` of the product of positive ``factors``, the pivots of a determinant.
+
+    One ``log2`` per matrix reads the product.  A matrix whose product is
+    not finite (it overflows, or a factor is NaN) takes the sum of the
+    ``log2`` of its factors instead, so every result depends on its own
+    matrix alone.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dets = factors[0]
+        for factor in factors[1:]:
+            dets = dets * factor
+        dets = np.log2(dets)
+        spoiled = ~np.isfinite(dets)
+        if np.any(spoiled):
+            dets[spoiled] = sum(np.log2(factor[spoiled]) for factor in factors)
+    return dets
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:

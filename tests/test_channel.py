@@ -32,6 +32,15 @@ class TestStreams:
         b = complex_normal(stream(7, 1), (100,))
         np.testing.assert_array_equal(a, b)
 
+    def test_complex_normal_phasors_from_tan_match_cos_and_sin(self):
+        # the same uniforms through radius * (cos + i sin)(2*pi*u)
+        draws = complex_normal(stream(8), (100_000,))
+        rng = stream(8)
+        radius = np.sqrt(-np.log1p(-rng.random(100_000)))
+        angle = 2.0 * np.pi * rng.random(100_000)
+        expected = radius * np.cos(angle) + 1j * radius * np.sin(angle)
+        assert np.max(np.abs(draws - expected) / np.abs(expected)) <= 2e-15
+
     def test_distinct_keys_differ(self):
         a = complex_normal(stream(7, 1), (100,))
         b = complex_normal(stream(7, 2), (100,))

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, config grammar, exit codes."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -504,6 +505,40 @@ class TestConfigFiles:
             assert key in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_spacing_ratio_overflowing_the_array_rejected_before_any_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 2*pi*1e307 is finite, but not the ramp over 16 elements
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        config = tmp_path / "sparse.ini"
+        config.write_text("[x]\nM = 16\nmodel = sparse\nschemes = capacity\nspacing_ratio = 1e307\n")
+        assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+        error = capsys.readouterr().err
+        assert "spacing_ratio of x: phase ramp" in error and "m < 16" in error
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_value_that_does_not_parse_names_section_and_key(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        for body, message in (
+            ("M = 16.5\n", "[x] m: invalid literal for int() with base 10: '16.5'"),
+            ("model = sparse\npaths_per_cluster = 2.5\n", "[x] paths_per_cluster: invalid literal"),
+            ("antenna_sweep = 8, 16.5\n", "[x] antenna_sweep: invalid literal"),
+            ("realizations = ten\n", "[x] realizations: invalid literal"),
+            ("spacing_ratio = wide\n", "[x] spacing_ratio: could not convert"),
+            ("snr = 0:10\n", "[x] snr: SNR range must be start:stop:step"),
+        ):
+            config = tmp_path / "bad.ini"
+            config.write_text(f"[x]\nschemes = capacity\n{body}")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[x]\nschemes = capacity\nbogus = 1\n")
@@ -570,6 +605,21 @@ class TestPlotCommand:
         svg = out.read_text()
         assert "<circle" in svg
         assert "<polyline" not in svg
+
+
+class TestImportHeap:
+    def test_in_process_call_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("run", "fig2", *RUN_FAST, "--outdir", str(tmp_path)) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_as_the_program_freezes_before_any_work(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(len(capsys.readouterr().out)))
+        monkeypatch.setattr("sys.argv", ["hybeam", "list"])
+        assert cli.main() == 0
+        assert calls == [0]
+        assert "fig2" in capsys.readouterr().out
 
 
 class TestUsageErrors:

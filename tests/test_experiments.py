@@ -168,7 +168,7 @@ class TestRunScenario:
 
     def test_each_spectrum_computed_once(self, monkeypatch):
         # per chunk, one stacked DFT, the effective spectrum that rf_ltap's
-        # ZF stage whitens bin by bin; five stacked lag-product Grams, the raw
+        # ZF stage whitens bin by bin; five stacked lag products, one per Gram: the raw
         # channel's, both bases' effective ones and rf_1tap's effective taps
         # whitened against its one-tap noise covariance, then rf_ltap's noise
         # covariance; and no (K, M, U) array while the rank screen passes
@@ -185,12 +185,12 @@ class TestRunScenario:
             raise AssertionError("the runner formed the channel's spectrum")
 
         counted_dft = counting(numerics.dft_of_taps, dfts)
-        counted_gram = counting(numerics.gram_spectrum, grams)
+        counted_gram = counting(numerics.lag_products, grams)
         for module in (numerics, channel, beamforming, experiments):
             if hasattr(module, "dft_of_taps"):
                 monkeypatch.setattr(module, "dft_of_taps", counted_dft)
-            if hasattr(module, "gram_spectrum"):
-                monkeypatch.setattr(module, "gram_spectrum", counted_gram)
+            if hasattr(module, "lag_products"):
+                monkeypatch.setattr(module, "lag_products", counted_gram)
         monkeypatch.setattr(channel, "channel_spectrum", no_channel_spectrum)
         chunk = experiments.CHUNK
         s = small_scenario(
@@ -216,6 +216,63 @@ class TestRunScenario:
         evaluate_draw(replace(s, schemes=("rf_1tap", "rf_ltap")), draw_realization(s, 0))
         assert dfts == []
         assert grams == [(1, users, users)] * 2
+
+    def test_fig2_chunk_makes_one_gram_and_one_reduction(self, monkeypatch):
+        # capacity, zf and the MF's capacity all read the raw Gram's reduction,
+        # and the MF's effective taps are the raw lag products: no convolution
+        grams, reductions = [], []
+
+        def counting(original, calls):
+            def counted(mats, *args, **kwargs):
+                calls.append(mats.shape)
+                return original(mats, *args, **kwargs)
+
+            return counted
+
+        def no_convolution(*args, **kwargs):
+            raise AssertionError("the runner convolved a combiner with the channel")
+
+        monkeypatch.setattr(experiments, "gram_of_lags", counting(numerics.gram_of_lags, grams))
+        monkeypatch.setattr(
+            experiments, "hermitian_reduction", counting(experiments.hermitian_reduction, reductions)
+        )
+        monkeypatch.setattr(beamforming, "circular_convolve", no_convolution)
+        chunk = experiments.CHUNK
+        s = small_scenario(realizations=chunk + 3, schemes=PRESETS["fig2"].scenario.schemes)
+        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
+        assert all(v is not None for _, values, _ in out for v in values.values())
+        users, taps, k = SMALL_DIMS.users, SMALL_DIMS.taps, SMALL_DIMS.subcarriers
+        assert grams == [(draws, 2 * taps - 1, users, users) for draws in (chunk, 3)]
+        assert reductions == [(1, draws, k, users, users) for draws in (chunk, 3)]
+
+    @pytest.mark.parametrize("model", ["rich", "sparse"])
+    def test_mf_taps_and_capacity_come_from_the_raw_lag_products(self, monkeypatch, model):
+        # the MF's effective taps R_d / sqrt(M) against its convolution with the
+        # channel, and its capacity, read from the raw reduction, against the
+        # capacity of the convolved taps' spectrum
+        effective = []
+
+        def capturing(eff):
+            effective.append(eff)
+            return original(eff)
+
+        original = experiments.pdp_of_effective
+        monkeypatch.setattr(experiments, "pdp_of_effective", capturing)
+        s = small_scenario(schemes=("mf",), channel_model=model)
+        channels = [draw_realization(s, index) for index in range(3)]
+        outcomes = _evaluate_chunk(s, channels)
+        raw = TapSequence.stack([ch.taps for ch in channels])
+        stacked = replace(channels[0], taps=raw)
+        k = SMALL_DIMS.subcarriers
+        expected = numerics.circular_convolve(beamforming.mf_combiner(stacked).taps, raw, k)
+        (got,) = effective
+        assert got.taps.offset == expected.offset
+        error = np.max(np.abs(got.taps.taps - expected.taps))
+        assert error <= 1e-13 * np.max(np.abs(expected.taps))
+        for index, (outcome, _) in enumerate(outcomes):
+            spectrum = numerics.dft_of_taps(expected[index], k)
+            direct = [capacity(spectrum, LinkBudget.from_snr_db(snr)) for snr in s.snr_db]
+            np.testing.assert_allclose(outcome["mf"][1], direct, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_zf_rates_equal_the_explicit_zf_stage(self, model):
@@ -798,6 +855,24 @@ class TestRmsStudy:
                 rms_study(grid, s)
             with pytest.raises(ValueError, match=re.escape(message)):
                 run_scenario(replace(s, schemes=("capacity",)), antenna_sweep=grid)
+
+    def test_sparse_ramp_overflowing_at_a_swept_size_rejected_before_any_draw(self, monkeypatch):
+        # 2*pi*spacing_ratio*m is finite up to m = 7, the largest element of
+        # an 8-antenna array, and overflows by m = 15
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        dims = replace(SMALL_DIMS, antennas=8)
+        s = small_scenario(
+            dims=dims, channel_model="sparse", sparse=SparseChannelConfig(spacing_ratio=5e306)
+        )
+        with pytest.raises(ValueError, match="spacing_ratio of small: phase ramp .* m < 16"):
+            run_scenario(s, antenna_sweep=[16])
+        with pytest.raises(ValueError, match="m < 16"):
+            rms_study([8, 16], s)
+        monkeypatch.undo()
+        assert run_scenario(replace(s, realizations=2)).failures == 0
 
     def test_deterministic(self):
         s = small_scenario(schemes=(), realizations=3)

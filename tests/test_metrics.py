@@ -37,14 +37,22 @@ from hybeam.metrics import (
     delay_moments,
     delay_spread_report,
     gram_rates,
+    hermitian_reduction,
     pdp_of_effective,
     rate_spectral,
     sinr_from_pdp,
     sinr_sum_rates,
     spectral_rates,
+    squared_rates,
     sum_rate_from_sinr,
 )
-from hybeam.numerics import LDL_MAX_ORDER, SingularMatrixError, TapSequence, dft_of_taps
+from hybeam.numerics import (
+    LDL_MAX_ORDER,
+    SingularMatrixError,
+    TapSequence,
+    dft_of_taps,
+    gram_spectrum,
+)
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
 # identity combiner on two antennas: white combined noise
@@ -249,6 +257,20 @@ class TestCapacity:
             gram = grid[k].conj().T @ grid[k]
             expected += float(np.sum(np.log2(1.0 + link.snr * np.linalg.eigvalsh(gram))))
         assert capacity(grid, link) == pytest.approx(expected / 4.0, rel=1e-10)
+
+    @pytest.mark.parametrize("users", [4, LDL_MAX_ORDER, LDL_MAX_ORDER + 1])
+    def test_squared_rates_read_the_mf_gram_from_the_raw_reduction(self, users):
+        # the MF's Gram is R(k)^2 / M for the raw Gram R(k): its rates at snr
+        # are the raw reduction's squared rates at snr / M, on either side of
+        # LDL_MAX_ORDER (tridiagonal, then eigenvalues)
+        dims = SystemDims(antennas=2 * users + 1, users=users, taps=3, subcarriers=16)
+        raw = TapSequence.stack([rich(60 + seed, dims).taps for seed in range(2)])
+        gram = gram_spectrum(raw, dims.subcarriers)
+        snrs = 10.0 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10.0)
+        expected = gram_rates(gram @ gram / dims.antennas, snrs)
+        got = squared_rates(hermitian_reduction(gram), snrs / dims.antennas)
+        assert got.shape == (len(snrs), 2)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_monotone_in_snr(self):
         grid = channel_spectrum(rich(3))

@@ -433,6 +433,32 @@ class TestTridiagonal:
         assert got.shape == (len(snrs), *lead)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, LDL_MAX_ORDER),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        snr_db=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log2dets_of_square_match_slogdet(self, n, lead, snr_db, seed):
+        # det(I + snr G^2) from the reduction of G itself, G Hermitian and
+        # indefinite: the imaginary-scale pivots never vanish
+        rng = stream(735, seed)
+        snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+        b = complex_normal(rng, (*lead, n, n))
+        g = b + adjoint(b)
+        grid = snrs[(...,) + (None,) * (len(lead) + 2)]
+        expected = log2det(np.eye(n) + grid * (g @ g))
+        got = tridiagonalize(g).log2dets_of_square(snrs)
+        assert got.shape == (len(snrs), *lead)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        # a diagonal of eigenvalues gives sum log2(1 + snr * lambda^2)
+        eigs = np.moveaxis(np.linalg.eigvalsh(g), -1, 0)
+        expected = np.sum(np.log2(1.0 + snrs[(...,) + (None,) * (len(lead) + 1)] * eigs**2), axis=1)
+        np.testing.assert_allclose(
+            Tridiagonal(eigs).log2dets_of_square(snrs), expected, rtol=1e-12, atol=0.0
+        )
+
     def test_zero_sub_column_is_not_reflected(self):
         # column 0 has no entries below the diagonal: T keeps it as it is
         rng = stream(731)

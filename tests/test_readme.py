@@ -38,7 +38,7 @@ def test_config_keys_match_the_parser():
         for token in re.findall(r"`([^`]+)`", paragraph)
         for key in token.split("=")[0].strip().split("/")
     }
-    assert keys == cli._CONFIG_KEYS | set(cli._KEY_ALIASES)
+    assert keys == set(cli._CONFIG_KEYS) | set(cli._KEY_ALIASES)
 
 
 def test_validate_sentence_names_the_validated_rows():
