@@ -163,12 +163,11 @@ class EffectiveChannel:
     and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
     views are computed on first read and kept, so each is computed at most
     once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
-    DFT ``G(k)`` of the taps, ``gram`` the column Gram ``G(k)^H G(k)``, and
-    ``noise_cov_spectrum`` the per-subcarrier covariance of the combined
-    noise, ``W(k) W(k)^H`` for the combiner's frequency response ``W(k)``.
-    Both Grams come from lag products of taps (``gram_spectrum``), so
-    neither forms a spectrum: the covariance from the combiner's adjoint
-    taps ``W_n^H``, whose response is ``W(-k)^H``, read at ``-k mod K``.
+    DFT ``G(k)`` of the taps, and ``noise_cov_spectrum`` the per-subcarrier
+    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
+    frequency response ``W(k)``.  The covariance comes from lag products of
+    the combiner's adjoint taps ``W_n^H`` (``gram_spectrum``), whose
+    response is ``W(-k)^H``, read at ``-k mod K``, so it forms no spectrum.
     Taps with leading axes (the effective channels of a stacked channel)
     give every view the same leading axes.
     """
@@ -180,10 +179,6 @@ class EffectiveChannel:
     @cached_property
     def spectrum(self) -> np.ndarray:
         return dft_of_taps(self.taps, self.num_subcarriers)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return gram_spectrum(self.taps, self.num_subcarriers)
 
     @cached_property
     def noise_cov_spectrum(self) -> np.ndarray:

@@ -9,6 +9,7 @@ uniform-linear-array steering vectors.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -17,6 +18,19 @@ import numpy as np
 from .numerics import TapSequence, dft_of_taps
 
 _SEED_MASK = (1 << 64) - 1
+# Bytes of physical memory: no draw can hold a spectrum larger than that
+_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _integer(what: str, value, low: int, high: float = np.inf) -> int:
+    """``value`` as an ``int`` in ``[low, high)``; booleans and non-integers are rejected.
+
+    The one rule for every count and seed: ``SystemDims``,
+    ``SparseChannelConfig`` and ``Scenario`` apply it to their fields.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= int(value) < high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
 
 
 def stream(*key: int) -> np.random.Generator:
@@ -64,7 +78,11 @@ def laplace(rng: np.random.Generator, scale: float, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Array, user, delay, and subcarrier counts for one link geometry."""
+    """Array, user, delay, and subcarrier counts for one link geometry.
+
+    Each count is an integer of at least 1 (not a bool), and a draw's
+    ``K x M x U`` complex spectrum must fit in the machine's memory.
+    """
 
     antennas: int
     users: int
@@ -72,12 +90,18 @@ class SystemDims:
     subcarriers: int
 
     def __post_init__(self):
-        if self.users < 1 or self.antennas < self.users:
-            raise ValueError("need antennas >= users >= 1")
-        if self.taps < 1:
-            raise ValueError("need at least one delay tap")
-        if self.subcarriers < 2 * self.taps - 1:
-            raise ValueError("subcarrier grid shorter than the combined tap span")
+        for name in ("antennas", "users", "taps", "subcarriers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        k, m, u, span = self.subcarriers, self.antennas, self.users, 2 * self.taps - 1
+        if m < u:
+            raise ValueError(f"need antennas >= users >= 1, got {m} antennas for {u} users")
+        if k < span:
+            raise ValueError(f"{k} subcarriers are fewer than the tap span 2 * taps - 1 = {span}")
+        if 16 * k * m * u > _MEMORY_BYTES:
+            raise ValueError(
+                f"a draw's {k} subcarriers x {m} antennas x {u} users complex spectrum "
+                f"needs more than the {_MEMORY_BYTES} bytes of memory"
+            )
 
 
 @dataclass(frozen=True)
@@ -207,10 +231,8 @@ class SparseChannelConfig:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        paths = self.paths_per_cluster
-        if isinstance(paths, bool) or not isinstance(paths, Integral) or paths < 1:
-            raise ValueError(f"paths_per_cluster must be an integer >= 1, got {paths!r}")
-        object.__setattr__(self, "paths_per_cluster", int(paths))
+        paths = _integer("paths_per_cluster", self.paths_per_cluster, 1)
+        object.__setattr__(self, "paths_per_cluster", paths)
         if not 0.0 < self.angular_spread_deg < np.inf:
             raise ValueError(
                 f"angular_spread_deg must be positive and finite, got {self.angular_spread_deg!r}"

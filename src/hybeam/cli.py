@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,18 @@ EXIT_NUMERICAL = 3
 # Tolerated fraction of numerically failed realizations before exit code 3.
 FAILURE_BUDGET = 0.01
 
-CSV_FIELDS = ("scenario", "scheme", "snr_db", "metric", "value", "stderr", "realizations", "seed")
+# Column -> parser of its text, in the order of ``ResultRow``'s fields
+_CSV_COLUMNS = {
+    "scenario": str,
+    "scheme": str,
+    "snr_db": float,
+    "metric": str,
+    "value": float,
+    "stderr": float,
+    "realizations": int,
+    "seed": int,
+}
+CSV_FIELDS = tuple(_CSV_COLUMNS)
 
 
 def write_csv(path, rows, trailer: str | None = None) -> None:
@@ -47,16 +59,8 @@ def write_csv(path, rows, trailer: str | None = None) -> None:
         writer.writerow(CSV_FIELDS)
         for row in rows:
             writer.writerow(
-                [
-                    row.scenario,
-                    row.scheme,
-                    f"{row.snr_db:.17g}",
-                    row.metric,
-                    f"{row.value:.17g}",
-                    f"{row.stderr:.17g}",
-                    row.realizations,
-                    row.seed,
-                ]
+                f"{value:.17g}" if parse is float else value
+                for parse, value in zip(_CSV_COLUMNS.values(), vars(row).values())
             )
         if trailer:
             for line in trailer.splitlines():
@@ -77,18 +81,7 @@ def read_csv(path) -> list[ResultRow]:
     for record in reader:
         if len(record) != len(CSV_FIELDS):
             raise ValueError(f"{path}: malformed row {record}")
-        rows.append(
-            ResultRow(
-                scenario=record[0],
-                scheme=record[1],
-                snr_db=float(record[2]),
-                metric=record[3],
-                value=float(record[4]),
-                stderr=float(record[5]),
-                realizations=int(record[6]),
-                seed=int(record[7]),
-            )
-        )
+        rows.append(ResultRow(*(parse(text) for parse, text in zip(_CSV_COLUMNS.values(), record))))
     return rows
 
 
@@ -114,22 +107,77 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
     return values
 
 
-_DIM_KEYS = ("antennas", "users", "taps", "subcarriers")
-_KEY_ALIASES = {"m": "antennas", "u": "users", "l": "taps", "k": "subcarriers"}
-_SPARSE_KEYS = {"paths_per_cluster": int, "angular_spread_deg": float, "spacing_ratio": float}
-# key -> Scenario field
-_SCENARIO_KEYS = {"snr": "snr_db", "realizations": "realizations", "seed": "master_seed"}
-# key -> parser of its value; an integer key rejects "16.5" instead of truncating it
-_CONFIG_KEYS = {
-    **dict.fromkeys(_DIM_KEYS, int),
-    **_SPARSE_KEYS,
-    "snr": parse_snr_spec,
-    "realizations": int,
-    "seed": int,
-    "model": str,
-    "schemes": lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
-    "antenna_sweep": lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
+class _Key(NamedTuple):
+    """How a run key is read and where its value goes."""
+
+    flags: tuple[str, ...]  # its ``run`` options; none when only a config section sets it
+    parse: Callable[[str], object]
+    owner: str  # "dims", "sparse", "scenario" or "preset"
+    field: str  # the field of ``SystemDims``, ``SparseChannelConfig``, ``Scenario`` or ``Preset``
+    help: str | None = None
+
+
+# Every key of a config section, which may also be named by its flags
+# without the dashes (``M`` for ``antennas``).  An integer key's text is read
+# by ``int``, which rejects "16.5"; its value meets ``channel._integer``'s
+# rule where it lands.
+_KEYS = {
+    "antennas": _Key(("--M", "--antennas"), int, "dims", "antennas"),
+    "users": _Key(("--U", "--users"), int, "dims", "users"),
+    "taps": _Key(("--L", "--taps"), int, "dims", "taps"),
+    "subcarriers": _Key(("--K", "--subcarriers"), int, "dims", "subcarriers"),
+    "realizations": _Key(("--realizations",), int, "scenario", "realizations"),
+    "snr": _Key(("--snr",), parse_snr_spec, "scenario", "snr_db", "start:stop:step or comma list, in dB"),
+    "seed": _Key(("--seed",), int, "scenario", "master_seed"),
+    "schemes": _Key((), _names, "scenario", "schemes"),
+    "model": _Key((), str, "scenario", "channel_model"),
+    "paths_per_cluster": _Key((), int, "sparse", "paths_per_cluster"),
+    "angular_spread_deg": _Key((), float, "sparse", "angular_spread_deg"),
+    "spacing_ratio": _Key((), float, "sparse", "spacing_ratio"),
+    "antenna_sweep": _Key((), lambda text: tuple(map(int, _names(text))), "preset", "antenna_sweep"),
 }
+_NAMES = {name.lstrip("-").lower(): key for key, spec in _KEYS.items() for name in (key, *spec.flags)}
+
+
+def _with_values(preset: Preset, values: dict) -> Preset:
+    """``preset`` with the parsed values of run keys in place."""
+    parts = {owner: {} for owner in ("dims", "sparse", "scenario", "preset")}
+    for key, value in values.items():
+        parts[_KEYS[key].owner][_KEYS[key].field] = value
+    scenario = preset.scenario
+    if parts["sparse"]:
+        parts["scenario"]["sparse"] = replace(scenario.sparse or SparseChannelConfig(), **parts["sparse"])
+    scenario = replace(scenario, dims=replace(scenario.dims, **parts["dims"]), **parts["scenario"])
+    return replace(preset, scenario=scenario, **parts["preset"])
+
+
+def _configure(preset: Preset, texts: dict, where: str, name=lambda key: key) -> Preset:
+    """``preset`` with the run keys' ``texts`` parsed and in place.
+
+    A value rejected as it parses or where it lands raises ``ValueError`` as
+    ``<where><name(key)>: reason``, naming the first key without which the
+    other values are accepted.  Without the key they are tried on
+    ``preset`` with one user and one tap, which conflict with no geometry.
+    """
+
+    def build(base: Preset, keys) -> Preset:
+        return _with_values(base, {key: _KEYS[key].parse(texts[key].strip()) for key in keys})
+
+    try:
+        return build(preset, texts)
+    except ValueError as exc:
+        loose = _with_values(preset, {"users": 1, "taps": 1})
+        for key in texts:
+            try:
+                build(loose, [other for other in texts if other != key])
+            except ValueError:
+                continue
+            raise ValueError(f"{where}{name(key)}: {exc}") from None
+        raise ValueError(f"{where}{exc}") from None
 
 
 def load_config(path) -> list[Preset]:
@@ -138,7 +186,8 @@ def load_config(path) -> list[Preset]:
     Geometry, SNR grid, realization count and seed that a section leaves out
     take the presets' standard values, which ``fig2`` uses unchanged; sparse
     keys it leaves out keep the defaults of ``SparseChannelConfig``.  A value
-    that does not parse fails as ``[section] key: reason``.
+    that is rejected, as it parses or by the scenario it makes, fails as
+    ``[section] key: reason`` before any run.
     """
     template = PRESETS["fig2"].scenario
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -146,49 +195,28 @@ def load_config(path) -> list[Preset]:
         parser.read_file(fh)
     presets = []
     for section in parser.sections():
-        raw = {}
-        for name, value in parser.items(section):
-            key = _KEY_ALIASES.get(name.lower(), name.lower())
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"[{section}] unknown key {key!r}")
-            try:
-                raw[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"[{section}] {name}: {exc}") from None
-        dims = {key: raw[key] for key in _DIM_KEYS if key in raw}
-        model = raw.get("model", template.channel_model)
-        updates = {field: raw[key] for key, field in _SCENARIO_KEYS.items() if key in raw}
-        if model == "sparse":
-            sparse = {key: raw[key] for key in _SPARSE_KEYS if key in raw}
-            updates["sparse"] = replace(SparseChannelConfig(), **sparse)
-        elif any(key in raw for key in _SPARSE_KEYS):
-            raise ValueError(f"[{section}] sparse keys given but model is {model!r}")
-        schemes, sweep = raw.get("schemes", ()), raw.get("antenna_sweep", ())
-        if not schemes and not sweep:
+        texts = {}
+        for name, text in parser.items(section):
+            key = _NAMES.get(name)
+            if key is None:
+                raise ValueError(f"[{section}] unknown key {name!r}")
+            if key in texts:
+                raise ValueError(f"[{section}] {key} given twice")
+            texts[key] = text
+        base = Preset(replace(template, name=section, schemes=()))
+        preset = _configure(base, texts, f"[{section}] ")
+        if not preset.scenario.schemes and not preset.antenna_sweep:
             raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
-        scenario = replace(
-            template,
-            name=section,
-            dims=replace(template.dims, **dims),
-            schemes=schemes,
-            channel_model=model,
-            **updates,
-        )
-        presets.append(Preset(scenario=scenario, antenna_sweep=sweep))
+        presets.append(preset)
     if not presets:
         raise ValueError(f"{path}: config file defines no scenarios")
     return presets
 
 
 def _apply_overrides(preset: Preset, args) -> Preset:
-    given = {key: value for key, value in vars(args).items() if value is not None}
-    scenario = preset.scenario
-    dims = replace(scenario.dims, **{key: given[key] for key in _DIM_KEYS if key in given})
-    # the scenario keys' options share their names and parsers with the config keys
-    updates = {
-        field: _CONFIG_KEYS[key](given[key]) for key, field in _SCENARIO_KEYS.items() if key in given
-    }
-    return replace(preset, scenario=replace(scenario, dims=dims, **updates))
+    texts = {key: getattr(args, key) for key, spec in _KEYS.items() if spec.flags}
+    texts = {key: text for key, text in texts.items() if text is not None}
+    return _configure(preset, texts, "", lambda key: "/".join(_KEYS[key].flags))
 
 
 def cmd_list(args) -> int:
@@ -227,13 +255,10 @@ def cmd_run(args) -> int:
             )
         # validation reads these schemes' and sizes' rows; the CSV keeps the section's own
         runs = [
-            replace(
-                p,
-                scenario=replace(
-                    p.scenario, schemes=_joined(p.scenario.schemes, VALIDATED_SCHEMES)
-                ),
-                antenna_sweep=_joined(p.antenna_sweep, VALIDATED_SWEEP),
-            )
+            _with_values(p, {
+                "schemes": _joined(p.scenario.schemes, VALIDATED_SCHEMES),
+                "antenna_sweep": _joined(p.antenna_sweep, VALIDATED_SWEEP),
+            })
             for p in presets
         ]
     os.makedirs(args.outdir, exist_ok=True)
@@ -277,7 +302,7 @@ def cmd_plot(args) -> int:
         available = ", ".join(sorted({row.metric for row in rows}))
         raise ValueError(f"metric {args.metric!r} not in {args.csv}; available: {available}")
     if args.schemes:
-        wanted = tuple(tok.strip() for tok in args.schemes.split(",") if tok.strip())
+        wanted = _names(args.schemes)
         present = {row.scheme for row in metric_rows}
         missing = [s for s in wanted if s not in present]
         if missing:
@@ -318,13 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a preset or a config file")
     p_run.add_argument("target", help="preset name or config file path")
-    p_run.add_argument("--M", "--antennas", dest="antennas", type=int, default=None)
-    p_run.add_argument("--U", "--users", dest="users", type=int, default=None)
-    p_run.add_argument("--L", "--taps", dest="taps", type=int, default=None)
-    p_run.add_argument("--K", "--subcarriers", dest="subcarriers", type=int, default=None)
-    p_run.add_argument("--realizations", type=int, default=None)
-    p_run.add_argument("--snr", default=None, help="start:stop:step or comma list, in dB")
-    p_run.add_argument("--seed", type=int, default=None)
+    for key, spec in _KEYS.items():
+        if spec.flags:
+            p_run.add_argument(*spec.flags, dest=key, default=None, help=spec.help)
     p_run.add_argument("--outdir", default="results")
     p_run.add_argument(
         "--dump-channels", action="store_true", help="write per-realization channel dumps"

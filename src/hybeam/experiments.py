@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import groupby
-from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .channel import (
     SparseChannelConfig,
     SystemDims,
     _SEED_MASK,
+    _integer,
     draw_rich,
     draw_sparse,
     dump_channel,
@@ -95,13 +95,6 @@ def _reject_repeats(what: str, items: tuple) -> None:
     repeated = sorted({item for item in items if items.count(item) > 1})
     if repeated:
         raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
-
-
-def _integer(what: str, value, low: int, high: float = np.inf) -> int:
-    """``value`` as an ``int`` in ``[low, high)``; booleans and non-integers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= int(value) < high:
-        raise ValueError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
-    return int(value)
 
 
 def _sweep_sizes(what: str, sizes, users: int) -> tuple[int, ...]:

@@ -11,17 +11,18 @@ matrix.  The same reduction of a Hermitian ``G(k)`` also gives the rates of
 ``G(k)^2`` (``squared_rates``), the Gram of the matched filter's effective
 channel when ``G(k)`` is the raw one's.  Colored noise of covariance ``C``
 is whitened first, in one place, ``whiten``: up to ``LDL_MAX_ORDER`` rows
-by the ``L D L^H`` factor of ``C`` (its pivots are those of
-``numerics.ldl_pivots``), above by LAPACK's Cholesky factor.
+by the ``L D L^H`` factor of ``C`` (``numerics.whitened``), above by
+LAPACK's Cholesky factor.
 ``spectral_rates`` whitens a signal grid against its per-subcarrier
 ``C(k)``; the runner whitens the effective taps of a one-tap combiner
 against the one ``C = W_0 W_0^H`` that every subcarrier shares, and reads
 their lag Gram.  Either way the noise keeps
 its exact covariance, and ``whiten``, ``gram_rates`` and ``spectral_rates``
-take stacks with leading axes.  At every order the pivots of ``C`` decide
-whether the noise covariance is singular (above ``LDL_MAX_ORDER``, so does
-a failed Cholesky factorization): ``spectral_rates`` marks such a grid of a
-stack with NaN rates instead of raising, and the one-grid adapters
+take stacks with leading axes.  The one factorization of ``C`` decides
+whether the noise covariance is singular (a pivot that is not positive, or
+above ``LDL_MAX_ORDER`` a failed Cholesky factorization): ``spectral_rates``
+marks such a grid of a stack with NaN rates instead of raising, and the
+one-grid adapters
 ``rate_spectral`` and ``achievable_rate_hybrid`` raise
 ``SingularMatrixError`` for it.
 """
@@ -38,7 +39,6 @@ from .numerics import (
     LDL_MAX_ORDER,
     SingularMatrixError,
     Tridiagonal,
-    ldl_pivots,
     tridiagonalize,
     whitened,
 )
@@ -113,10 +113,9 @@ def whiten(signal: np.ndarray, noise_cov: np.ndarray) -> tuple[np.ndarray, np.nd
     is factored once, ``L D L^H``, and ``A = D^{-1/2} L^{-1} S``
     (``numerics.whitened``); above, ``A = L^{-1} S`` for LAPACK's Cholesky
     factor ``L``.  The mask, of ``C``'s leading shape, marks each ``C``
-    with a pivot that is not positive, the singularity that stops a
-    Cholesky factorization; above ``LDL_MAX_ORDER`` also one that passes
-    that test within rounding of singular but which the Cholesky still
-    rejects.  The whitened signal of a marked ``C`` reads zero.
+    whose factorization fails: up to ``LDL_MAX_ORDER`` a pivot that is not
+    positive, above the Cholesky factorization's own failure (it leaves
+    NaN).  The whitened signal of a marked ``C`` reads zero.
     """
     a = np.asarray(signal, dtype=complex)
     cov = np.asarray(noise_cov, dtype=complex)
@@ -124,13 +123,12 @@ def whiten(signal: np.ndarray, noise_cov: np.ndarray) -> tuple[np.ndarray, np.nd
         white, pivots = whitened(a, cov)
         singular = ~np.all(pivots > 0.0, axis=-1)
     else:
-        singular = ~np.all(ldl_pivots(cov) > 0.0, axis=-1)
         # np.linalg.cholesky's own gufunc, without the error state that makes
         # one matrix it cannot factor (left NaN) raise for the whole stack:
         # the other factors are the same bits
         with np.errstate(invalid="ignore"):
             chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
-        singular |= np.any(np.isnan(chol), axis=(-2, -1))
+        singular = np.any(np.isnan(chol), axis=(-2, -1))
         chol = np.where(singular[..., None, None], np.eye(a.shape[-2]), chol)
         white = np.linalg.solve(chol, a)
     if np.any(singular):

@@ -13,8 +13,8 @@ operation on a whole stack, serve the log-det rates of ``metrics``:
 ``tridiagonalize`` reduces each Hermitian matrix once, after which
 ``det(I + snr * T)`` and ``det(I + snr * T^2)`` for a whole SNR grid, and
 the inertia that the rank screen reads, are ``O(n)`` recurrences
-(``Tridiagonal``); ``ldl_pivots`` factors single matrices, for the
-singular-noise mask and the whitening of a colored signal (``whitened``).
+(``Tridiagonal``); ``whitened`` factors single matrices ``L D L^H``, to
+whiten a colored signal and mark a singular noise covariance.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ SINGULARITY_RTOL = 1e-10
 # ``lambda_min`` can pass against a ``lambda_max`` of the same size.
 GRAM_SCREEN_RTOL = 1e-8
 # Largest matrix order whose log-det rates come from the unrolled kernels
-# (``tridiagonalize``, and ``ldl_pivots``' factor for whitening); larger
+# (``tridiagonalize``, and ``whitened``'s ``L D L^H`` factor); larger
 # orders take ``eigvalsh``, and LAPACK's Cholesky and ``solve``.  Both read
 # the whole SNR grid from one reduction per matrix, but the unrolled one
 # costs ``O(n^3)`` Python-level steps on the whole stack.  Timed on fig2 and
@@ -236,7 +236,14 @@ def _lower_entries(m: np.ndarray) -> dict:
 
 def _ldl(mat: np.ndarray) -> tuple[dict, np.ndarray]:
     """``L D L^H`` of a Hermitian stack: the below-diagonal entries of the unit
-    lower factor ``L``, keyed ``(i, j)``, and the ``(..., n)`` pivots ``D``."""
+    lower factor ``L``, keyed ``(i, j)``, and the ``(..., n)`` pivots ``D``.
+
+    The product of the pivots is the determinant, and they are all positive
+    exactly when the matrix is positive definite.  The elimination never
+    pivots: after a pivot that is not positive the later ones are
+    meaningless (possibly NaN), which still leaves that matrix with a pivot
+    that is not positive.
+    """
     m = np.asarray(mat)
     n = m.shape[-1]
     a = _lower_entries(m)
@@ -254,29 +261,12 @@ def _ldl(mat: np.ndarray) -> tuple[dict, np.ndarray]:
     return lower, pivots
 
 
-def ldl_pivots(mat: np.ndarray) -> np.ndarray:
-    """Pivots ``d`` of the ``L D L^H`` factorization of Hermitian matrices.
-
-    ``mat`` is a ``(..., n, n)`` stack read through its lower triangle, and
-    the result its ``(..., n)`` pivots.  The product of the pivots is the
-    determinant, and they are all positive exactly when the matrix is
-    positive definite.  The elimination is unrolled over the ``n^2``
-    entries, each step one operation on the whole stack, and it never
-    pivots: after a pivot that is not positive the later ones are
-    meaningless (possibly NaN), which still leaves that matrix with a pivot
-    that is not positive.  It factors single matrices (the singular-noise
-    check); rates over an SNR grid and the rank screen read
-    ``tridiagonalize`` instead.
-    """
-    return _ldl(mat)[1]
-
-
 def whitened(signal: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whitened signal ``Y = D^{-1/2} L^{-1} S`` for ``C = L D L^H``, and the pivots ``D``.
 
     ``signal`` (``S``) is a ``(..., n, cols)`` stack and ``cov`` (``C``) the
     ``(..., n, n)`` Hermitian stack of its noise covariances, so ``Y^H Y =
-    S^H C^{-1} S``.  ``C`` is factored once (``ldl_pivots``' elimination)
+    S^H C^{-1} S``.  ``C`` is factored once (``_ldl``'s elimination)
     and the substitution runs row by row over the stack.  A matrix whose
     ``C`` has a pivot that is not positive gets meaningless entries (NaN or
     infinite) and no warning, and its pivots say so.
@@ -398,11 +388,11 @@ def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
     """The tridiagonal ``T = Q^H A Q`` of every Hermitian matrix of a ``(..., n, n)`` stack.
 
     Householder reflections, one per column ``k < n - 2``, read ``A``
-    through its lower triangle, unrolled over the entries like
-    ``ldl_pivots``: every step is one operation on the whole stack.  ``Q``
-    is unitary, so ``T`` has the eigenvalues, the determinant and the
-    inertia of ``A``, and it does not depend on any SNR: ``det(I + snr A)``
-    is ``det(I + snr T)`` for the whole grid.  Reflection ``k`` maps the
+    through its lower triangle, unrolled over the entries like ``_ldl``:
+    every step is one operation on the whole stack.  ``Q`` is unitary, so
+    ``T`` has the eigenvalues, the determinant and the inertia of ``A``, and
+    it does not depend on any SNR: ``det(I + snr A)`` is ``det(I + snr T)``
+    for the whole grid.  Reflection ``k`` maps the
     sub-column ``x`` of column ``k`` onto its first entry, so the squared
     off-diagonal entry is ``||x||^2``; a sub-column already on its first
     entry (a zero one included) is left as it is.  The reduction is

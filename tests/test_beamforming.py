@@ -272,21 +272,12 @@ class TestEffectiveChannel:
                 eff.noise_cov_spectrum, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max()
             )
 
-    def test_gram_of_spectrum(self):
-        ch = rich(29)
-        eff = effective_channel(rf_1tap(ch), ch)
-        g = eff.spectrum
-        expected = np.conj(np.swapaxes(g, 1, 2)) @ g
-        atol = 1e-12 * np.abs(expected).max()
-        np.testing.assert_allclose(eff.gram, expected, rtol=0.0, atol=atol)
-        assert eff.gram is eff.gram
-
     def test_stacked_views_are_the_views_of_each_channel(self):
         channels = [rich(40 + seed) for seed in range(3)]
         effectives = [effective_channel(rf_ltap(ch), ch) for ch in channels]
         stacked_channel = stack_channels(channels)
         stacked = effective_channel(rf_ltap(stacked_channel), stacked_channel)
-        for view in ("spectrum", "gram", "noise_cov_spectrum"):
+        for view in ("spectrum", "noise_cov_spectrum"):
             expected = np.stack([getattr(eff, view) for eff in effectives])
             np.testing.assert_allclose(
                 getattr(stacked, view), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()

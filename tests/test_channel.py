@@ -132,6 +132,21 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(antennas=8, users=2, taps=4, subcarriers=6)
 
+    @pytest.mark.parametrize("field", ["antennas", "users", "taps", "subcarriers"])
+    @pytest.mark.parametrize("value", [100.5, True, math.inf, math.nan, "100"])
+    def test_counts_are_whole_numbers(self, field, value):
+        # a draw reads each count as an array size, so none may reach it
+        counts = dict(antennas=100, users=4, taps=4, subcarriers=128)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SystemDims(**{**counts, field: value})
+        dims = SystemDims(**{**counts, field: np.int64(counts[field])})
+        assert dims == SystemDims(**counts) and type(getattr(dims, field)) is int
+
+    def test_spectrum_beyond_memory_rejected(self):
+        for antennas in (4_000_000_000, 10**20, 10**400):
+            with pytest.raises(ValueError, match="complex spectrum needs more than the"):
+                SystemDims(antennas=antennas, users=4, taps=4, subcarriers=128)
+
 
 class TestDrawRich:
     def test_reproducible(self):

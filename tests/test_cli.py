@@ -1,10 +1,18 @@
 """Command-line behavior: artifacts, determinism, config grammar, exit codes."""
 
+import contextlib
 import gc
+import io
+import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybeam import cli, experiments
 from hybeam.channel import SparseChannelConfig, SystemDims, load_channel_dump
@@ -526,7 +534,7 @@ class TestConfigFiles:
 
         monkeypatch.setattr(cli, "run_scenario", never_run)
         for body, message in (
-            ("M = 16.5\n", "[x] m: invalid literal for int() with base 10: '16.5'"),
+            ("M = 16.5\n", "[x] antennas: invalid literal for int() with base 10: '16.5'"),
             ("model = sparse\npaths_per_cluster = 2.5\n", "[x] paths_per_cluster: invalid literal"),
             ("antenna_sweep = 8, 16.5\n", "[x] antenna_sweep: invalid literal"),
             ("realizations = ten\n", "[x] realizations: invalid literal"),
@@ -538,6 +546,65 @@ class TestConfigFiles:
             assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
             assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_geometry_beyond_memory_rejected_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        for antennas in ("4000000000", "100000000000000000000"):
+            config = tmp_path / "huge.ini"
+            config.write_text(f"[x]\nM = {antennas}\nschemes = capacity\n")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            spectrum = f"a draw's 128 subcarriers x {antennas} antennas x 4 users complex spectrum"
+            assert capsys.readouterr().err.startswith(f"error: [x] antennas: {spectrum}")
+            code = run_cli("run", "fig2", "--M", antennas, "--outdir", str(tmp_path / "res"))
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: --M/--antennas: {spectrum}")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("U = 200\n", "[x] users: need antennas >= users >= 1, got 100 antennas for 200 users"),
+            ("L = 9\nK = 16\n", "[x] taps: 16 subcarriers are fewer than the tap span"),
+            ("realizations = 0\n", "[x] realizations: realizations must be an integer in [1, inf)"),
+            ("seed = -1\n", "[x] seed: master seed must be an integer in [0, "),
+            ("snr = 0, 10, 0\n", "[x] snr: SNR grid repeats 0"),
+            ("model = sparse\nangular_spread_deg = -2\n", "[x] angular_spread_deg: angular_spread"),
+            ("paths_per_cluster = 2\n", "[x] paths_per_cluster: sparse config given for a non-sparse"),
+            ("antenna_sweep = 8, 16, 8\n", "[x] antenna_sweep: antenna_sweep of x repeats 8"),
+            ("M = 8\nantennas = 8\n", "[x] antennas given twice"),
+        ],
+    )
+    def test_value_rejected_where_it_lands_names_section_and_key(
+        self, tmp_path, monkeypatch, capsys, body, message
+    ):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[x]\nschemes = capacity\n{body}")
+        assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--U", "200"), "--U/--users: need antennas >= users >= 1, got 100 antennas"),
+            (("--L", "2.5"), "--L/--taps: invalid literal for int() with base 10: '2.5'"),
+            (("--seed", "-1"), "--seed: master seed must be an integer in [0, "),
+            (("--snr", "0:10"), "--snr: SNR range must be start:stop:step"),
+        ],
+    )
+    def test_override_rejected_names_its_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        assert run_cli("run", "fig2", *argv, "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
@@ -554,6 +621,90 @@ class TestConfigFiles:
         config = tmp_path / "bad.ini"
         config.write_text("[x]\nM = 16\n")
         assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+
+
+# Config keys as a section writes them -> the key an error names
+_CANONICAL = {"M": "antennas", "U": "users", "L": "taps", "K": "subcarriers"}
+_HUGE = "100000000000000000000"
+
+
+def _bad_texts(key: str, good: str) -> list[tuple[str, bool]]:
+    """Bad values of a key, each with whether a run must reject it."""
+    if key == "schemes":
+        return [(f"{good}, {good.split(',')[0]}", True), ("true", True)]
+    texts = [("true", True), ("inf", True), ("nan", True)]
+    if key in ("angular_spread_deg", "spacing_ratio"):
+        return texts + [(f"{good}5", False), (f"-{good}", True)]
+    if key == "snr":
+        return texts + [("0.5, 10", False), ("-5, 10", False), ("0, 10, 0", True)]
+    texts += [(f"{good}.5", True), (f"-{int(good) + 1}", True)]
+    if key == "antenna_sweep":
+        return texts + [(f"{good}, {good}", True)]
+    if key in ("M", "U", "L", "K", "seed"):
+        texts.append((_HUGE, True))
+    return texts
+
+
+@st.composite
+def _sections(draw):
+    """A section of small valid values, its geometry, seed and model drawn."""
+    m = draw(st.integers(1, 8))
+    taps = draw(st.integers(1, 2))
+    values = {
+        "M": str(m),
+        "U": str(draw(st.integers(1, min(m, 2)))),
+        "L": str(taps),
+        "K": str(draw(st.integers(2 * taps - 1, 8))),
+        "realizations": str(draw(st.integers(1, 2))),
+        "snr": "0, 10",
+        "seed": str(draw(st.integers(0, 2**64 - 1))),
+        "schemes": draw(st.sampled_from(["capacity", "mf, rf_ltap+zf", "rf_1tap, zf"])),
+        "antenna_sweep": str(m),
+    }
+    if draw(st.booleans()):
+        values.update(
+            model="sparse", paths_per_cluster="2", angular_spread_deg="10.5", spacing_ratio="0.5"
+        )
+    return values
+
+
+def _run_section(section: str, values: dict):
+    """Exit code, standard error, draws made and CSVs written of a one-section config run."""
+    draws = []
+    original_draw = experiments.draw_realization
+
+    def draw(*args, **kwargs):
+        draws.append(args)
+        return original_draw(*args, **kwargs)
+
+    err = io.StringIO()
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+        mock.patch.dict(os.environ, {"HYBEAM_THREADS": "1"}),
+        mock.patch.object(experiments, "draw_realization", draw),
+    ):
+        config = Path(tmp) / "prop.ini"
+        config.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        code = run_cli("run", str(config), "--outdir", str(Path(tmp) / "res"))
+        return code, err.getvalue(), draws, list(Path(tmp).rglob("*.csv"))
+
+
+class TestConfigProperty:
+    @settings(max_examples=6, deadline=None, database=None, derandomize=True)
+    @given(values=_sections(), section=st.sampled_from(["x", "sweep 2"]))
+    def test_each_section_runs_or_names_its_key_before_any_draw(self, values, section):
+        # the valid section with each of its keys' bad values in turn
+        for key in [key for key in values if key != "model"]:
+            for text, rejected in _bad_texts(key, values[key]):
+                code, err, draws, written = _run_section(section, {**values, key: text})
+                if code == 2:
+                    assert not draws and not written, (key, text)
+                    assert err.startswith(f"error: [{section}] {_CANONICAL.get(key, key)}: "), err
+                else:
+                    assert not rejected, (key, text, err)
+                    assert code in (0, 3) and draws and written, (key, text)
 
 
 class TestPlotCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybeam import metrics
+from hybeam import metrics, numerics
 from hybeam.beamforming import (
     CombinerIR,
     EffectiveChannel,
@@ -183,6 +183,25 @@ class TestSpectralRates:
         )
         with pytest.raises(SingularMatrixError, match="singular noise covariance"):
             achievable_rate_hybrid(eff, None, link)
+
+    def test_cholesky_alone_marks_a_singular_noise_above_the_ldl_order(self):
+        # above LDL_MAX_ORDER C is factored once, by LAPACK's Cholesky, whose
+        # failure is the verdict: the unrolled elimination never runs.  One
+        # C per draw (a one-tap combiner) whitens the whole subcarrier grid
+        n, k = LDL_MAX_ORDER + 1, 3
+        rng = stream(565)
+        w = complex_normal(rng, (4, n, n + 3))
+        w[2, 5] = 0.0
+        h = complex_normal(rng, (4, k, n + 3, n))
+        signal, cov = w[:, None] @ h, (w @ np.conj(np.swapaxes(w, -1, -2)))[:, None]
+        snrs = [0.1, 1.0, 100.0]
+        with mock.patch.object(numerics, "_ldl", side_effect=AssertionError("_ldl called")):
+            rates = spectral_rates(signal, cov, snrs)
+        assert rates.shape == (len(snrs), 4)
+        assert np.all(np.isnan(rates[:, 2]))
+        for draw in (0, 1, 3):
+            expected = slogdet_rates(signal[draw], np.broadcast_to(cov[draw], (k, n, n)), snrs)
+            np.testing.assert_allclose(rates[:, draw], expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_misshaped_signal(self):
         with pytest.raises(ValueError, match="signal grid"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybeam.beamforming import zf_spectrum
 from hybeam.channel import complex_normal, stream
-from hybeam import experiments
+from hybeam import experiments, numerics
 from hybeam.channel import SystemDims
 from hybeam.numerics import (
     GRAM_SCREEN_RTOL,
@@ -22,10 +22,14 @@ from hybeam.numerics import (
     first_rank_deficient,
     Tridiagonal,
     gram_spectrum,
-    ldl_pivots,
     tridiagonalize,
     whitened,
 )
+
+
+def ldl_pivots(mat):
+    """The pivots of ``whitened``'s ``L D L^H`` elimination: the reference of the pivot tests."""
+    return numerics._ldl(mat)[1]
 
 
 def random_seq(key, span, rows, cols, offset=0):

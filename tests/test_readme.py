@@ -30,15 +30,21 @@ def test_quickstart_rf_rate_matches_its_closed_form():
     assert hybrid > simulated
 
 
-def test_config_keys_match_the_parser():
+def test_run_key_table_is_the_parsers_table():
+    # each key once, with its alias and its run flag, as cli._KEYS has them
     text = README.read_text(encoding="utf-8")
-    paragraph = re.search(r"Config files are INI;(.*?)\n\n", text, re.S).group(1)
-    keys = {
-        key.lower()
-        for token in re.findall(r"`([^`]+)`", paragraph)
-        for key in token.split("=")[0].strip().split("/")
+    table = re.search(r"### Run keys\n.*?\n(\| Key .*?)\n\n", text, re.S).group(1)
+    documented = {}
+    for line in table.splitlines()[2:]:
+        key, alias, flag = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:3])
+        assert key not in documented, key
+        documented[key] = (alias, tuple(flag.split("/")) if flag else ())
+    expected = {
+        key: ("".join(f[2:] for f in spec.flags if f[2:] != key), spec.flags)
+        for key, spec in cli._KEYS.items()
     }
-    assert keys == set(cli._CONFIG_KEYS) | set(cli._KEY_ALIASES)
+    assert documented == expected
+    assert list(documented) == list(cli._KEYS)
 
 
 def test_validate_sentence_names_the_validated_rows():
