@@ -24,8 +24,8 @@ from .experiments import (
     PRESETS,
     VALIDATED_SCHEMES,
     VALIDATED_SWEEP,
-    Preset,
     ResultRow,
+    Scenario,
     run_scenario,
     validate_closed_forms,
 )
@@ -116,8 +116,8 @@ class _Key(NamedTuple):
 
     flags: tuple[str, ...]  # its ``run`` options; none when only a config section sets it
     parse: Callable[[str], object]
-    owner: str  # "dims", "sparse", "scenario" or "preset"
-    field: str  # the field of ``SystemDims``, ``SparseChannelConfig``, ``Scenario`` or ``Preset``
+    owner: str  # "dims", "sparse" or "scenario"
+    field: str  # the field of ``SystemDims``, ``SparseChannelConfig`` or ``Scenario``
     help: str | None = None
 
 
@@ -138,39 +138,37 @@ _KEYS = {
     "paths_per_cluster": _Key((), int, "sparse", "paths_per_cluster"),
     "angular_spread_deg": _Key((), float, "sparse", "angular_spread_deg"),
     "spacing_ratio": _Key((), float, "sparse", "spacing_ratio"),
-    "antenna_sweep": _Key((), lambda text: tuple(map(int, _names(text))), "preset", "antenna_sweep"),
+    "antenna_sweep": _Key((), lambda text: tuple(map(int, _names(text))), "scenario", "antenna_sweep"),
 }
 _NAMES = {name.lstrip("-").lower(): key for key, spec in _KEYS.items() for name in (key, *spec.flags)}
 
 
-def _with_values(preset: Preset, values: dict) -> Preset:
-    """``preset`` with the parsed values of run keys in place."""
-    parts = {owner: {} for owner in ("dims", "sparse", "scenario", "preset")}
+def _with_values(scenario: Scenario, values: dict) -> Scenario:
+    """``scenario`` with the parsed values of run keys in place."""
+    parts = {owner: {} for owner in ("dims", "sparse", "scenario")}
     for key, value in values.items():
         parts[_KEYS[key].owner][_KEYS[key].field] = value
-    scenario = preset.scenario
     if parts["sparse"]:
         parts["scenario"]["sparse"] = replace(scenario.sparse or SparseChannelConfig(), **parts["sparse"])
-    scenario = replace(scenario, dims=replace(scenario.dims, **parts["dims"]), **parts["scenario"])
-    return replace(preset, scenario=scenario, **parts["preset"])
+    return replace(scenario, dims=replace(scenario.dims, **parts["dims"]), **parts["scenario"])
 
 
-def _configure(preset: Preset, texts: dict, where: str, name=lambda key: key) -> Preset:
-    """``preset`` with the run keys' ``texts`` parsed and in place.
+def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key) -> Scenario:
+    """``scenario`` with the run keys' ``texts`` parsed and in place.
 
     A value rejected as it parses or where it lands raises ``ValueError`` as
     ``<where><name(key)>: reason``, naming the first key without which the
     other values are accepted.  Without the key they are tried on
-    ``preset`` with one user and one tap, which conflict with no geometry.
+    ``scenario`` with one user and one tap, which conflict with no geometry.
     """
 
-    def build(base: Preset, keys) -> Preset:
+    def build(base: Scenario, keys) -> Scenario:
         return _with_values(base, {key: _KEYS[key].parse(texts[key].strip()) for key in keys})
 
     try:
-        return build(preset, texts)
+        return build(scenario, texts)
     except ValueError as exc:
-        loose = _with_values(preset, {"users": 1, "taps": 1})
+        loose = _with_values(scenario, {"users": 1, "taps": 1})
         for key in texts:
             try:
                 build(loose, [other for other in texts if other != key])
@@ -180,8 +178,8 @@ def _configure(preset: Preset, texts: dict, where: str, name=lambda key: key) ->
         raise ValueError(f"{where}{exc}") from None
 
 
-def load_config(path) -> list[Preset]:
-    """Parse an INI-style config file into runnable presets, one per section.
+def load_config(path) -> list[Scenario]:
+    """Parse an INI-style config file into runnable scenarios, one per section.
 
     Geometry, SNR grid, realization count and seed that a section leaves out
     take the presets' standard values, which ``fig2`` uses unchanged; sparse
@@ -193,7 +191,7 @@ def load_config(path) -> list[Preset]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    presets = []
+    scenarios = []
     for section in parser.sections():
         texts = {}
         for name, text in parser.items(section):
@@ -203,33 +201,33 @@ def load_config(path) -> list[Preset]:
             if key in texts:
                 raise ValueError(f"[{section}] {key} given twice")
             texts[key] = text
-        base = Preset(replace(template, name=section, schemes=()))
-        preset = _configure(base, texts, f"[{section}] ")
-        if not preset.scenario.schemes and not preset.antenna_sweep:
+        scenario = _configure(replace(template, name=section, schemes=()), texts, f"[{section}] ")
+        if not scenario.schemes and not scenario.antenna_sweep:
             raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
-        presets.append(preset)
-    if not presets:
+        scenarios.append(scenario)
+    if not scenarios:
         raise ValueError(f"{path}: config file defines no scenarios")
-    return presets
+    return scenarios
 
 
-def _apply_overrides(preset: Preset, args) -> Preset:
+def _apply_overrides(scenario: Scenario, args) -> Scenario:
     texts = {key: getattr(args, key) for key, spec in _KEYS.items() if spec.flags}
     texts = {key: text for key, text in texts.items() if text is not None}
-    return _configure(preset, texts, "", lambda key: "/".join(_KEYS[key].flags))
+    return _configure(scenario, texts, "", lambda key: "/".join(_KEYS[key].flags))
 
 
 def cmd_list(args) -> int:
     for name, preset in PRESETS.items():
-        dims = preset.scenario.dims
+        scenario = preset.scenario
+        dims = scenario.dims
         summary = (
             f"M={dims.antennas} U={dims.users} L={dims.taps} K={dims.subcarriers}, "
-            f"{preset.scenario.realizations} realizations"
+            f"{scenario.realizations} realizations"
         )
-        if preset.scenario.channel_model != "rich":
-            summary += f", {preset.scenario.channel_model} channel"
-        if preset.antenna_sweep:
-            summary += f", antenna sweep {'/'.join(str(m) for m in preset.antenna_sweep)}"
+        if scenario.channel_model != "rich":
+            summary += f", {scenario.channel_model} channel"
+        if scenario.antenna_sweep:
+            summary += f", antenna sweep {'/'.join(str(m) for m in scenario.antenna_sweep)}"
         print(f"{name}: {preset.description} [{summary}]")
     return EXIT_OK
 
@@ -240,38 +238,37 @@ def _joined(own: tuple, needed: tuple) -> tuple:
 
 def cmd_run(args) -> int:
     if args.target in PRESETS:
-        presets = [PRESETS[args.target]]
+        scenarios = [PRESETS[args.target].scenario]
     elif os.path.exists(args.target):
-        presets = load_config(args.target)
+        scenarios = load_config(args.target)
     else:
         raise ValueError(f"unknown preset or missing config file: {args.target!r}")
-    presets = [_apply_overrides(preset, args) for preset in presets]
-    runs = presets
+    scenarios = [_apply_overrides(scenario, args) for scenario in scenarios]
+    runs = scenarios
     if args.validate:
-        sparse = [p.scenario.name for p in presets if p.scenario.channel_model != "rich"]
+        sparse = [s.name for s in scenarios if s.channel_model != "rich"]
         if sparse:
             raise ValueError(
                 f"closed-form validation assumes the rich channel model: {', '.join(sparse)}"
             )
         # validation reads these schemes' and sizes' rows; the CSV keeps the section's own
         runs = [
-            _with_values(p, {
-                "schemes": _joined(p.scenario.schemes, VALIDATED_SCHEMES),
-                "antenna_sweep": _joined(p.antenna_sweep, VALIDATED_SWEEP),
+            _with_values(s, {
+                "schemes": _joined(s.schemes, VALIDATED_SCHEMES),
+                "antenna_sweep": _joined(s.antenna_sweep, VALIDATED_SWEEP),
             })
-            for p in presets
+            for s in scenarios
         ]
     os.makedirs(args.outdir, exist_ok=True)
     status = EXIT_OK
-    for preset, run in zip(presets, runs):
-        scenario = preset.scenario
+    for scenario, run in zip(scenarios, runs):
         dump_dir = None
         if args.dump_channels:
             dump_dir = os.path.join(args.outdir, f"{scenario.name}_channels")
             os.makedirs(dump_dir, exist_ok=True)
-        result = run_scenario(run.scenario, dump_dir=dump_dir, antenna_sweep=run.antenna_sweep)
+        result = run_scenario(run, dump_dir=dump_dir)
         rows = [row for row in result.rows if row.scheme in scenario.schemes]
-        rows += [row for row in result.sweep if row.snr_db in preset.antenna_sweep]
+        rows += [row for row in result.sweep if row.snr_db in scenario.antenna_sweep]
         failures = result.failures
         trailer = None
         if args.validate:

@@ -1,9 +1,10 @@
 """Monte-Carlo scenario runner and the preset benchmark catalog.
 
-A scenario fixes the geometry, SNR grid, channel model, and scheme list; the
-runner draws independent realizations from per-realization derived seeds,
-evaluates every scheme on the shared draw, and aggregates means and standard
-errors.  Realizations are evaluated in fixed chunks of ``CHUNK`` consecutive
+A scenario fixes the geometry, SNR grid, channel model, scheme list and
+antenna sweep, and is checked whole when it is built; the runner draws
+independent realizations from per-realization derived seeds, evaluates
+every scheme on the shared draw, and aggregates means and standard errors.
+Realizations are evaluated in fixed chunks of ``CHUNK`` consecutive
 indices, which workers never split, so the runner can fan them out across
 processes without changing a single output bit.
 """
@@ -11,6 +12,7 @@ processes without changing a single output bit.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
@@ -33,6 +35,7 @@ from .channel import (
     PowerDelayProfile,
     SparseChannelConfig,
     SystemDims,
+    _MEMORY_BYTES,
     _SEED_MASK,
     _integer,
     draw_rich,
@@ -92,18 +95,21 @@ _MODEL_LABEL = {"rich": 1, "sparse": 2}
 
 
 def _reject_repeats(what: str, items: tuple) -> None:
-    repeated = sorted({item for item in items if items.count(item) > 1})
+    repeated = sorted(item for item, count in Counter(items).items() if count > 1)
     if repeated:
         raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
 
 
-def _sweep_sizes(what: str, sizes, users: int) -> tuple[int, ...]:
-    """An antenna sweep as distinct integers, none below ``users``."""
+def _sweep_sizes(what: str, sizes, dims: SystemDims) -> tuple[int, ...]:
+    """An antenna sweep as distinct integers, none below the user count, each
+    an array size that ``dims`` accepts."""
     sizes = tuple(_integer(f"{what} size", m, 1) for m in sizes)
     _reject_repeats(what, sizes)
-    small = [m for m in sizes if m < users]
+    small = [m for m in sizes if m < dims.users]
     if small:
-        raise ValueError(f"{what} has sizes below its {users} users: {small}")
+        raise ValueError(f"{what} has sizes below its {dims.users} users: {small}")
+    for m in sizes:
+        replace(dims, antennas=m)
     return sizes
 
 
@@ -117,7 +123,15 @@ def _has_link(snr_db: float) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible experiment: geometry, SNR grid, schemes, seed."""
+    """One reproducible experiment: geometry, SNR grid, schemes, seed, and the
+    array sizes of its delay-spread sweep.
+
+    Every check a run needs is made here, before any draw.  The sweep's
+    sizes are distinct integers, none below the user count, each a valid
+    array size of ``dims``.  A sparse scenario's steering phase ramp must be
+    finite on its largest array, its own or a swept one.  The samples of all
+    realizations at every SNR point must fit in physical memory.
+    """
 
     name: str
     dims: SystemDims
@@ -127,6 +141,7 @@ class Scenario:
     channel_model: str = "rich"
     sparse: SparseChannelConfig | None = None
     master_seed: int = DEFAULT_SEED
+    antenna_sweep: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
@@ -143,6 +158,11 @@ class Scenario:
         if unusable:
             raise ValueError(f"SNR grid has non-finite or zero linear SNRs: {', '.join(unusable)}")
         _reject_repeats("SNR grid", self.snr_db)
+        if 8 * self.realizations * len(self.snr_db) > _MEMORY_BYTES:
+            raise ValueError(
+                f"{self.realizations} realizations x {len(self.snr_db)} SNR points of 8-byte "
+                f"samples need more than the {_MEMORY_BYTES} bytes of memory"
+            )
         _reject_repeats("scheme list", self.schemes)
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
@@ -154,6 +174,11 @@ class Scenario:
                 object.__setattr__(self, "sparse", SparseChannelConfig())
         elif self.sparse is not None:
             raise ValueError("sparse config given for a non-sparse channel model")
+        sweep = _sweep_sizes(f"antenna_sweep of {self.name}", self.antenna_sweep, self.dims)
+        object.__setattr__(self, "antenna_sweep", sweep)
+        if self.sparse is not None:
+            # the steepest ramp of any draw: cos(angle) = 1 on the largest array
+            steering_vector(max((self.dims.antennas, *sweep)), 0.0, self.sparse.spacing_ratio)
 
 
 @dataclass(frozen=True)
@@ -205,12 +230,10 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def realization_seed(scenario: Scenario, index: int, antennas: int | None = None) -> int:
+def realization_seed(scenario: Scenario, index: int) -> int:
     """Seed for one realization; the array size is part of the derivation path."""
-    m = scenario.dims.antennas if antennas is None else int(antennas)
-    return derive_seed(
-        scenario.master_seed, _MODEL_LABEL[scenario.channel_model], m, int(index)
-    )
+    model = _MODEL_LABEL[scenario.channel_model]
+    return derive_seed(scenario.master_seed, model, scenario.dims.antennas, int(index))
 
 
 @cache
@@ -219,15 +242,11 @@ def _profile(taps: int, users: int) -> PowerDelayProfile:
     return exponential_pdp(taps, users)
 
 
-def draw_realization(
-    scenario: Scenario, index: int, antennas: int | None = None
-) -> ChannelRealization:
+def draw_realization(scenario: Scenario, index: int) -> ChannelRealization:
     """Draw the channel for one realization of a scenario."""
     dims = scenario.dims
-    if antennas is not None:
-        dims = replace(dims, antennas=int(antennas))
     pdp = _profile(dims.taps, dims.users)
-    seed = realization_seed(scenario, index, antennas)
+    seed = realization_seed(scenario, index)
     if scenario.channel_model == "sparse":
         return draw_sparse(dims, pdp, scenario.sparse, seed)
     return draw_rich(dims, pdp, seed)
@@ -449,22 +468,20 @@ def _run_blocks(task, payloads: list, workers: int) -> list:
         return list(pool.map(task, payloads))
 
 
-def _split_indices(count: int, workers: int) -> list[list[int]]:
-    """At most ``workers`` blocks of consecutive indices, each a union of whole chunks."""
+def _split_indices(count: int, workers: int) -> list[range]:
+    """At most ``workers`` ranges of consecutive indices, each a union of whole
+    chunks; the first ``chunks % blocks`` of them hold one chunk more."""
     chunks = -(-count // CHUNK)
-    blocks = np.array_split(np.arange(chunks), min(workers, chunks))
-    return [
-        list(range(block[0] * CHUNK, min((block[-1] + 1) * CHUNK, count)))
-        for block in blocks
-        if block.size
-    ]
+    blocks = min(workers, chunks)
+    size, extra = divmod(chunks, blocks)
+    bounds = [CHUNK * (i * size + min(i, extra)) for i in range(blocks + 1)]
+    return [range(start, min(stop, count)) for start, stop in zip(bounds, bounds[1:])]
 
 
 def run_scenario(
     scenario: Scenario,
     workers: int | None = None,
     dump_dir: str | None = None,
-    antenna_sweep=(),
 ) -> RunResult:
     """Evaluate a scenario over all realizations and aggregate per metric.
 
@@ -475,30 +492,21 @@ def run_scenario(
     single sample raises.  ``dump_dir`` receives the channels the schemes
     are evaluated on.
 
-    ``antenna_sweep`` adds the delay-spread study of ``rms_study`` at those
-    array sizes to the same pass, as ``RunResult.sweep``: distinct integers,
-    none below the user count, checked before any draw.  At the scenario's
-    own size the sweep reads the chunks the schemes are evaluated on; every
-    other size is drawn and evaluated by the same worker entry, in the same
-    process pool, so every (size, realization) pair is drawn once.  Output
-    is identical for any worker count.  A sparse scenario's steering phase
-    ramp must be finite at the largest size drawn, which is also checked
-    before any draw.
+    The scenario's ``antenna_sweep`` adds the delay-spread study of
+    ``rms_study`` at those array sizes to the same pass, as
+    ``RunResult.sweep``.  At the scenario's own size the sweep reads the
+    chunks the schemes are evaluated on; every other size is drawn and
+    evaluated by the same worker entry, in the same process pool, so every
+    (size, realization) pair is drawn once.  Output is identical for any
+    worker count.
     """
     workers = resolve_workers(workers)
-    grid = _sweep_sizes(f"antenna sweep of {scenario.name}", antenna_sweep, scenario.dims.users)
+    grid = scenario.antenna_sweep
     own = scenario.dims.antennas
     sized = {own: scenario} if scenario.schemes or own in grid else {}
     for antennas in grid:
-        sized.setdefault(
-            antennas, replace(scenario, dims=replace(scenario.dims, antennas=antennas), schemes=())
-        )
-    if scenario.sparse is not None and sized:
-        # the steepest ramp of any draw: cos(angle) = 1 on the largest array
-        try:
-            steering_vector(max(sized), 0.0, scenario.sparse.spacing_ratio)
-        except ValueError as exc:
-            raise ValueError(f"spacing_ratio of {scenario.name}: {exc}") from None
+        dims = replace(scenario.dims, antennas=antennas)
+        sized.setdefault(antennas, replace(scenario, dims=dims, schemes=(), antenna_sweep=()))
     blocks = _split_indices(scenario.realizations, workers)
     payloads = [
         (sub, block, dump_dir if sub.schemes else None, antennas in grid)
@@ -579,12 +587,12 @@ def rms_study(
     over realizations; the per-antenna-element channels give the unprocessed
     baseline (scheme ``siso``).  The antenna count is reported in the
     ``snr_db`` column, which doubles as the sweep axis for these rows.  This
-    is ``run_scenario``'s sweep without the scenario's schemes: the grid
-    must hold distinct integers, none below the user count, every (size,
-    realization) pair is drawn once, and the whole sweep shares one worker
-    pool.
+    is ``run_scenario``'s sweep without the scenario's schemes: the grid is
+    checked as ``Scenario.antenna_sweep``, every (size, realization) pair is
+    drawn once, and the whole sweep shares one worker pool.
     """
-    return list(run_scenario(replace(scenario, schemes=()), workers, antenna_sweep=antenna_grid).sweep)
+    swept = replace(scenario, schemes=(), antenna_sweep=antenna_grid)
+    return list(run_scenario(swept, workers).sweep)
 
 
 @dataclass(frozen=True)
@@ -715,20 +723,10 @@ def validate_closed_forms(scenario: Scenario, rows) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named ready-to-run scenario, optionally with an antenna sweep.
-
-    Every sweep size is a distinct integer, at least the scenario's user
-    count.
-    """
+    """A named ready-to-run scenario of the catalog, with its description."""
 
     scenario: Scenario
-    antenna_sweep: tuple[int, ...] = ()
     description: str = ""
-
-    def __post_init__(self):
-        what = f"antenna_sweep of {self.scenario.name}"
-        sizes = _sweep_sizes(what, self.antenna_sweep, self.scenario.dims.users)
-        object.__setattr__(self, "antenna_sweep", sizes)
 
 
 DEFAULT_DIMS = SystemDims(antennas=100, users=4, taps=4, subcarriers=128)
@@ -760,8 +758,7 @@ PRESETS: dict[str, Preset] = {
         description="capacity of the effective channel under RF combining",
     ),
     "fig5": Preset(
-        _preset_scenario("fig5", (), snr_db=(10.0,)),
-        antenna_sweep=(20, 25, 100, 400, 500),
+        _preset_scenario("fig5", (), snr_db=(10.0,), antenna_sweep=(20, 25, 100, 400, 500)),
         description="RMS delay spread of the effective channel versus array size",
     ),
     "fig6": Preset(

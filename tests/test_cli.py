@@ -188,9 +188,9 @@ class TestRunCommand:
         draws = []
         original_draw = experiments.draw_realization
 
-        def draw(scenario, index, antennas=None):
+        def draw(scenario, index):
             draws.append(index)
-            return original_draw(scenario, index, antennas)
+            return original_draw(scenario, index)
 
         monkeypatch.setattr(experiments, "draw_realization", draw)
         outdir = tmp_path / "res"
@@ -234,13 +234,13 @@ class TestRunCommand:
         original_run = cli.run_scenario
         original_draw = experiments.draw_realization
 
-        def run(scenario, *args, antenna_sweep=(), **kwargs):
-            runs.append((scenario.schemes, tuple(antenna_sweep)))
-            return original_run(scenario, *args, antenna_sweep=antenna_sweep, **kwargs)
+        def run(scenario, *args, **kwargs):
+            runs.append((scenario.schemes, scenario.antenna_sweep))
+            return original_run(scenario, *args, **kwargs)
 
-        def draw(scenario, index, antennas=None):
-            draws.append((index, scenario.dims.antennas if antennas is None else antennas))
-            return original_draw(scenario, index, antennas)
+        def draw(scenario, index):
+            draws.append((index, scenario.dims.antennas))
+            return original_draw(scenario, index)
 
         for module in (cli, experiments):
             monkeypatch.setattr(module, "run_scenario", run)
@@ -250,7 +250,7 @@ class TestRunCommand:
         # them.  At M=25 the run's own size is one of the swept sizes
         cases = (
             ("fig3", 16, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
-            ("fig5", 16, ("rf_1tap", "rf_ltap"), PRESETS["fig5"].antenna_sweep),
+            ("fig5", 16, ("rf_1tap", "rf_ltap"), PRESETS["fig5"].scenario.antenna_sweep),
             ("fig3", 25, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
         )
         for target, antennas, schemes, grid in cases:
@@ -270,17 +270,16 @@ class TestRunCommand:
 
         monkeypatch.undo()
         for target, antennas, _, _ in cases:
-            preset = PRESETS[target]
             scenario = replace(
-                preset.scenario,
+                PRESETS[target].scenario,
                 dims=SystemDims(antennas=antennas, users=2, taps=2, subcarriers=16),
                 realizations=3,
                 snr_db=(0.0, 10.0),
             )
             separate = run_scenario(replace(scenario, schemes=("rf_1tap", "rf_ltap")))
             own = list(run_scenario(scenario).rows) if scenario.schemes else []
-            if preset.antenna_sweep:
-                own += rms_study(preset.antenna_sweep, scenario)
+            if scenario.antenna_sweep:
+                own += rms_study(scenario.antenna_sweep, scenario)
             validated = list(separate.rows) + rms_study(VALIDATED_SWEEP, scenario)
             expected = tmp_path / f"expected_{target}_{antennas}.csv"
             cli.write_csv(expected, own, validate_closed_forms(scenario, validated).render())
@@ -310,10 +309,10 @@ class TestRunCommand:
             written.append((outdir / "own.csv").read_bytes())
         assert written[1] == written[0]
         assert written[2] == written[0]
-        (preset,) = cli.load_config(config)
+        (scenario,) = cli.load_config(config)
         expected = tmp_path / "expected.csv"
-        rows = list(run_scenario(preset.scenario, workers=1).rows)
-        cli.write_csv(expected, rows + rms_study(preset.antenna_sweep, preset.scenario, workers=1))
+        rows = list(run_scenario(scenario, workers=1).rows)
+        cli.write_csv(expected, rows + rms_study(scenario.antenna_sweep, scenario, workers=1))
         assert written[0] == expected.read_bytes()
 
     def test_validate_writes_only_the_sections_schemes(self, tmp_path):
@@ -330,7 +329,7 @@ class TestRunCommand:
         )
         outdir = tmp_path / "res"
         assert run_cli("run", str(config), "--validate", "--outdir", str(outdir)) == 0
-        scenario = cli.load_config(config)[0].scenario
+        scenario = cli.load_config(config)[0]
         assert cli.read_csv(outdir / "hybrid.csv") == list(run_scenario(scenario).rows)
         text = (outdir / "hybrid.csv").read_text()
         assert "checks passed" in text.splitlines()[-1]
@@ -346,7 +345,7 @@ class TestRunCommand:
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        def fake_run(scenario, workers=None, dump_dir=None, antenna_sweep=()):
+        def fake_run(scenario, workers=None, dump_dir=None):
             return RunResult(rows=(), realizations=100, failures=5)
 
         monkeypatch.setattr(cli, "run_scenario", fake_run)
@@ -401,17 +400,15 @@ class TestConfigFiles:
         )
         assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 0
         # the sparse keys it leaves out keep their defaults
-        sparse = cli.load_config(config)[0].scenario.sparse
+        sparse = cli.load_config(config)[0].sparse
         assert sparse == SparseChannelConfig(paths_per_cluster=3)
 
     def test_left_out_keys_take_the_presets_values(self, tmp_path):
         config = tmp_path / "bare.ini"
         config.write_text("[bare]\nschemes = capacity\n")
-        (preset,) = cli.load_config(config)
-        assert preset.scenario == replace(
-            PRESETS["fig2"].scenario, name="bare", schemes=("capacity",)
-        )
-        assert preset.antenna_sweep == ()
+        (scenario,) = cli.load_config(config)
+        assert scenario == replace(PRESETS["fig2"].scenario, name="bare", schemes=("capacity",))
+        assert scenario.antenna_sweep == ()
 
     def test_validate_checks_every_section_first(self, tmp_path, monkeypatch):
         # the rich section comes first and would run if sections were checked lazily
@@ -477,8 +474,14 @@ class TestConfigFiles:
         monkeypatch.setattr(cli, "run_scenario", never_run)
         monkeypatch.setattr(experiments, "draw_realization", never_run)
         for sweep, message in (
-            ("8, 8", "antenna_sweep of x repeats 8"),
-            ("8, 1", "antenna_sweep of x has sizes below its 2 users: [1]"),
+            ("8, 8", "[x] antenna_sweep: antenna_sweep of x repeats 8"),
+            # without U the section has one user, which the size 1 serves
+            ("8, 1", "[x] users: antenna_sweep of x has sizes below its 2 users: [1]"),
+            (
+                "8, 100000000000000000000",
+                "[x] antenna_sweep: a draw's 128 subcarriers x "
+                "100000000000000000000 antennas x 2 users complex spectrum needs more than",
+            ),
         ):
             config = tmp_path / "sweep.ini"
             config.write_text(f"[x]\nM = 16\nU = 2\nschemes = capacity\nantenna_sweep = {sweep}\n")
@@ -525,7 +528,8 @@ class TestConfigFiles:
         config.write_text("[x]\nM = 16\nmodel = sparse\nschemes = capacity\nspacing_ratio = 1e307\n")
         assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
         error = capsys.readouterr().err
-        assert "spacing_ratio of x: phase ramp" in error and "m < 16" in error
+        assert error.startswith("error: [x] spacing_ratio: phase ramp 2*pi*spacing_ratio")
+        assert "m < 16" in error
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_value_that_does_not_parse_names_section_and_key(self, tmp_path, monkeypatch, capsys):
@@ -575,6 +579,10 @@ class TestConfigFiles:
             ("paths_per_cluster = 2\n", "[x] paths_per_cluster: sparse config given for a non-sparse"),
             ("antenna_sweep = 8, 16, 8\n", "[x] antenna_sweep: antenna_sweep of x repeats 8"),
             ("M = 8\nantennas = 8\n", "[x] antennas given twice"),
+            (
+                "snr = 0, 10\nrealizations = 1000000000000\n",
+                "[x] realizations: 1000000000000 realizations x 2 SNR points of 8-byte samples",
+            ),
         ],
     )
     def test_value_rejected_where_it_lands_names_section_and_key(
@@ -596,6 +604,10 @@ class TestConfigFiles:
             (("--L", "2.5"), "--L/--taps: invalid literal for int() with base 10: '2.5'"),
             (("--seed", "-1"), "--seed: master seed must be an integer in [0, "),
             (("--snr", "0:10"), "--snr: SNR range must be start:stop:step"),
+            (
+                ("--realizations", "1000000000000"),
+                "--realizations: 1000000000000 realizations x 7 SNR points of 8-byte samples",
+            ),
         ],
     )
     def test_override_rejected_names_its_flag(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -639,8 +651,8 @@ def _bad_texts(key: str, good: str) -> list[tuple[str, bool]]:
         return texts + [("0.5, 10", False), ("-5, 10", False), ("0, 10, 0", True)]
     texts += [(f"{good}.5", True), (f"-{int(good) + 1}", True)]
     if key == "antenna_sweep":
-        return texts + [(f"{good}, {good}", True)]
-    if key in ("M", "U", "L", "K", "seed"):
+        return texts + [(f"{good}, {good}", True), (f"{good}, {_HUGE}", True)]
+    if key in ("M", "U", "L", "K", "realizations", "seed"):
         texts.append((_HUGE, True))
     return texts
 

@@ -1,6 +1,7 @@
 """Scenario runner: reproducibility, aggregation, presets, validation."""
 
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -106,10 +107,40 @@ class TestScenarioValidation:
         assert type(s.realizations) is int
         assert run_scenario(s).realizations == 3
 
+    def test_realizations_beyond_memory_rejected_before_any_draw(self, monkeypatch):
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        # 8 bytes per realization and SNR point: half the memory passes at 2 points
+        fits = channel._MEMORY_BYTES // 16
+        assert small_scenario(realizations=fits, schemes=()).realizations == fits
+        with pytest.raises(ValueError, match=r"realizations x 2 SNR points .* bytes of memory"):
+            small_scenario(realizations=fits + 1)
+        with pytest.raises(ValueError, match="1000000000000 realizations"):
+            run_scenario(replace(small_scenario(), realizations=10**12))
+
+    def test_huge_counts_split_without_a_per_chunk_array(self):
+        blocks = experiments._split_indices(10**12, 3)
+        assert [(b.start, b.stop) for b in blocks] == [
+            (0, 333_333_333_336),
+            (333_333_333_336, 666_666_666_672),
+            (666_666_666_672, 10**12),
+        ]
+
     def test_repeated_snr_points_rejected(self):
         for grid in ((0.0, 0.0, 5.0), (5.0, 0.0, 5), (0.0, -0.0)):
             with pytest.raises(ValueError, match="SNR grid repeats"):
                 small_scenario(snr_db=grid)
+
+    def test_repeats_of_a_long_grid_found_in_linear_time(self):
+        grid = tuple(1e-4 * i for i in range(200_000)) + (5.0,)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^SNR grid repeats 5\.0$"):
+            experiments._reject_repeats("SNR grid", grid)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match=r"^list repeats 1, 3$"):
+            experiments._reject_repeats("list", (3, 1, 2, 3, 1, 3))
 
     def test_repeated_schemes_rejected(self):
         with pytest.raises(ValueError, match="scheme list repeats capacity"):
@@ -138,7 +169,8 @@ class TestSeeds:
         rich = small_scenario()
         sparse = small_scenario(channel_model="sparse")
         assert realization_seed(rich, 0) != realization_seed(sparse, 0)
-        assert realization_seed(rich, 0) != realization_seed(rich, 0, antennas=48)
+        wider = replace(rich, dims=replace(SMALL_DIMS, antennas=48))
+        assert realization_seed(rich, 0) != realization_seed(wider, 0)
 
     def test_draws_reproducible(self):
         s = small_scenario()
@@ -147,7 +179,7 @@ class TestSeeds:
         np.testing.assert_array_equal(a.taps.taps, b.taps.taps)
 
     def test_antenna_override_changes_shape(self):
-        ch = draw_realization(small_scenario(), 0, antennas=48)
+        ch = draw_realization(small_scenario(dims=replace(SMALL_DIMS, antennas=48)), 0)
         assert ch.taps.taps.shape[1] == 48
 
 
@@ -307,8 +339,8 @@ class TestRunScenario:
         # effective channel alike
         original = experiments.draw_realization
 
-        def degenerate(scenario, index, antennas=None):
-            ch = original(scenario, index, antennas)
+        def degenerate(scenario, index):
+            ch = original(scenario, index)
             if index % 2 and not odd_too:
                 return ch
             taps = ch.taps.taps.copy()
@@ -415,8 +447,8 @@ class TestRunScenario:
         # counts and its zf rate is its capacity
         original = experiments.draw_realization
 
-        def near(scenario, index, antennas=None):
-            ch = original(scenario, index, antennas)
+        def near(scenario, index):
+            ch = original(scenario, index)
             if index % 2:
                 return ch
             taps = ch.taps.taps.copy()
@@ -441,8 +473,8 @@ class TestRunScenario:
         # subcarrier 0 alone
         original = experiments.draw_realization
 
-        def planted(scenario, index, antennas=None):
-            ch = original(scenario, index, antennas)
+        def planted(scenario, index):
+            ch = original(scenario, index)
             taps = ch.taps.taps.copy()
             if index % 3 == 0:
                 h = numerics.dft_of_taps(ch.taps, dims.subcarriers)[5]
@@ -515,9 +547,9 @@ class TestRunScenario:
         draws, pools = [], []
         original = experiments.draw_realization
 
-        def draw(scenario, index, antennas=None):
-            draws.append((index, scenario.dims.antennas if antennas is None else antennas))
-            return original(scenario, index, antennas)
+        def draw(scenario, index):
+            draws.append((index, scenario.dims.antennas))
+            return original(scenario, index)
 
         class CountedPool(experiments.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -526,13 +558,13 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiments, "draw_realization", draw)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
-        combined = run_scenario(s, workers=1, antenna_sweep=grid)
+        combined = run_scenario(replace(s, antenna_sweep=grid), workers=1)
         assert sorted(draws) == sorted((i, m) for i in range(s.realizations) for m in grid)
         assert combined.rows == alone.rows
         assert combined.sweep == swept
         assert combined.failures == alone.failures
         for workers in (2, 3):
-            assert run_scenario(s, workers=workers, antenna_sweep=grid) == combined
+            assert run_scenario(replace(s, antenna_sweep=grid), workers=workers) == combined
         assert pools == [2, 3]
 
     def test_planted_subcarrier_failures_above_the_threshold(self, monkeypatch):
@@ -845,16 +877,17 @@ class TestRmsStudy:
         monkeypatch.setattr(experiments, "draw_realization", never_draw)
         s = small_scenario(schemes=(), realizations=4)
         for grid, message in (
-            ([25, 25], "antenna sweep of small repeats 25"),
+            ([25, 25], "antenna_sweep of small repeats 25"),
             ([16, 25.9], "size must be an integer in [1, inf), got 25.9"),
             ([25.0], "got 25.0"),
             ([True], "got True"),
-            ([16, 2], "antenna sweep of small has sizes below its 3 users: [2]"),
+            ([16, 2], "antenna_sweep of small has sizes below its 3 users: [2]"),
+            ([16, 10**20], "a draw's 32 subcarriers x 100000000000000000000 antennas"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 rms_study(grid, s)
             with pytest.raises(ValueError, match=re.escape(message)):
-                run_scenario(replace(s, schemes=("capacity",)), antenna_sweep=grid)
+                replace(s, schemes=("capacity",), antenna_sweep=grid)
 
     def test_sparse_ramp_overflowing_at_a_swept_size_rejected_before_any_draw(self, monkeypatch):
         # 2*pi*spacing_ratio*m is finite up to m = 7, the largest element of
@@ -867,8 +900,8 @@ class TestRmsStudy:
         s = small_scenario(
             dims=dims, channel_model="sparse", sparse=SparseChannelConfig(spacing_ratio=5e306)
         )
-        with pytest.raises(ValueError, match="spacing_ratio of small: phase ramp .* m < 16"):
-            run_scenario(s, antenna_sweep=[16])
+        with pytest.raises(ValueError, match="phase ramp 2.pi.spacing_ratio.* m < 16"):
+            replace(s, antenna_sweep=[16])
         with pytest.raises(ValueError, match="m < 16"):
             rms_study([8, 16], s)
         monkeypatch.undo()
@@ -960,7 +993,7 @@ class TestPresets:
 
     def test_sweep_preset(self):
         preset = PRESETS["fig5"]
-        assert preset.antenna_sweep == (20, 25, 100, 400, 500)
+        assert preset.scenario.antenna_sweep == (20, 25, 100, 400, 500)
         assert preset.scenario.schemes == ()
 
     def test_flat_fading_preset(self):
