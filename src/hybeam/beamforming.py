@@ -20,7 +20,8 @@ from .numerics import (
     _rank_deficient,
     circular_convolve,
     dft_of_taps,
-    gram_spectrum,
+    gram_of_lags,
+    lag_products,
 )
 
 _MODULUS_TOL = 1e-12
@@ -166,7 +167,7 @@ class EffectiveChannel:
     DFT ``G(k)`` of the taps, and ``noise_cov_spectrum`` the per-subcarrier
     covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
     frequency response ``W(k)``.  The covariance comes from lag products of
-    the combiner's adjoint taps ``W_n^H`` (``gram_spectrum``), whose
+    the combiner's adjoint taps ``W_n^H`` (``gram_of_lags``), whose
     response is ``W(-k)^H``, read at ``-k mod K``, so it forms no spectrum.
     Taps with leading axes (the effective channels of a stacked channel)
     give every view the same leading axes.
@@ -185,7 +186,7 @@ class EffectiveChannel:
         taps = self.combiner.taps
         adjoint = TapSequence(taps.offset, np.conj(np.swapaxes(taps.taps, -1, -2)))
         k = self.num_subcarriers
-        return gram_spectrum(adjoint, k)[..., -np.arange(k) % k, :, :]
+        return gram_of_lags(lag_products(adjoint), k)[..., -np.arange(k) % k, :, :]
 
 
 def effective_channel(combiner: CombinerIR, channel: ChannelRealization) -> EffectiveChannel:

@@ -14,12 +14,12 @@ import gc
 import os
 import sys
 from dataclasses import replace
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_FLOOR, Context, Decimal, InvalidOperation
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import SparseChannelConfig
+from .channel import _MEMORY_BYTES, SparseChannelConfig
 from .experiments import (
     PRESETS,
     VALIDATED_SCHEMES,
@@ -37,6 +37,10 @@ EXIT_NUMERICAL = 3
 
 # Tolerated fraction of numerically failed realizations before exit code 3.
 FAILURE_BUDGET = 0.01
+# Memory of one point of an expanded SNR range: a float object and its tuple slot.
+_SNR_POINT_BYTES = 32
+# Decimal arithmetic rounded down, whose overflow reads as the largest decimal
+_FLOOR = Context(rounding=ROUND_FLOOR, traps=[])
 
 # Column -> parser of its text, in the order of ``ResultRow``'s fields
 _CSV_COLUMNS = {
@@ -98,8 +102,13 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
             raise ValueError(f"bad SNR range {text!r}") from None
         if not all(d.is_finite() for d in (start, stop, step)) or step <= 0 or stop < start:
             raise ValueError(f"bad SNR range {text!r}")
+        # counted before it is expanded: the quotient, rounded down, reaches the
+        # most points that fit exactly when the count exceeds them
+        span = _FLOOR.subtract(stop, start)
+        if _FLOOR.divide(span, step) >= _MEMORY_BYTES // _SNR_POINT_BYTES:
+            raise ValueError(f"SNR range {text!r} has more points than {_MEMORY_BYTES} bytes can hold")
         # exact decimal arithmetic: 0:1:0.1 ends at 0.7, not 0.7000000000000001
-        count = int((stop - start) // step) + 1
+        count = int(span // step) + 1
         return tuple(float(start + i * step) for i in range(count))
     values = tuple(float(token) for token in text.split(",") if token.strip())
     if not values:
@@ -158,8 +167,9 @@ def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key
 
     A value rejected as it parses or where it lands raises ``ValueError`` as
     ``<where><name(key)>: reason``, naming the first key without which the
-    other values are accepted.  Without the key they are tried on
-    ``scenario`` with one user and one tap, which conflict with no geometry.
+    other values are accepted on ``scenario``.  Only when no key passes
+    there are they tried on ``scenario`` with one user and one tap, which
+    conflict with no geometry.
     """
 
     def build(base: Scenario, keys) -> Scenario:
@@ -168,13 +178,13 @@ def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key
     try:
         return build(scenario, texts)
     except ValueError as exc:
-        loose = _with_values(scenario, {"users": 1, "taps": 1})
-        for key in texts:
-            try:
-                build(loose, [other for other in texts if other != key])
-            except ValueError:
-                continue
-            raise ValueError(f"{where}{name(key)}: {exc}") from None
+        for base in (scenario, _with_values(scenario, {"users": 1, "taps": 1})):
+            for key in texts:
+                try:
+                    build(base, [other for other in texts if other != key])
+                except ValueError:
+                    continue
+                raise ValueError(f"{where}{name(key)}: {exc}") from None
         raise ValueError(f"{where}{exc}") from None
 
 

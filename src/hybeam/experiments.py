@@ -79,9 +79,10 @@ DEFAULT_SEED = 12345
 # shapes for any worker count, and the size bounds the stacks' memory.
 CHUNK = 8
 
-# Combiner base of every scheme name -> its builder.  Each builder looks its
-# function up at call time, so a module function wrapped after import (as
-# perfbench's span tracer does) is the one called.
+# Combiner base of every scheme name -> its builder; the runner calls none for
+# ``mf``, whose rows read the raw taps (see ``_evaluate_chunk``).  Each
+# builder looks its function up at call time, so a module function wrapped
+# after import (as perfbench's span tracer does) is the one called.
 _COMBINERS = {
     "mf": lambda channel: mf_combiner(channel),
     "rf_1tap": lambda channel: rf_1tap(channel),
@@ -258,6 +259,10 @@ _RMS_COMBINERS = ("mf", "rf_1tap", "rf_ltap")
 _RMS_QUANTILES = (5, 25, 50, 75, 95)
 
 
+# The schemes that read the raw reduction alone (see ``_evaluate_chunk``).
+_RAW_SCHEMES = ("capacity", "zf", "mf", "mf+zf")
+
+
 def _metrics(scheme: str) -> tuple[str, ...]:
     """The metrics of a scheme's rows, in the order its values hold them."""
     if scheme == "capacity":
@@ -296,41 +301,28 @@ def _evaluate_chunk(
     is set, the RMS delay spreads of the swept combiners and ``siso``, else
     ``None``.
 
-    Everything after the draws is one stacked computation over the chunk:
-    combiners, convolutions, SINR rates, delay spreads, Grams, rank screens
-    and log-det rates, and each scheme is evaluated once.  The raw lag
-    products ``R_d = sum_i H_i^H H_{i+d}`` (``lag_products``) are formed
-    once per chunk.  They give the raw Gram, and the matched filter's
-    effective taps ``R_d / sqrt(M)`` without a convolution: its tap ``-l``
-    is ``H_l^H / sqrt(M)``.  Every log-det rate covers the whole SNR grid
-    from one Hermitian reduction (``hermitian_reduction``) per Gram, and the
-    chunk's Grams share a single reduction: the raw channel's; each other
-    combiner base's effective one, which the capacities and the rank
-    screens read; and the whitened effective Gram of each ``base+zf`` whose
-    combiner has one tap.  The MF's capacity reads the raw reduction: its
-    Gram is ``R(k)^2 / M`` (``metrics.squared_rates``), so fig2 forms one
-    Gram per chunk, and the MF's own Gram joins only for the rank screen of
-    ``mf+zf``.  Rates keep the combined noise at its exact covariance
-    ``C``, so an invertible ZF baseband ``B`` drops out of them:
-    ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``.  ZF is therefore only a
-    rank check here: ``zf`` has the raw capacity's rates (``W = H^+``
-    leaves ``H^H H``), and ``base+zf`` the colored-noise rate of the
-    effective channel itself.  The colored noise is whitened where ``C`` is
-    known (``metrics.whiten``): a one-tap combiner's ``C = W_0 W_0^H`` is
-    the same on every subcarrier, so its effective taps are whitened once
-    per draw (``_tap_whitened``) and their lag Gram joins the reduction; a
-    multi-tap combiner's ``C(k)`` changes with the subcarrier, so
-    ``spectral_rates`` whitens its effective spectrum bin by bin.  A failure
-    is a per-draw mask, charged to its own scheme alone: ``zf`` fails on the
-    draws whose raw channel loses rank on some subcarrier, and ``base+zf``
-    on those whose effective channel does or whose ``C`` is singular (NaN
-    rates).  Every Gram comes from lag products of taps: the only spectra
-    are the effective ones of multi-tap ``base+zf`` schemes, and those of
-    the draws whose rank check doubts a subcarrier.  The delay spreads read
-    the same cached effective channels as the schemes.
+    Everything after the draws is one stacked computation over the chunk,
+    and each scheme is evaluated once.  Every log-det rate reads the whole
+    SNR grid from one Hermitian reduction (``hermitian_reduction``) per
+    Gram, and the chunk's Grams share one reduction: the raw Gram, from the
+    raw lag products ``R_d = sum_i H_i^H H_{i+d}`` (``lag_products``); each
+    other combiner base's effective Gram; and the whitened Gram of each
+    ``base+zf`` whose combiner has one tap.  The matched filter reads the raw
+    ones alone: its tap ``-l`` is ``H_l^H / sqrt(M)``, so its effective taps
+    are ``R_d / sqrt(M)``, its Gram is ``R(k)^2 / M`` (``squared_rates``) and
+    its noise covariance ``R(k) / M``.  Rates keep the combined noise at its
+    exact covariance ``C``, so an invertible ZF baseband ``B`` drops out of
+    them, ``(BG)^H (BCB^H)^{-1} (BG) = G^H C^{-1} G``, and ZF is only a rank
+    check: ``zf`` and ``mf+zf`` both read ``G^H C^{-1} G = R(k)``, and
+    ``base+zf`` the colored-noise rate of its effective channel, whitened
+    once per draw where a one-tap combiner's ``C`` is the same on every
+    subcarrier (``_tap_whitened``), else bin by bin (``spectral_rates``).  A
+    failure is a per-draw mask charged to its own scheme: a rank lost on
+    some subcarrier, or a singular ``C`` (NaN rates).
     """
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
+    scale = 1.0 / np.sqrt(scenario.dims.antennas)
     raw = TapSequence.stack([channel.taps for channel in channels])
     stacked = replace(channels[0], taps=raw)
     no_failures = np.zeros(len(channels), dtype=bool)
@@ -341,28 +333,19 @@ def _evaluate_chunk(
 
     @cache
     def build(base: str) -> EffectiveChannel:
-        combiner = _COMBINERS[base](stacked)
-        if base != "mf":
-            return effective_channel(combiner, stacked)
-        # tap -l of the MF is H_l^H / sqrt(M), so its effective tap d is R_d / sqrt(M)
-        scale = 1.0 / np.sqrt(scenario.dims.antennas)
-        return EffectiveChannel(combiner, TapSequence(1 - raw.span, scale * raw_lags()), k)
+        return effective_channel(_COMBINERS[base](stacked), stacked)
 
     @cache
     def pdp(base: str) -> EffectivePdp:
-        return pdp_of_effective(build(base))
+        if base != "mf":
+            return pdp_of_effective(build(base))
+        return EffectivePdp(np.moveaxis(np.abs(scale * raw_lags()) ** 2, -3, -1), 1 - raw.span)
 
-    # the raw Gram (key None) if a scheme reads it, then each base's effective
-    # Gram (the MF's only for the rank screen of mf+zf), then the whitened
-    # Gram of each one-tap base+zf (key: the scheme)
-    raw_schemes = ("capacity", "zf")
-    lags = {None: raw_lags()} if {*raw_schemes, "mf"} & set(scenario.schemes) else {}
-    bases = dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in raw_schemes)
-    lags.update(
-        (base, lag_products(build(base).taps))
-        for base in bases
-        if base != "mf" or "mf+zf" in scenario.schemes
-    )
+    # the raw Gram (key None) if a scheme reads it, then each other base's
+    # effective Gram, then the whitened Gram of each one-tap base+zf (key: the scheme)
+    lags = {None: raw_lags()} if set(_RAW_SCHEMES) & set(scenario.schemes) else {}
+    bases = dict.fromkeys(s.removesuffix("+zf") for s in scenario.schemes if s not in _RAW_SCHEMES)
+    lags.update((base, lag_products(build(base).taps)) for base in bases)
     tap_whitened = {
         base: _tap_whitened(build(base))
         for base in bases
@@ -373,28 +356,32 @@ def _evaluate_chunk(
         reduced = _gram_reduction(list(lags.values()), k)
         white = dict(zip(lags, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
         screen = {key: reduced[i] for i, key in enumerate(lags)}
-    if "mf" in scenario.schemes:
-        # the MF's Gram is R(k)^2 / M for the raw Gram R(k)
-        white["mf"] = squared_rates(screen[None], [snr / scenario.dims.antennas for snr in snrs])
+    if {"zf", "mf+zf"} & set(scenario.schemes):
+        raw_failed = first_rank_deficient(raw, k, screen[None]) >= 0
 
     def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray]:
         """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of failed draws."""
         if scheme == "capacity":
             return [white[None]], no_failures
-        if scheme == "zf":
-            return [white[None]], first_rank_deficient(raw, k, screen[None]) >= 0
+        if scheme in ("zf", "mf+zf"):
+            return [white[None]], raw_failed
+        # every link of the grid has unit noise variance: its transmit power is its SNR
+        if scheme == "mf":
+            # the MF's taps summed as combiner_noise_power sums them, in its tap order
+            noise = np.sum(np.abs(scale * raw.taps[..., ::-1, :, :]) ** 2, axis=(-3, -2))
+            squared = squared_rates(screen[None], [snr / scenario.dims.antennas for snr in snrs])
+            return [sinr_sum_rates(pdp("mf"), noise, snrs), squared], no_failures
         base = scheme.removesuffix("+zf")
         effective = build(base)
-        if base != scheme:
-            if base in tap_whitened:
-                rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
-            else:
-                rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
-            rank = first_rank_deficient(effective.taps, k, screen[base])
-            return [rates], (rank >= 0) | np.isnan(rates[0])
-        # every link of the grid has unit noise variance: its transmit power is its SNR
-        noise = combiner_noise_power(effective.combiner, 1.0)
-        return [sinr_sum_rates(pdp(base), noise, snrs), white[base]], no_failures
+        if base == scheme:
+            noise = combiner_noise_power(effective.combiner, 1.0)
+            return [sinr_sum_rates(pdp(base), noise, snrs), white[base]], no_failures
+        if base in tap_whitened:
+            rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
+        else:
+            rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
+        rank = first_rank_deficient(effective.taps, k, screen[base])
+        return [rates], (rank >= 0) | np.isnan(rates[0])
 
     outcomes: list[dict] = [{} for _ in channels]
     for scheme in scenario.schemes:

@@ -16,9 +16,9 @@ LAPACK's Cholesky factor.
 ``spectral_rates`` whitens a signal grid against its per-subcarrier
 ``C(k)``; the runner whitens the effective taps of a one-tap combiner
 against the one ``C = W_0 W_0^H`` that every subcarrier shares, and reads
-their lag Gram.  Either way the noise keeps
-its exact covariance, and ``whiten``, ``gram_rates`` and ``spectral_rates``
-take stacks with leading axes.  The one factorization of ``C`` decides
+their lag Gram.  Either way the noise keeps its exact covariance, and
+``whiten``, ``reduced_rates`` and ``spectral_rates`` take stacks with
+leading axes.  The one factorization of ``C`` decides
 whether the noise covariance is singular (a pivot that is not positive, or
 above ``LDL_MAX_ORDER`` a failed Cholesky factorization): ``spectral_rates``
 marks such a grid of a stack with NaN rates instead of raising, and the
@@ -95,14 +95,6 @@ def squared_rates(reduced: Tridiagonal, snrs) -> np.ndarray:
     return np.mean(reduced.log2dets_of_square(snrs), axis=-1)
 
 
-def gram_rates(gram: np.ndarray, snrs) -> np.ndarray:
-    """``mean_k log2 det(I + snr * G(k))`` of a ``(..., K, n, n)`` Gram stack, per linear SNR.
-
-    Returns ``(len(snrs), ...)``, from one ``hermitian_reduction`` of the stack.
-    """
-    return reduced_rates(hermitian_reduction(gram), snrs)
-
-
 def whiten(signal: np.ndarray, noise_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whitened signal ``A`` with ``A^H A = S^H C^{-1} S``, and where ``C`` is singular.
 
@@ -143,17 +135,18 @@ def spectral_rates(signal: np.ndarray, noise_cov: np.ndarray | None, snrs) -> np
     ``(len(snrs), ...)``.  ``A(k)`` is ``signal[k]`` itself in white noise
     (``noise_cov=None``) and, when the noise has covariance ``C(k)``, the
     signal whitened on each subcarrier (``whiten``); either way the rate is
-    ``gram_rates`` of ``A^H A``.  A grid whose ``C(k)`` ``whiten`` marks
-    singular on some subcarrier has no rate: it reads NaN at every SNR,
-    and the other grids of the stack keep the values they have alone.
+    ``reduced_rates`` of the ``hermitian_reduction`` of ``A^H A``.  A grid
+    whose ``C(k)`` ``whiten`` marks singular on some subcarrier has no rate:
+    it reads NaN at every SNR, and the other grids of the stack keep the
+    values they have alone.
     """
     a = np.asarray(signal, dtype=complex)
     if a.ndim < 3:
         raise ValueError("expected a (K, rows, cols) signal grid")
     if noise_cov is None:
-        return gram_rates(_adjoint(a) @ a, snrs)
+        return reduced_rates(hermitian_reduction(_adjoint(a) @ a), snrs)
     white, singular = whiten(a, noise_cov)
-    rates = gram_rates(_adjoint(white) @ white, snrs)
+    rates = reduced_rates(hermitian_reduction(_adjoint(white) @ white), snrs)
     return np.where(np.any(singular, axis=-1), np.nan, rates)
 
 

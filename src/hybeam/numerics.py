@@ -40,7 +40,7 @@ SINGULARITY_RTOL = 1e-10
 # up to the backward error of the reduction, ``O(n^2 * eps * s)``, a passing Gram
 # has ``lambda_min > GRAM_SCREEN_RTOL * s``.  By Cauchy-Schwarz ``s`` bounds
 # ``||A(k)||^2`` on every subcarrier, and it bounds the error of the Gram
-# however it is formed: the lag products of ``gram_spectrum`` and the
+# however it is formed: the lag products of ``gram_of_lags`` and the
 # product of a DFT both err by about ``rows * eps * s``.  A passing
 # subcarrier therefore has a true ``sigma_min^2`` of about
 # ``GRAM_SCREEN_RTOL * s`` or more, so ``sigma_min / sqrt(s)`` is about
@@ -188,19 +188,6 @@ def gram_of_lags(lags: np.ndarray, num_subcarriers: int, out: np.ndarray | None 
     target = None if out is None else out.reshape(*lead, k, cols * cols)
     phases = _lag_phases(k, (count + 1) // 2)
     return np.matmul(phases, flat, out=target).reshape(*lead, k, cols, cols)
-
-
-def gram_spectrum(
-    seq: TapSequence, num_subcarriers: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``A(k)^H A(k)`` on every subcarrier, ``A(k)`` the frequency response of ``seq``.
-
-    Returns a ``(..., num_subcarriers, cols, cols)`` array, the
-    ``gram_of_lags`` of the ``lag_products`` of the taps: the offset
-    cancels, and no spectrum is formed.  A C-contiguous ``out`` of the
-    result's shape receives it in place.
-    """
-    return gram_of_lags(lag_products(seq), num_subcarriers, out)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:

@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -54,6 +55,22 @@ class TestParseSnrSpec:
         for text in ("1:2", "10:0:5", "0:10:-1", "", "a,b", "0:10:0", "0:inf:1", "0:1:nan"):
             with pytest.raises(ValueError):
                 cli.parse_snr_spec(text)
+
+    def test_range_is_counted_against_memory_before_it_is_expanded(self, monkeypatch):
+        # 32 bytes a point: 11 points fit in 352 bytes, 12 do not
+        monkeypatch.setattr(cli, "_MEMORY_BYTES", 11 * cli._SNR_POINT_BYTES)
+        assert cli.parse_snr_spec("0:10:1") == tuple(float(i) for i in range(11))
+        assert len(cli.parse_snr_spec("0:1:0.1")) == 11
+        for text in ("0:11:1", "0:1:0.09", "-0.5:11:1"):
+            with pytest.raises(ValueError, match="has more points than 352 bytes can hold"):
+                cli.parse_snr_spec(text)
+        monkeypatch.undo()
+        # quotients beyond the decimal precision, and spans beyond the largest decimal
+        for text in ("0:1e12:1", "0:1e30:1", "0:1e400:1e-400", "-9e999999:9e999999:1"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="has more points than [0-9]+ bytes can hold"):
+                cli.parse_snr_spec(text)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestCsvRoundTrip:
@@ -125,6 +142,20 @@ class TestRunCommand:
         code = run_cli("run", "fig2", "--M", "2", "--U", "4", "--outdir", str(tmp_path))
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_snr_range_beyond_memory_rejected_at_its_key(self, tmp_path, monkeypatch, capsys):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        start = time.perf_counter()
+        assert run_cli("run", "fig2", "--snr", "0:1e12:1", "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: --snr: SNR range '0:1e12:1' has more")
+        config = tmp_path / "snr.ini"
+        config.write_text("[x]\nschemes = capacity\nsnr = 0:1e12:1\n")
+        assert run_cli("run", str(config), "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: [x] snr: SNR range '0:1e12:1' has")
+        assert time.perf_counter() - start < 1.0
 
     def test_non_finite_snr_is_config_error(self, tmp_path, capsys):
         for spec in ("inf", "0,nan", "-inf"):
@@ -475,8 +506,7 @@ class TestConfigFiles:
         monkeypatch.setattr(experiments, "draw_realization", never_run)
         for sweep, message in (
             ("8, 8", "[x] antenna_sweep: antenna_sweep of x repeats 8"),
-            # without U the section has one user, which the size 1 serves
-            ("8, 1", "[x] users: antenna_sweep of x has sizes below its 2 users: [1]"),
+            ("8, 1", "[x] antenna_sweep: antenna_sweep of x has sizes below its 2 users: [1]"),
             (
                 "8, 100000000000000000000",
                 "[x] antenna_sweep: a draw's 128 subcarriers x "
@@ -598,6 +628,31 @@ class TestConfigFiles:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
+        "lines, key",
+        [
+            (("U = 2", "antenna_sweep = 8, 1"), "antenna_sweep"),
+            (("M = 2", "U = 3"), "antennas"),
+            (("L = 70",), "taps"),
+        ],
+    )
+    def test_blamed_key_does_not_depend_on_key_order(
+        self, tmp_path, monkeypatch, capsys, lines, key
+    ):
+        # the first key without which the others pass on the section's own
+        # base is named, in either order; the base with one user and one tap
+        # is tried only when no key passes there
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = tmp_path / "order.ini"
+        for ordered in (lines, lines[::-1]):
+            body = "".join(f"{line}\n" for line in ordered)
+            config.write_text(f"[x]\nschemes = capacity\n{body}")
+            assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+            assert capsys.readouterr().err.startswith(f"error: [x] {key}: "), ordered
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (("--U", "200"), "--U/--users: need antennas >= users >= 1, got 100 antennas"),
@@ -648,10 +703,13 @@ def _bad_texts(key: str, good: str) -> list[tuple[str, bool]]:
     if key in ("angular_spread_deg", "spacing_ratio"):
         return texts + [(f"{good}5", False), (f"-{good}", True)]
     if key == "snr":
-        return texts + [("0.5, 10", False), ("-5, 10", False), ("0, 10, 0", True)]
+        texts += [("0.5, 10", False), ("-5, 10", False), ("0, 10, 0", True)]
+        return texts + [("0:1e12:1", True)]
     texts += [(f"{good}.5", True), (f"-{int(good) + 1}", True)]
     if key == "antenna_sweep":
-        return texts + [(f"{good}, {good}", True), (f"{good}, {_HUGE}", True)]
+        # a size of 1 is below a section of two users
+        texts += [(f"{good}, {good}", True), (f"{good}, {_HUGE}", True)]
+        return texts + [(f"{good}, 1", False)]
     if key in ("M", "U", "L", "K", "realizations", "seed"):
         texts.append((_HUGE, True))
     return texts

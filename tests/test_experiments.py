@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybeam import beamforming, channel, experiments, numerics
+from hybeam import beamforming, channel, experiments, metrics, numerics
 from hybeam.beamforming import effective_channel, zf_baseband, zf_spectrum
 from hybeam.channel import PowerDelayProfile, SparseChannelConfig, SystemDims, channel_spectrum
 from hybeam.experiments import (
@@ -30,7 +30,10 @@ from hybeam.metrics import (
     LinkBudget,
     achievable_rate_hybrid,
     capacity,
+    delay_spread_report,
+    pdp_of_effective,
     rate_spectral,
+    sinr_sum_rates,
     spectral_rates,
 )
 from hybeam.numerics import TapSequence
@@ -279,17 +282,17 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_mf_taps_and_capacity_come_from_the_raw_lag_products(self, monkeypatch, model):
-        # the MF's effective taps R_d / sqrt(M) against its convolution with the
-        # channel, and its capacity, read from the raw reduction, against the
-        # capacity of the convolved taps' spectrum
-        effective = []
+        # the MF's power profile, from R_d / sqrt(M), against that of its
+        # convolution with the channel, and its capacity, read from the raw
+        # reduction, against the capacity of the convolved taps' spectrum
+        profiles = []
 
-        def capturing(eff):
-            effective.append(eff)
-            return original(eff)
+        def capturing(pdp, *args):
+            profiles.append(pdp)
+            return original(pdp, *args)
 
-        original = experiments.pdp_of_effective
-        monkeypatch.setattr(experiments, "pdp_of_effective", capturing)
+        original = experiments.sinr_sum_rates
+        monkeypatch.setattr(experiments, "sinr_sum_rates", capturing)
         s = small_scenario(schemes=("mf",), channel_model=model)
         channels = [draw_realization(s, index) for index in range(3)]
         outcomes = _evaluate_chunk(s, channels)
@@ -297,14 +300,48 @@ class TestRunScenario:
         stacked = replace(channels[0], taps=raw)
         k = SMALL_DIMS.subcarriers
         expected = numerics.circular_convolve(beamforming.mf_combiner(stacked).taps, raw, k)
-        (got,) = effective
-        assert got.taps.offset == expected.offset
-        error = np.max(np.abs(got.taps.taps - expected.taps))
-        assert error <= 1e-13 * np.max(np.abs(expected.taps))
+        power = np.moveaxis(np.abs(expected.taps) ** 2, -3, -1)
+        (got,) = profiles
+        assert got.offset == expected.offset
+        assert np.max(np.abs(got.power - power)) <= 1e-12 * np.max(power)
         for index, (outcome, _) in enumerate(outcomes):
             spectrum = numerics.dft_of_taps(expected[index], k)
             direct = [capacity(spectrum, LinkBudget.from_snr_db(snr)) for snr in s.snr_db]
             np.testing.assert_allclose(outcome["mf"][1], direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model", ["rich", "sparse"])
+    def test_matched_filter_rows_build_no_combiner(self, monkeypatch, model):
+        # mf and mf+zf read the raw taps and the raw reduction alone: no MF
+        # combiner, no combiner noise power and no per-subcarrier rate, and
+        # mf+zf's rates and failures are zf's.  Against the explicit MF
+        # combiner, its convolution and its noise power, the values agree
+        # to roundoff
+        s = small_scenario(
+            snr_db=(-10.0, 10.0, 30.0),
+            schemes=("capacity", "zf", "mf", "mf+zf"),
+            channel_model=model,
+        )
+        channels = [draw_realization(s, index) for index in range(3)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the runner built a matched-filter path it does not need")
+
+        for name in ("mf_combiner", "combiner_noise_power", "spectral_rates"):
+            monkeypatch.setattr(experiments, name, forbidden)
+        outcomes = _evaluate_chunk(s, channels, spreads=True)
+        monkeypatch.undo()
+        snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
+        for ch, (values, spreads) in zip(channels, outcomes):
+            np.testing.assert_array_equal(values["mf+zf"], values["zf"])
+            combiner = beamforming.mf_combiner(ch)
+            profile = pdp_of_effective(effective_channel(combiner, ch))
+            noise = beamforming.combiner_noise_power(combiner, 1.0)
+            np.testing.assert_allclose(
+                values["mf"][0], sinr_sum_rates(profile, noise, snrs), rtol=1e-12, atol=0.0
+            )
+            np.testing.assert_allclose(
+                spreads["mf"], delay_spread_report(profile)[1], rtol=1e-12, atol=0.0
+            )
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_zf_rates_equal_the_explicit_zf_stage(self, model):
@@ -368,10 +405,19 @@ class TestRunScenario:
     def test_singular_realizations_are_counted(self, monkeypatch):
         # a failure is charged to the failing scheme alone: capacity keeps
         # every sample while the ZF schemes keep the odd realizations.  In
-        # rf_ltap+zf and mf+zf the duplicated user also makes the combined
-        # noise covariance singular, which above LDL_MAX_ORDER is the
-        # Cholesky path on a stack that mixes good and singular draws
+        # rf_ltap+zf the duplicated user also makes the combined noise
+        # covariance singular, which above LDL_MAX_ORDER is whiten's Cholesky
+        # path on a stack that mixes good and singular draws
         self._degenerate_even_draws(monkeypatch)
+        singular_draws = []
+        original = metrics.whiten
+
+        def recorded(signal, noise_cov):
+            white, singular = original(signal, noise_cov)
+            singular_draws.append((signal.shape[-2], np.any(singular, axis=-1).tolist()))
+            return white, singular
+
+        monkeypatch.setattr(metrics, "whiten", recorded)
         for users in (SMALL_DIMS.users, numerics.LDL_MAX_ORDER + 1):
             dims = replace(SMALL_DIMS, users=users)
             for schemes in (("capacity", "zf"), ("capacity", "rf_ltap+zf"), ("mf+zf",)):
@@ -381,10 +427,13 @@ class TestRunScenario:
                 for row in result.rows:
                     assert row.realizations == (6 if row.scheme == "capacity" else 3)
                     assert np.isfinite(row.value)
+        mixed = [True, False] * 3
+        assert singular_draws == [(SMALL_DIMS.users, mixed), (numerics.LDL_MAX_ORDER + 1, mixed)]
 
     def test_failing_draws_cost_no_second_evaluation(self, monkeypatch):
-        # a chunk with failing draws still gets one rank check and one rate
-        # evaluation per scheme: the failures are masks, not re-evaluations
+        # a chunk with failing draws still gets one rank check per raw or
+        # effective channel and one rate evaluation per scheme: the failures
+        # are masks, not re-evaluations
         self._degenerate_even_draws(monkeypatch)
         checked, rated = [], []
 
@@ -412,9 +461,10 @@ class TestRunScenario:
         )
         out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
         assert [index for index, _, _ in out] == list(range(chunk + 3))
-        # zf, rf_ltap+zf and mf+zf per chunk; the last two also rate
-        assert checked == [chunk] * 3 + [3] * 3
-        assert rated == [chunk] * 2 + [3] * 2
+        # per chunk, zf and mf+zf share the raw check and rf_ltap+zf has its
+        # own; only rf_ltap+zf rates bin by bin
+        assert checked == [chunk] * 2 + [3] * 2
+        assert rated == [chunk] + [3]
         for index, values, _ in out:
             for scheme, keyed in values.items():
                 failed = index % 2 == 0 and scheme.endswith("zf")
@@ -568,12 +618,12 @@ class TestRunScenario:
         assert pools == [2, 3]
 
     def test_planted_subcarrier_failures_above_the_threshold(self, monkeypatch):
-        # above LDL_MAX_ORDER the noise covariance of mf+zf, H(k)^H H(k), is
-        # singular on the planted subcarrier too, within rounding: its pivots
-        # may pass where LAPACK's Cholesky fails, and that must not stop the
-        # chunk.  zf, mf+zf and rf_ltap+zf fail on all four planted draws
-        # (rf_ltap's effective response vanishes to roundoff where the raw one
-        # vanishes), exactly as when each draw is evaluated alone
+        # above LDL_MAX_ORDER, zf and mf+zf share the raw rank check, and
+        # rf_ltap+zf takes whiten's Cholesky path (a singular C in a mixed
+        # stack is test_singular_realizations_are_counted's).  All three
+        # fail on all four planted draws (rf_ltap's effective response
+        # vanishes to roundoff where the raw one vanishes), exactly as when
+        # each draw is evaluated alone
         dims = SystemDims(antennas=16, users=numerics.LDL_MAX_ORDER + 1, taps=3, subcarriers=32)
         planted = self._plant_subcarrier_failures(monkeypatch, dims)
         s = small_scenario(dims=dims, schemes=("capacity", "zf", "mf+zf", "rf_ltap+zf"))

@@ -36,10 +36,10 @@ from hybeam.metrics import (
     capacity,
     delay_moments,
     delay_spread_report,
-    gram_rates,
     hermitian_reduction,
     pdp_of_effective,
     rate_spectral,
+    reduced_rates,
     sinr_from_pdp,
     sinr_sum_rates,
     spectral_rates,
@@ -51,7 +51,8 @@ from hybeam.numerics import (
     SingularMatrixError,
     TapSequence,
     dft_of_taps,
-    gram_spectrum,
+    gram_of_lags,
+    lag_products,
 )
 
 DIMS = SystemDims(antennas=16, users=3, taps=4, subcarriers=32)
@@ -251,9 +252,12 @@ class TestSpectralRates:
         b = complex_normal(rng, (*lead, k, n, n))
         cov = b @ np.conj(np.swapaxes(b, -1, -2)) + 0.5 * np.eye(n)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
-        pivots = gram_rates(gram, snrs), spectral_rates(signal, cov, snrs)
+        def rates():
+            return reduced_rates(hermitian_reduction(gram), snrs), spectral_rates(signal, cov, snrs)
+
+        pivots = rates()
         with mock.patch.object(metrics, "LDL_MAX_ORDER", n - 1):
-            eigen = gram_rates(gram, snrs), spectral_rates(signal, cov, snrs)
+            eigen = rates()
         for got, expected in zip(pivots, eigen):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -284,9 +288,9 @@ class TestCapacity:
         # LDL_MAX_ORDER (tridiagonal, then eigenvalues)
         dims = SystemDims(antennas=2 * users + 1, users=users, taps=3, subcarriers=16)
         raw = TapSequence.stack([rich(60 + seed, dims).taps for seed in range(2)])
-        gram = gram_spectrum(raw, dims.subcarriers)
+        gram = gram_of_lags(lag_products(raw), dims.subcarriers)
         snrs = 10.0 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10.0)
-        expected = gram_rates(gram @ gram / dims.antennas, snrs)
+        expected = reduced_rates(hermitian_reduction(gram @ gram / dims.antennas), snrs)
         got = squared_rates(hermitian_reduction(gram), snrs / dims.antennas)
         assert got.shape == (len(snrs), 2)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)

@@ -20,8 +20,9 @@ from hybeam.numerics import (
     circular_convolve,
     dft_of_taps,
     first_rank_deficient,
+    gram_of_lags,
+    lag_products,
     Tridiagonal,
-    gram_spectrum,
     tridiagonalize,
     whitened,
 )
@@ -141,7 +142,7 @@ class TestDftOfTaps:
 class TestLeadingAxes:
     def test_stacked_sequences_transform_as_each_alone(self):
         a = TapSequence(-2, complex_normal(stream(740), (2, 3, 4, 6, 3)))
-        for transform in (dft_of_taps, gram_spectrum):
+        for transform in (dft_of_taps, lambda seq, k: gram_of_lags(lag_products(seq), k)):
             stacked = transform(a, 8)
             for index in np.ndindex(2, 3):
                 alone = transform(a[index], 8)
@@ -305,7 +306,7 @@ def spectrum_seq(stack, offset=0):
 
 def lag_screen(seq, k):
     """The rank screen the runner passes: the reduction of the lag-formed Grams."""
-    return tridiagonalize(gram_spectrum(seq, k))
+    return tridiagonalize(gram_of_lags(lag_products(seq), k))
 
 
 def rank_verdict(seq, k, screen):
@@ -564,9 +565,8 @@ class TestGramSpectrum:
         k = span + extra_bins
         grid = dft_of_taps(seq, k)
         expected = np.conj(np.swapaxes(grid, 1, 2)) @ grid
-        np.testing.assert_allclose(
-            gram_spectrum(seq, k), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
-        )
+        gram = gram_of_lags(lag_products(seq), k)
+        np.testing.assert_allclose(gram, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
@@ -588,7 +588,7 @@ class TestGramSpectrum:
             )
             expected = response.conj().T @ response
             np.testing.assert_allclose(
-                gram_spectrum(seq, k)[bin_],
+                gram_of_lags(lag_products(seq), k)[bin_],
                 expected,
                 rtol=0.0,
                 atol=1e-12 * np.sum(np.abs(seq.taps) ** 2) * span,
@@ -596,7 +596,7 @@ class TestGramSpectrum:
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            gram_spectrum(random_seq(702, 2, 3, 2), 0)
+            gram_of_lags(lag_products(random_seq(702, 2, 3, 2)), 0)
 
 
 class TestRankCheck:
@@ -650,7 +650,7 @@ class TestRankCheck:
         for seed in range(200):
             a = complex_normal(stream(700, seed), (6, 3))
             seq = TapSequence(seed % 5 - 2, np.stack([a, -2.0 * a, a]))
-            gram = gram_spectrum(seq, 8)
+            gram = gram_of_lags(lag_products(seq), 8)
             lam = np.linalg.eigvalsh(gram)
             fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
             assert rank_verdict(seq, 8, tridiagonalize(gram)) == 0
