@@ -167,25 +167,44 @@ def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key
 
     A value rejected as it parses or where it lands raises ``ValueError`` as
     ``<where><name(key)>: reason``, naming the first key without which the
-    other values are accepted on ``scenario``.  Only when no key passes
-    there are they tried on ``scenario`` with one user and one tap, which
-    conflict with no geometry.
+    other values are accepted on ``scenario``.  When no key passes there,
+    and the values also fail together on ``scenario`` with one user and one
+    tap, which conflict with no geometry, the key is the first without which
+    the others pass on that base.  Otherwise it is the first key that
+    ``scenario`` rejects on its own, with its own reason.
     """
 
     def build(base: Scenario, keys) -> Scenario:
         return _with_values(base, {key: _KEYS[key].parse(texts[key].strip()) for key in keys})
 
+    def blamed(base: Scenario):
+        for key in texts:
+            try:
+                build(base, [other for other in texts if other != key])
+            except ValueError:
+                continue
+            return key
+
     try:
         return build(scenario, texts)
     except ValueError as exc:
-        for base in (scenario, _with_values(scenario, {"users": 1, "taps": 1})):
-            for key in texts:
-                try:
-                    build(base, [other for other in texts if other != key])
-                except ValueError:
-                    continue
-                raise ValueError(f"{where}{name(key)}: {exc}") from None
-        raise ValueError(f"{where}{exc}") from None
+        key = blamed(scenario)
+        if key is None:
+            fallback = _with_values(scenario, {"users": 1, "taps": 1})
+            try:
+                build(fallback, texts)
+            except ValueError:
+                key = blamed(fallback)
+            else:
+                for alone in texts:
+                    try:
+                        build(scenario, [alone])
+                    except ValueError as own:
+                        key, exc = alone, own
+                        break
+        if key is None:
+            raise ValueError(f"{where}{exc}") from None
+        raise ValueError(f"{where}{name(key)}: {exc}") from None
 
 
 def load_config(path) -> list[Scenario]:

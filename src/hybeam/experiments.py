@@ -426,7 +426,8 @@ def _scenario_block(args) -> list:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, capped by the HYBEAM_THREADS variable."""
+    """Worker count: explicit argument, a whole number of at least 1, capped
+    by the HYBEAM_THREADS variable."""
     cap = None
     raw = os.environ.get(WORKER_ENV_VAR)
     if raw is not None:
@@ -439,19 +440,18 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is None:
         resolved = cap if cap is not None else 1
     else:
-        resolved = int(workers)
-        if resolved < 1:
-            raise ValueError("worker count must be positive")
+        resolved = _integer("worker count", workers, 1)
         if cap is not None:
             resolved = min(resolved, cap)
     return resolved
 
 
 def _run_blocks(task, payloads: list, workers: int) -> list:
-    """Run work payloads serially or across one process pool; one result per payload, in order."""
+    """Run work payloads serially or across one process pool of at most one
+    worker per payload; one result per payload, in order."""
     if workers <= 1 or len(payloads) <= 1:
         return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(task, payloads))
 
 

@@ -10,21 +10,17 @@ recurrence; larger orders take the eigenvalues of one ``eigvalsh`` per
 matrix.  The same reduction of a Hermitian ``G(k)`` also gives the rates of
 ``G(k)^2`` (``squared_rates``), the Gram of the matched filter's effective
 channel when ``G(k)`` is the raw one's.  Colored noise of covariance ``C``
-is whitened first, in one place, ``whiten``: up to ``LDL_MAX_ORDER`` rows
-by the ``L D L^H`` factor of ``C`` (``numerics.whitened``), above by
-LAPACK's Cholesky factor.
-``spectral_rates`` whitens a signal grid against its per-subcarrier
-``C(k)``; the runner whitens the effective taps of a one-tap combiner
-against the one ``C = W_0 W_0^H`` that every subcarrier shares, and reads
-their lag Gram.  Either way the noise keeps its exact covariance, and
+is whitened first, in one place, ``whiten``, by LAPACK's Cholesky factor of
+``C`` at every order.  ``spectral_rates`` whitens a signal grid against its
+per-subcarrier ``C(k)``; the runner whitens the effective taps of a one-tap
+combiner against the one ``C = W_0 W_0^H`` that every subcarrier shares, and
+reads their lag Gram.  Either way the noise keeps its exact covariance, and
 ``whiten``, ``reduced_rates`` and ``spectral_rates`` take stacks with
-leading axes.  The one factorization of ``C`` decides
-whether the noise covariance is singular (a pivot that is not positive, or
-above ``LDL_MAX_ORDER`` a failed Cholesky factorization): ``spectral_rates``
-marks such a grid of a stack with NaN rates instead of raising, and the
-one-grid adapters
-``rate_spectral`` and ``achievable_rate_hybrid`` raise
-``SingularMatrixError`` for it.
+leading axes.  The one factorization of ``C`` decides whether the noise
+covariance is singular (the Cholesky factorization fails):
+``spectral_rates`` marks such a grid of a stack with NaN rates instead of
+raising, and the one-grid adapters ``rate_spectral`` and
+``achievable_rate_hybrid`` raise ``SingularMatrixError`` for it.
 """
 
 from __future__ import annotations
@@ -35,13 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .beamforming import EffectiveChannel
-from .numerics import (
-    LDL_MAX_ORDER,
-    SingularMatrixError,
-    Tridiagonal,
-    tridiagonalize,
-    whitened,
-)
+from .numerics import LDL_MAX_ORDER, SingularMatrixError, Tridiagonal, tridiagonalize
 
 
 def _adjoint(mats: np.ndarray) -> np.ndarray:
@@ -72,13 +62,14 @@ def hermitian_reduction(mat: np.ndarray) -> Tridiagonal:
     """The SNR-independent form of a ``(..., n, n)`` Hermitian stack that every rate reads.
 
     Up to ``LDL_MAX_ORDER`` it is ``numerics.tridiagonalize``'s tridiagonal;
-    above, the eigenvalues from ``eigvalsh`` as a diagonal.  Either has the
-    determinants and the inertia of the stack.
+    above, the eigenvalues from ``eigvalsh`` on the diagonal, with zeros off
+    it.  Either has the determinants and the inertia of the stack.
     """
     m = np.asarray(mat)
     if m.shape[-1] <= LDL_MAX_ORDER:
         return tridiagonalize(m)
-    return Tridiagonal(np.moveaxis(np.linalg.eigvalsh(m), -1, 0))
+    eigs = np.moveaxis(np.linalg.eigvalsh(m), -1, 0)
+    return Tridiagonal(eigs, np.zeros_like(eigs[1:]))
 
 
 def reduced_rates(reduced: Tridiagonal, snrs) -> np.ndarray:
@@ -101,28 +92,27 @@ def whiten(signal: np.ndarray, noise_cov: np.ndarray) -> tuple[np.ndarray, np.nd
     ``signal`` (``S``) is a ``(..., rows, cols)`` stack and ``noise_cov``
     (``C``) a Hermitian ``(..., rows, rows)`` stack of its noise
     covariances; their leading axes broadcast, so one ``C`` can whiten a
-    subcarrier grid or a tap sequence.  Up to ``LDL_MAX_ORDER`` rows, ``C``
-    is factored once, ``L D L^H``, and ``A = D^{-1/2} L^{-1} S``
-    (``numerics.whitened``); above, ``A = L^{-1} S`` for LAPACK's Cholesky
-    factor ``L``.  The mask, of ``C``'s leading shape, marks each ``C``
-    whose factorization fails: up to ``LDL_MAX_ORDER`` a pivot that is not
-    positive, above the Cholesky factorization's own failure (it leaves
-    NaN).  The whitened signal of a marked ``C`` reads zero.
+    subcarrier grid or a tap sequence.  ``C`` is factored once, ``L L^H``
+    by LAPACK's Cholesky from its lower triangle, and ``A = L^{-1} S`` by
+    forward substitution, one row of the whole stack per step.  The mask, of
+    ``C``'s leading shape, marks each ``C`` whose factorization fails (its
+    factor is NaN); the whitened signal of a marked ``C`` reads zero.
     """
     a = np.asarray(signal, dtype=complex)
-    cov = np.asarray(noise_cov, dtype=complex)
-    if a.shape[-2] <= LDL_MAX_ORDER:
-        white, pivots = whitened(a, cov)
-        singular = ~np.all(pivots > 0.0, axis=-1)
-    else:
-        # np.linalg.cholesky's own gufunc, without the error state that makes
-        # one matrix it cannot factor (left NaN) raise for the whole stack:
-        # the other factors are the same bits
-        with np.errstate(invalid="ignore"):
-            chol = _umath_linalg.cholesky_lo(0.5 * (cov + _adjoint(cov)), signature="D->D")
-        singular = np.any(np.isnan(chol), axis=(-2, -1))
-        chol = np.where(singular[..., None, None], np.eye(a.shape[-2]), chol)
-        white = np.linalg.solve(chol, a)
+    # np.linalg.cholesky's own gufunc, without the error state that makes
+    # one matrix it cannot factor raise for the whole stack: it leaves that
+    # factor NaN, which the substitution carries without a warning, and the
+    # other factors are the same bits
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(np.asarray(noise_cov, dtype=complex), signature="D->D")
+        diag = np.diagonal(chol, axis1=-2, axis2=-1).real[..., None]
+        white = np.empty(np.broadcast_shapes(a.shape[:-2], chol.shape[:-2]) + a.shape[-2:], dtype=complex)
+        white[..., :1, :] = a[..., :1, :] / diag[..., :1, :]
+        for i in range(1, a.shape[-2]):
+            # Y_i = (S_i - L[i, :i] Y[:i]) / L_ii
+            row = a[..., i : i + 1, :] - chol[..., i : i + 1, :i] @ white[..., :i, :]
+            white[..., i : i + 1, :] = row / diag[..., i : i + 1, :]
+    singular = np.any(np.isnan(diag), axis=(-2, -1))
     if np.any(singular):
         white = np.where(singular[..., None, None], 0.0, white)
     return white, singular

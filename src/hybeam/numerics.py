@@ -8,13 +8,12 @@ sequence may carry leading axes, one sequence per index (the realizations
 of a chunk), which the DFT, the Gram and the rank check keep.  The rank
 check raises nothing: ``first_rank_deficient`` reports, per sequence, the
 first subcarrier that fails it, so a caller can drop the failing sequences
-of a stack and keep the rest.  Two unrolled kernels, each step one
-operation on a whole stack, serve the log-det rates of ``metrics``:
-``tridiagonalize`` reduces each Hermitian matrix once, after which
+of a stack and keep the rest.  The log-det rates of ``metrics`` read
+``tridiagonalize``, an unrolled kernel whose every step is one operation on
+a whole stack: it reduces each Hermitian matrix once, after which
 ``det(I + snr * T)`` and ``det(I + snr * T^2)`` for a whole SNR grid, and
 the inertia that the rank screen reads, are ``O(n)`` recurrences
-(``Tridiagonal``); ``whitened`` factors single matrices ``L D L^H``, to
-whiten a colored signal and mark a singular noise covariance.
+(``Tridiagonal``).
 """
 
 from __future__ import annotations
@@ -50,16 +49,15 @@ SINGULARITY_RTOL = 1e-10
 # ``k = 0``) the lag-formed Gram is roundoff of size ``eps * s``, and its
 # ``lambda_min`` can pass against a ``lambda_max`` of the same size.
 GRAM_SCREEN_RTOL = 1e-8
-# Largest matrix order whose log-det rates come from the unrolled kernels
-# (``tridiagonalize``, and ``whitened``'s ``L D L^H`` factor); larger
-# orders take ``eigvalsh``, and LAPACK's Cholesky and ``solve``.  Both read
-# the whole SNR grid from one reduction per matrix, but the unrolled one
-# costs ``O(n^3)`` Python-level steps on the whole stack.  Timed on fig2 and
-# fig8 at U = 6..12 (and fig2 at 14, 16 and 20), it was faster at every
-# order, by a margin that narrows from about 45% to 10% at U = 20, so no
-# crossover was found.  The bound is 12, the largest order timed on both
-# presets, so that nothing above it takes the unrolled path untimed on fig8;
-# the kernel's property tests run every order up to it.
+# Largest matrix order that ``metrics.hermitian_reduction`` reduces with the
+# unrolled ``tridiagonalize``; larger orders take the eigenvalues of
+# ``eigvalsh``.  Both read the whole SNR grid from one reduction per matrix,
+# but the unrolled one costs ``O(n^3)`` Python-level steps on the whole
+# stack.  Timed on fig2 and fig8 at U = 6..12 (and fig2 at 14, 16 and 20), it
+# was faster at every order, by a margin that narrows from about 45% to 10%
+# at U = 20, so no crossover was found.  The bound is 12, the largest order
+# timed on both presets, so that nothing above it takes the unrolled path
+# untimed on fig8; the kernel's property tests run every order up to it.
 LDL_MAX_ORDER = 12
 
 
@@ -221,52 +219,6 @@ def _lower_entries(m: np.ndarray) -> dict:
     return {(i, j): m[..., i, j].real if i == j else m[..., i, j] for i in range(n) for j in range(i + 1)}
 
 
-def _ldl(mat: np.ndarray) -> tuple[dict, np.ndarray]:
-    """``L D L^H`` of a Hermitian stack: the below-diagonal entries of the unit
-    lower factor ``L``, keyed ``(i, j)``, and the ``(..., n)`` pivots ``D``.
-
-    The product of the pivots is the determinant, and they are all positive
-    exactly when the matrix is positive definite.  The elimination never
-    pivots: after a pivot that is not positive the later ones are
-    meaningless (possibly NaN), which still leaves that matrix with a pivot
-    that is not positive.
-    """
-    m = np.asarray(mat)
-    n = m.shape[-1]
-    a = _lower_entries(m)
-    lower = {}
-    pivots = np.empty(m.shape[:-1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(n):
-            d = a[j, j]
-            pivots[..., j] = d
-            for i in range(j + 1, n):
-                ratio = lower[i, j] = a[i, j] / d
-                a[i, i] = a[i, i] - (ratio * np.conj(a[i, j])).real
-                for c in range(j + 1, i):
-                    a[i, c] = a[i, c] - ratio * np.conj(a[c, j])
-    return lower, pivots
-
-
-def whitened(signal: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The whitened signal ``Y = D^{-1/2} L^{-1} S`` for ``C = L D L^H``, and the pivots ``D``.
-
-    ``signal`` (``S``) is a ``(..., n, cols)`` stack and ``cov`` (``C``) the
-    ``(..., n, n)`` Hermitian stack of its noise covariances, so ``Y^H Y =
-    S^H C^{-1} S``.  ``C`` is factored once (``_ldl``'s elimination)
-    and the substitution runs row by row over the stack.  A matrix whose
-    ``C`` has a pivot that is not positive gets meaningless entries (NaN or
-    infinite) and no warning, and its pivots say so.
-    """
-    lower, pivots = _ldl(cov)
-    rows = list(np.moveaxis(np.asarray(signal), -2, 0))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, len(rows)):
-            for j in range(i):
-                rows[i] = rows[i] - lower[i, j][..., None] * rows[j]
-        return np.stack(rows, axis=-2) / np.sqrt(pivots)[..., None], pivots
-
-
 @dataclass(frozen=True)
 class Tridiagonal:
     """Real symmetric tridiagonal matrices, one per index of the leading axes.
@@ -274,16 +226,16 @@ class Tridiagonal:
     Entry first: ``diag[i]`` is the ``i``-th diagonal entry of every matrix
     (``diag`` is ``(n, ...)``) and ``off2[i]`` the squared magnitude of the
     entry below it (``off2`` is ``(n - 1, ...)``), all that the pivots and
-    the determinants read; ``off2=None`` is a diagonal matrix.
+    the determinants read.  A diagonal matrix has ``off2`` all zero.
     """
 
     diag: np.ndarray
-    off2: np.ndarray | None = None
+    off2: np.ndarray
 
     def __getitem__(self, index) -> "Tridiagonal":
         """The matrices at ``index`` of the leading axes."""
         index = (slice(None), *(index if isinstance(index, tuple) else (index,)))
-        return Tridiagonal(self.diag[index], None if self.off2 is None else self.off2[index])
+        return Tridiagonal(self.diag[index], self.off2[index])
 
     def _pivots(self, scale, shift) -> list[np.ndarray]:
         """Pivots of ``shift * I + scale * T``, one array per row.
@@ -298,10 +250,7 @@ class Tridiagonal:
         d = [shift + scale * self.diag[0]]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, len(self.diag)):
-                entry = shift + scale * self.diag[i]
-                if self.off2 is not None:
-                    entry = entry - (scale * scale) * self.off2[i - 1] / d[-1]
-                d.append(entry)
+                d.append(shift + scale * self.diag[i] - (scale * scale) * self.off2[i - 1] / d[-1])
         return d
 
     def positive_definite(self, shift) -> np.ndarray:
@@ -329,8 +278,7 @@ class Tridiagonal:
         ``d_i = 1 + i c a_i + snr b_{i-1}^2 / d_{i-1}`` of ``_pivots``'
         recurrence with an imaginary scale, run on the real part ``x_i`` and
         the imaginary part ``y_i``.  Every ``x_i`` is at least 1, so the
-        recurrence cannot break down.  A diagonal ``T`` (eigenvalues) gives
-        ``prod (1 + snr * a_i^2)``.
+        recurrence cannot break down.
         """
         snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -338,12 +286,9 @@ class Tridiagonal:
             x, y = 1.0, scaled[0]
             magnitudes = [1.0 + y * y]
             for i in range(1, len(self.diag)):
-                if self.off2 is None:
-                    y = scaled[i]
-                else:
-                    # snr b^2 / d = gain * (x - i y) for gain = snr b^2 / |d|^2
-                    gain = snr * self.off2[i - 1] / magnitudes[-1]
-                    x, y = 1.0 + gain * x, scaled[i] - gain * y
+                # snr b^2 / d = gain * (x - i y) for gain = snr b^2 / |d|^2
+                gain = snr * self.off2[i - 1] / magnitudes[-1]
+                x, y = 1.0 + gain * x, scaled[i] - gain * y
                 magnitudes.append(x * x + y * y)
         return _log2_product(magnitudes)
 
@@ -375,8 +320,8 @@ def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
     """The tridiagonal ``T = Q^H A Q`` of every Hermitian matrix of a ``(..., n, n)`` stack.
 
     Householder reflections, one per column ``k < n - 2``, read ``A``
-    through its lower triangle, unrolled over the entries like ``_ldl``:
-    every step is one operation on the whole stack.  ``Q`` is unitary, so
+    through its lower triangle, unrolled over the entries: every step is
+    one operation on the whole stack.  ``Q`` is unitary, so
     ``T`` has the eigenvalues, the determinant and the inertia of ``A``, and
     it does not depend on any SNR: ``det(I + snr A)`` is ``det(I + snr T)``
     for the whole grid.  Reflection ``k`` maps the
@@ -448,7 +393,7 @@ def first_rank_deficient(
     ``SINGULARITY_RTOL * sqrt(s)``, for the scale ``s = span * trace(R_0)``
     that bounds ``||A(k)||^2`` on every subcarrier.  ``reduced``, a
     ``(..., K)`` reduction of the Grams ``A(k)^H A(k)`` with their inertia
-    (``tridiagonalize``'s, or eigenvalues on the diagonal), screens first:
+    (``metrics.hermitian_reduction``'s), screens first:
     a subcarrier passes without an SVD when ``reduced`` minus
     ``GRAM_SCREEN_RTOL * s`` times the identity has only positive pivots.
     The rest get an SVD, on the full-grid DFT of their own sequence, so

@@ -653,6 +653,39 @@ class TestConfigFiles:
             assert capsys.readouterr().err.startswith(f"error: [x] {key}: "), ordered
 
     @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ("schemes = capacity", "M = 2", "antenna_sweep = 3"),
+                "antennas: need antennas >= users >= 1, got 2 antennas for 4 users",
+            ),
+            (
+                ("antenna_sweep = 3", "schemes = capacity", "M = 2"),
+                "antenna_sweep: antenna_sweep of x has sizes below its 4 users: [3]",
+            ),
+            (
+                ("M = 2", "antenna_sweep = 3", "schemes = capacity"),
+                "antennas: need antennas >= users >= 1, got 2 antennas for 4 users",
+            ),
+        ],
+    )
+    def test_keys_that_fail_only_together_name_one_that_fails_alone(
+        self, tmp_path, monkeypatch, capsys, lines, message
+    ):
+        # neither M = 2 nor antenna_sweep = 3 passes without the other on the
+        # default four users, and the whole section passes on one user: the
+        # first key the section's base rejects on its own is named, with its
+        # own reason, and never schemes
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never_run)
+        config = tmp_path / "together.ini"
+        config.write_text("[x]\n" + "".join(f"{line}\n" for line in lines))
+        assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+        assert capsys.readouterr().err == f"error: [x] {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (("--U", "200"), "--U/--users: need antennas >= users >= 1, got 100 antennas"),

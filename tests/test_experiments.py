@@ -406,8 +406,8 @@ class TestRunScenario:
         # a failure is charged to the failing scheme alone: capacity keeps
         # every sample while the ZF schemes keep the odd realizations.  In
         # rf_ltap+zf the duplicated user also makes the combined noise
-        # covariance singular, which above LDL_MAX_ORDER is whiten's Cholesky
-        # path on a stack that mixes good and singular draws
+        # covariance singular, which whiten's Cholesky marks in a stack that
+        # mixes good and singular draws, on both sides of LDL_MAX_ORDER
         self._degenerate_even_draws(monkeypatch)
         singular_draws = []
         original = metrics.whiten
@@ -619,8 +619,8 @@ class TestRunScenario:
 
     def test_planted_subcarrier_failures_above_the_threshold(self, monkeypatch):
         # above LDL_MAX_ORDER, zf and mf+zf share the raw rank check, and
-        # rf_ltap+zf takes whiten's Cholesky path (a singular C in a mixed
-        # stack is test_singular_realizations_are_counted's).  All three
+        # rf_ltap+zf is whitened by Cholesky (a singular C in a mixed stack
+        # is test_singular_realizations_are_counted's).  All three
         # fail on all four planted draws (rf_ltap's effective response
         # vanishes to roundoff where the raw one vanishes), exactly as when
         # each draw is evaluated alone
@@ -750,6 +750,39 @@ class TestRunScenario:
         assert resolve_workers(2) == 2
         monkeypatch.delenv("HYBEAM_THREADS")
         assert resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("workers", [2.7, True, 0, -1, "2"])
+    def test_worker_count_is_a_whole_number(self, monkeypatch, workers):
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            resolve_workers(workers)
+        assert resolve_workers(np.int64(2)) == 2
+
+    def test_pool_holds_at_most_one_worker_per_payload(self, monkeypatch):
+        # a fake executor records its size and maps serially, so no process
+        # starts whatever count is asked for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, payloads):
+                return map(task, payloads)
+
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        assert experiments._run_blocks(abs, [-1, -2, -3], 50) == [1, 2, 3]
+        s = small_scenario(realizations=experiments.CHUNK + 3)
+        serial = run_scenario(s, workers=1)
+        assert run_scenario(s, workers=10**6) == serial
+        assert sizes == [3, 2]
 
     def test_workers_env_invalid(self, monkeypatch):
         monkeypatch.setenv("HYBEAM_THREADS", "lots")

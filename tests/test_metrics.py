@@ -7,9 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.linalg import _umath_linalg
 from hypothesis import strategies as st
 
-from hybeam import metrics, numerics
+from hybeam import metrics
 from hybeam.beamforming import (
     CombinerIR,
     EffectiveChannel,
@@ -45,6 +46,7 @@ from hybeam.metrics import (
     spectral_rates,
     squared_rates,
     sum_rate_from_sinr,
+    whiten,
 )
 from hybeam.numerics import (
     LDL_MAX_ORDER,
@@ -150,7 +152,8 @@ class TestSpectralRates:
 
     @pytest.mark.parametrize("n", [LDL_MAX_ORDER, LDL_MAX_ORDER + 1])
     def test_singular_noise_marks_only_its_own_grid(self, n):
-        # both sides of LDL_MAX_ORDER: in a stack of six grids, one C with a
+        # both sides of LDL_MAX_ORDER, where the reduction changes from the
+        # tridiagonal to the eigenvalues: in a stack of six grids, one C with a
         # zero row and column on one subcarrier, one all zero and one negative
         # definite on one subcarrier read NaN; the rest are what they are alone
         k, antennas = 4, n + 3
@@ -185,18 +188,19 @@ class TestSpectralRates:
         with pytest.raises(SingularMatrixError, match="singular noise covariance"):
             achievable_rate_hybrid(eff, None, link)
 
-    def test_cholesky_alone_marks_a_singular_noise_above_the_ldl_order(self):
-        # above LDL_MAX_ORDER C is factored once, by LAPACK's Cholesky, whose
-        # failure is the verdict: the unrolled elimination never runs.  One
-        # C per draw (a one-tap combiner) whitens the whole subcarrier grid
-        n, k = LDL_MAX_ORDER + 1, 3
-        rng = stream(565)
+    @pytest.mark.parametrize("n", [1, 4, LDL_MAX_ORDER, LDL_MAX_ORDER + 1])
+    def test_cholesky_marks_a_singular_noise_at_every_order(self, n):
+        # at every order C is factored once, by LAPACK's Cholesky, whose
+        # failure is the verdict, and no solve runs.  One C per draw (a
+        # one-tap combiner) whitens the whole subcarrier grid
+        k = 3
+        rng = stream(565, n)
         w = complex_normal(rng, (4, n, n + 3))
-        w[2, 5] = 0.0
+        w[2, n // 2] = 0.0
         h = complex_normal(rng, (4, k, n + 3, n))
         signal, cov = w[:, None] @ h, (w @ np.conj(np.swapaxes(w, -1, -2)))[:, None]
         snrs = [0.1, 1.0, 100.0]
-        with mock.patch.object(numerics, "_ldl", side_effect=AssertionError("_ldl called")):
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")):
             rates = spectral_rates(signal, cov, snrs)
         assert rates.shape == (len(snrs), 4)
         assert np.all(np.isnan(rates[:, 2]))
@@ -260,6 +264,75 @@ class TestSpectralRates:
             eigen = rates()
         for got, expected in zip(pivots, eigen):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def adjoint(mats):
+    return np.conj(np.swapaxes(mats, -1, -2))
+
+
+class TestWhiten:
+    def test_cholesky_gufunc_leaves_a_failed_factor_nan_alone(self):
+        # every +zf rate reads numpy's private Cholesky gufunc: called as
+        # whiten calls it, a matrix of the stack that is not positive
+        # definite gets a NaN factor, without a warning or an exception, and
+        # every other factor is np.linalg.cholesky's, bit for bit
+        rng = stream(575)
+        b = complex_normal(rng, (5, 4, 4))
+        stack = b @ adjoint(b) + 0.5 * np.eye(4)
+        stack[2] = -stack[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                chol = _umath_linalg.cholesky_lo(stack, signature="D->D")
+        assert np.all(np.isnan(chol[2]))
+        for index in (0, 1, 3, 4):
+            np.testing.assert_array_equal(chol[index], np.linalg.cholesky(stack[index]))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, LDL_MAX_ORDER + 4),
+        cols=st.integers(1, 4),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        taps=st.integers(1, 3),
+        broadcast=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_solve_oracle_at_every_order(self, n, cols, lead, taps, broadcast, seed):
+        # one C per signal, or one per tap axis broadcast as the runner's
+        # one-tap whitening passes it; about half the C are spoiled: negative
+        # definite, with a zero row and column, or all zero
+        rng = stream(580, seed)
+        cov_lead = (*lead, 1 if broadcast else taps)
+        b = complex_normal(rng, (*cov_lead, n, n))
+        cov = b @ adjoint(b) + 0.5 * np.eye(n)
+        kind = rng.integers(0, 6, size=cov_lead)
+        for index in np.ndindex(*cov_lead):
+            if kind[index] == 0:
+                cov[index] = -cov[index]
+            elif kind[index] == 1:
+                j = int(rng.integers(n))
+                cov[index][j, :] = 0.0
+                cov[index][:, j] = 0.0
+            elif kind[index] == 2:
+                cov[index] = 0.0
+        signal = complex_normal(rng, (*lead, taps, n, cols))
+        indices = list(np.ndindex(*lead, taps))
+        own = {index: (*index[:-1], 0 if broadcast else index[-1]) for index in indices}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            white, singular = whiten(signal, cov)
+            alone = {index: whiten(signal[index], cov[own[index]]) for index in indices}
+        assert white.shape == signal.shape
+        np.testing.assert_array_equal(singular, kind < 3)
+        for index in indices:
+            np.testing.assert_array_equal(white[index], alone[index][0])
+            assert alone[index][1] == singular[own[index]]
+            if singular[own[index]]:
+                assert np.all(white[index] == 0.0)
+                continue
+            expected = adjoint(signal[index]) @ np.linalg.solve(cov[own[index]], signal[index])
+            got = adjoint(white[index]) @ white[index]
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
 
 
 class TestCapacity:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from hybeam.beamforming import zf_spectrum
 from hybeam.channel import complex_normal, stream
-from hybeam import experiments, numerics
+from hybeam import experiments
 from hybeam.channel import SystemDims
+from hybeam.metrics import whiten
 from hybeam.numerics import (
     GRAM_SCREEN_RTOL,
     LDL_MAX_ORDER,
@@ -24,13 +25,7 @@ from hybeam.numerics import (
     lag_products,
     Tridiagonal,
     tridiagonalize,
-    whitened,
 )
-
-
-def ldl_pivots(mat):
-    """The pivots of ``whitened``'s ``L D L^H`` elimination: the reference of the pivot tests."""
-    return numerics._ldl(mat)[1]
 
 
 def random_seq(key, span, rows, cols, offset=0):
@@ -339,7 +334,7 @@ def hermitian(rng, kind, n):
     return -pd  # negative definite
 
 
-class TestLdlPivots:
+class TestPivotsAndWhitening:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
         n=st.integers(1, LDL_MAX_ORDER),
@@ -349,9 +344,9 @@ class TestLdlPivots:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_pivot_product_is_the_determinant(self, n, lead, snr_db, form, seed):
-        # "plain" factors the matrix itself; the SNR forms read the pivot
-        # products of the reduction, of the whitened matrix for a base B:
-        # det(B + snr G) = det(B) det(I + snr T)
+        # "plain" reads the pivots of the reduction itself; the SNR forms the
+        # pivot products of the reduction of G, or of the matrix whitened
+        # against a base B: det(B + snr G) = det(B) det(I + snr T)
         rng = stream(710, seed)
         a = complex_normal(rng, (*lead, 2 * n, n))
         gram = adjoint(a) @ a + 0.5 * np.eye(n)
@@ -359,7 +354,7 @@ class TestLdlPivots:
         base = b @ adjoint(b) + 0.5 * np.eye(n)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
         if form == "plain":
-            mats, dets = gram[None], np.prod(ldl_pivots(gram), axis=-1)[None]
+            mats, dets = gram[None], np.prod(tridiagonalize(gram)._pivots(1.0, 0.0), axis=0)[None]
         elif form == "identity base":
             mats = np.eye(n) + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
             dets = np.exp2(tridiagonalize(gram).log2dets(snrs))
@@ -368,9 +363,10 @@ class TestLdlPivots:
             # a signal S with S S^H = gram, whitened against the base
             root = np.broadcast_to(np.sqrt(0.5) * np.eye(n), (*lead, n, n))
             signal = np.concatenate([adjoint(a), root], axis=-1)
-            white, base_pivots = whitened(signal, base)
+            white, singular = whiten(signal, base)
+            assert not np.any(singular)
             dets = np.exp2(tridiagonalize(white @ adjoint(white)).log2dets(snrs))
-            dets = dets * np.prod(base_pivots, axis=-1)
+            dets = dets * np.exp(np.linalg.slogdet(base)[1])
         assert dets.shape == mats.shape[:-2]
         sign, logabs = np.linalg.slogdet(mats)
         np.testing.assert_allclose(sign, 1.0, rtol=0.0, atol=1e-12)
@@ -378,7 +374,7 @@ class TestLdlPivots:
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
-        n=st.integers(1, LDL_MAX_ORDER),
+        n=st.integers(1, LDL_MAX_ORDER + 4),
         kinds=st.lists(
             st.sampled_from(["pd", "singular", "indefinite", "negative", "zero"]),
             min_size=1,
@@ -386,18 +382,21 @@ class TestLdlPivots:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_pivots_positive_exactly_when_cholesky_succeeds(self, n, kinds, seed):
+    def test_whiten_marks_exactly_where_cholesky_fails(self, n, kinds, seed):
         rng = stream(720, seed)
         # a (2, len(kinds)) stack: every kind twice, on two leading axes
         stack = np.stack([[hermitian(rng, kind, n) for kind in kinds] for _ in range(2)])
-        positive = np.all(ldl_pivots(stack) > 0.0, axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, singular = whiten(np.ones((n, 1)), stack)
+        assert singular.shape == stack.shape[:-2]
         for index in np.ndindex(*stack.shape[:-2]):
             try:
                 np.linalg.cholesky(stack[index])
                 factored = True
             except np.linalg.LinAlgError:
                 factored = False
-            assert positive[index] == factored, kinds[index[1]]
+            assert singular[index] != factored, kinds[index[1]]
 
 
 def log2det(mats):
@@ -426,8 +425,8 @@ class TestTridiagonal:
             s = complex_normal(rng, (*lead, n, n + extra_rows))
             b = complex_normal(rng, (*lead, n, n))
             cov = b @ adjoint(b) + 0.5 * np.eye(n)
-            white, pivots = whitened(s, cov)
-            assert np.all(pivots > 0.0)
+            white, singular = whiten(s, cov)
+            assert not np.any(singular)
             expected = log2det(cov + grid * (s @ adjoint(s))) - log2det(cov)
             white = adjoint(white) @ white
         else:
@@ -461,7 +460,10 @@ class TestTridiagonal:
         eigs = np.moveaxis(np.linalg.eigvalsh(g), -1, 0)
         expected = np.sum(np.log2(1.0 + snrs[(...,) + (None,) * (len(lead) + 1)] * eigs**2), axis=1)
         np.testing.assert_allclose(
-            Tridiagonal(eigs).log2dets_of_square(snrs), expected, rtol=1e-12, atol=0.0
+            Tridiagonal(eigs, np.zeros_like(eigs[1:])).log2dets_of_square(snrs),
+            expected,
+            rtol=1e-12,
+            atol=0.0,
         )
 
     def test_zero_sub_column_is_not_reflected(self):
@@ -511,7 +513,8 @@ class TestTridiagonal:
     @pytest.mark.parametrize("n", [2, 4, LDL_MAX_ORDER])
     def test_rank_deficient_gram(self, n):
         # a repeated column: det(I + snr G) is still read exactly, and the
-        # shifted reduction has a pivot that is not positive, as the LDL does
+        # shifted reduction has a pivot that is not positive, as the shifted
+        # Gram has a negative eigenvalue
         a = complex_normal(stream(733, n), (3, 2 * n, n))
         a[..., -1] = a[..., 0]
         gram = adjoint(a) @ a
@@ -520,15 +523,15 @@ class TestTridiagonal:
         reduced = tridiagonalize(gram)
         np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
         shift = 1e-8 * np.trace(gram, axis1=-2, axis2=-1).real
-        factored = ldl_pivots(gram - shift[:, None, None] * np.eye(n))
+        smallest = np.linalg.eigvalsh(gram - shift[:, None, None] * np.eye(n))[..., 0]
         assert not np.any(reduced.positive_definite(-shift))
-        assert not np.any(np.all(factored > 0.0, axis=-1))
+        assert np.all(smallest < 0.0)
         assert np.all(reduced.positive_definite(shift))
 
-    @pytest.mark.parametrize("n", [1, 3, LDL_MAX_ORDER])
+    @pytest.mark.parametrize("n", [1, 3, LDL_MAX_ORDER, LDL_MAX_ORDER + 1])
     def test_singular_noise_spoils_only_its_own_matrix(self, n):
         # in a stack of four grids of two, one C has a zero row and column
-        # and one is negative definite: their pivots say so, and the other
+        # and one is negative definite: whiten's mask says so, and the other
         # grids whiten and reduce to the bits they have alone, without a warning
         rng = stream(734, n)
         signal = complex_normal(rng, (4, 2, n, n + 1))
@@ -537,13 +540,12 @@ class TestTridiagonal:
         snrs = [1.0, 10.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            white, pivots = whitened(signal, cov)
-            alone = [whitened(signal[i], cov[i]) for i in range(4)]
-        # the spoiled matrices' Grams are NaN by design
-        with np.errstate(invalid="ignore"):
+            white, singular = whiten(signal, cov)
+            alone = [whiten(signal[i], cov[i]) for i in range(4)]
             rates = tridiagonalize(adjoint(white) @ white).log2dets(snrs)
             alone_rates = [tridiagonalize(adjoint(w) @ w).log2dets(snrs) for w, _ in alone]
-        assert np.all(pivots > 0.0, axis=(-2, -1)).tolist() == [True, False, False, True]
+        assert singular.tolist() == [[False, False], [True, False], [True, False], [False, False]]
+        assert np.all(white[1:3, 0] == 0.0)
         for i in (0, 3):
             np.testing.assert_array_equal(white[i], alone[i][0])
             np.testing.assert_array_equal(rates[:, i], alone_rates[i])
@@ -681,8 +683,9 @@ class TestRankCheck:
         assert rank_verdict(stacked, 16, lag_screen(stacked, 16)) == [-1] * 4
 
     def test_small_orders_run_without_eigendecompositions(self, monkeypatch):
-        # at orders up to LDL_MAX_ORDER every rate, screen and noise check
-        # reads pivots: a fig8-like run needs no eigvalsh, Cholesky or solve
+        # at orders up to LDL_MAX_ORDER every rate and screen reads the
+        # tridiagonal reduction, and whiten calls Cholesky's gufunc itself: a
+        # fig8-like run needs no eigvalsh, np.linalg.cholesky or solve
         def banned(*args, **kwargs):
             raise AssertionError("the runner called a LAPACK factorization")
 
