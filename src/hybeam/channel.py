@@ -299,9 +299,33 @@ def dump_channel(channel: ChannelRealization, path, seed: int, model: str) -> No
                     fh.write(f"{l} {m} {u} {value.real:.17g} {value.imag:.17g}\n")
 
 
+# The counts of a dump's header; it also holds an integer ``seed`` and a ``model`` name
+_DUMP_COUNTS = ("antennas", "users", "taps")
+
+
+def _dump_field(path, name: str, raw: str):
+    """A dump header field's value; an unknown or malformed field names the file."""
+    if name == "model":
+        return raw
+    if name not in (*_DUMP_COUNTS, "seed"):
+        raise ValueError(f"{path}: unknown dump header field {name!r}")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{path}: dump header field {name} is not an integer: {raw!r}") from None
+    if name == "seed":
+        return value
+    try:
+        return _integer(name, value, 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: dump header field {exc}") from None
+
+
 def load_channel_dump(path) -> tuple[dict, TapSequence]:
     """Read a dump back as (header fields, tap sequence).
 
+    The header holds the counts ``antennas``, ``users`` and ``taps`` (each at
+    least 1), an integer ``seed`` and the ``model`` name, and nothing else.
     Every in-range (tap, antenna, user) must appear on exactly one line.
     """
     meta: dict = {}
@@ -315,14 +339,14 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
                 for token in line[1:].split():
                     if "=" in token:
                         name, _, raw = token.partition("=")
-                        meta[name] = raw if name == "model" else int(raw)
+                        meta[name] = _dump_field(path, name, raw)
                 continue
             fields = line.split()
             if len(fields) != 5:
                 raise ValueError(f"malformed dump line: {line!r}")
             index = tuple(int(f) for f in fields[:3])
             entries.append((index, float(fields[3]) + 1j * float(fields[4])))
-    for field in ("antennas", "users", "taps"):
+    for field in _DUMP_COUNTS:
         if field not in meta:
             raise ValueError(f"dump header is missing {field}")
     shape = (meta["taps"], meta["antennas"], meta["users"])

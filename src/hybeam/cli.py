@@ -8,13 +8,11 @@ numerically.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import gc
 import os
 import sys
 from dataclasses import replace
-from decimal import ROUND_FLOOR, Context, Decimal, InvalidOperation
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +27,6 @@ from .experiments import (
     run_scenario,
     validate_closed_forms,
 )
-from .plotting import render_line_chart
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,8 +36,6 @@ EXIT_NUMERICAL = 3
 FAILURE_BUDGET = 0.01
 # Memory of one point of an expanded SNR range: a float object and its tuple slot.
 _SNR_POINT_BYTES = 32
-# Decimal arithmetic rounded down, whose overflow reads as the largest decimal
-_FLOOR = Context(rounding=ROUND_FLOOR, traps=[])
 
 # Column -> parser of its text, in the order of ``ResultRow``'s fields
 _CSV_COLUMNS = {
@@ -93,6 +88,10 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
     """SNR grid grammar: ``start:stop:step`` (inclusive) or a comma list."""
     text = text.strip()
     if ":" in text:
+        from decimal import ROUND_FLOOR, Context, Decimal, InvalidOperation
+
+        # decimal arithmetic rounded down, whose overflow reads as the largest decimal
+        floor = Context(rounding=ROUND_FLOOR, traps=[])
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"SNR range must be start:stop:step, got {text!r}")
@@ -104,8 +103,8 @@ def parse_snr_spec(text: str) -> tuple[float, ...]:
             raise ValueError(f"bad SNR range {text!r}")
         # counted before it is expanded: the quotient, rounded down, reaches the
         # most points that fit exactly when the count exceeds them
-        span = _FLOOR.subtract(stop, start)
-        if _FLOOR.divide(span, step) >= _MEMORY_BYTES // _SNR_POINT_BYTES:
+        span = floor.subtract(stop, start)
+        if floor.divide(span, step) >= _MEMORY_BYTES // _SNR_POINT_BYTES:
             raise ValueError(f"SNR range {text!r} has more points than {_MEMORY_BYTES} bytes can hold")
         # exact decimal arithmetic: 0:1:0.1 ends at 0.7, not 0.7000000000000001
         count = int(span // step) + 1
@@ -216,24 +215,30 @@ def load_config(path) -> list[Scenario]:
     that is rejected, as it parses or by the scenario it makes, fails as
     ``[section] key: reason`` before any run.
     """
+    import configparser
+
     template = PRESETS["fig2"].scenario
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
     scenarios = []
-    for section in parser.sections():
-        texts = {}
-        for name, text in parser.items(section):
-            key = _NAMES.get(name)
-            if key is None:
-                raise ValueError(f"[{section}] unknown key {name!r}")
-            if key in texts:
-                raise ValueError(f"[{section}] {key} given twice")
-            texts[key] = text
-        scenario = _configure(replace(template, name=section, schemes=()), texts, f"[{section}] ")
-        if not scenario.schemes and not scenario.antenna_sweep:
-            raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
-        scenarios.append(scenario)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for section in parser.sections():
+            texts = {}
+            for name, text in parser.items(section):
+                key = _NAMES.get(name)
+                if key is None:
+                    raise ValueError(f"[{section}] unknown key {name!r}")
+                if key in texts:
+                    raise ValueError(f"[{section}] {key} given twice")
+                texts[key] = text
+            scenario = _configure(replace(template, name=section, schemes=()), texts, f"[{section}] ")
+            if not scenario.schemes and not scenario.antenna_sweep:
+                raise ValueError(f"[{section}] needs schemes or an antenna_sweep")
+            scenarios.append(scenario)
+    except configparser.Error as exc:
+        # a malformed file is a configuration error like any rejected value
+        raise ValueError(str(exc)) from None
     if not scenarios:
         raise ValueError(f"{path}: config file defines no scenarios")
     return scenarios
@@ -322,6 +327,8 @@ _YLABELS = {
 
 
 def cmd_plot(args) -> int:
+    from .plotting import render_line_chart
+
     rows = read_csv(args.csv)
     metric_rows = [row for row in rows if row.metric == args.metric]
     if not metric_rows:
@@ -408,7 +415,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, configparser.Error) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import groupby
@@ -446,12 +445,28 @@ def resolve_workers(workers: int | None = None) -> int:
     return resolved
 
 
+def __getattr__(name: str):
+    # the process pool and ``multiprocessing`` behind it are imported on first
+    # use, so a serial run never loads them
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_blocks(task, payloads: list, workers: int) -> list:
     """Run work payloads serially or across one process pool of at most one
-    worker per payload; one result per payload, in order."""
+    worker per payload; one result per payload, in order.
+
+    The pool class is the module attribute at call time, so a class set on
+    the module after import (as perfbench's span tracer sets one) is used.
+    """
     if workers <= 1 or len(payloads) <= 1:
         return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with pool_class(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(task, payloads))
 
 
@@ -554,9 +569,11 @@ def _sweep_rows(scenario: Scenario, spreads: dict[int, list[dict]]) -> tuple[Res
         for scheme in _RMS_COMBINERS + ("siso",):
             per_draw = np.stack([swept[scheme] for swept in draws])
             means = per_draw.mean(axis=-1)
+            # the means are read, so the quantiles may partition the stack in
+            # place instead of a copy: the same order statistics, the same bytes
+            quantiles = np.percentile(per_draw, _RMS_QUANTILES, overwrite_input=True)
             cells = [("rms_mean", means.mean(), _stderr(means))] + [
-                (f"rms_cdf_q{q:02d}", value, 0.0)
-                for q, value in zip(_RMS_QUANTILES, np.percentile(per_draw, _RMS_QUANTILES))
+                (f"rms_cdf_q{q:02d}", value, 0.0) for q, value in zip(_RMS_QUANTILES, quantiles)
             ]
             rows += [
                 _row(scenario, scheme, antennas, metric, value, err, scenario.realizations)

@@ -1,6 +1,7 @@
 """Channel generators: profile shapes, draw statistics, reproducibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,36 @@ class TestSpectrumAndDump:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="lacks 1 of"):
             load_channel_dump(path)
+
+    def _with_header_field(self, tmp_path, field, text, entries=True):
+        """A dump whose header sets ``field=text``, with or without its entries."""
+        path, lines = self._dump_lines(tmp_path)
+        header, count = re.subn(rf"\b{field}=\S+", f"{field}={text}", lines[1])
+        if not count:
+            header += f" {field}={text}"
+        rest = lines[2:] if entries else lines[2:3]
+        path.write_text("\n".join([lines[0], header, *rest]) + "\n")
+        return path
+
+    def test_dump_rejects_counts_below_one(self, tmp_path):
+        for field in ("antennas", "users", "taps"):
+            # header only: zero antennas would load as an empty tap sequence
+            path = self._with_header_field(tmp_path, field, "0", entries=False)
+            message = rf"chan\.txt: dump header field {field} must be an integer in \[1,"
+            with pytest.raises(ValueError, match=message):
+                load_channel_dump(path)
+
+    def test_dump_rejects_unknown_header_field(self, tmp_path):
+        path = self._with_header_field(tmp_path, "extra", "x")
+        with pytest.raises(ValueError, match=r"chan\.txt: unknown dump header field 'extra'"):
+            load_channel_dump(path)
+
+    def test_dump_rejects_non_integer_header_field(self, tmp_path):
+        for field, text in (("antennas", "16.0"), ("users", "x"), ("seed", "")):
+            path = self._with_header_field(tmp_path, field, text)
+            message = rf"chan\.txt: dump header field {field} is not an integer: '{text}'"
+            with pytest.raises(ValueError, match=message):
+                load_channel_dump(path)
 
     def test_realization_validation(self):
         pdp = exponential_pdp(DIMS.taps, DIMS.users)

@@ -3,7 +3,10 @@
 import contextlib
 import gc
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -440,6 +443,24 @@ class TestConfigFiles:
         (scenario,) = cli.load_config(config)
         assert scenario == replace(PRESETS["fig2"].scenario, name="bare", schemes=("capacity",))
         assert scenario.antenna_sweep == ()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("M = 16\n[x]\nschemes = capacity\n", "File contains no section headers"),
+            ("[x]\nschemes = capacity\nschemes = zf\n", "option 'schemes' in section 'x' already exists"),
+            ("[x]\nschemes = capacity\n[x]\nschemes = zf\n", "section 'x' already exists"),
+        ],
+        ids=["no_section_header", "duplicate_option", "duplicate_section"],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_validate_checks_every_section_first(self, tmp_path, monkeypatch):
         # the rich section comes first and would run if sections were checked lazily
@@ -884,3 +905,64 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run_cli("frobnicate") == 2
         capsys.readouterr()
+
+
+# Modules that only some paths load: the process pool's, the config reader,
+# the SNR range's decimal arithmetic and the chart renderer
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+_LAZY_MODULES = _POOL_MODULES + ("configparser", "decimal", "hybeam.plotting")
+
+
+def _fresh(code: str, threads: int = 1):
+    """The last stdout line of ``code``, read as JSON, run in a fresh
+    interpreter after ``from hybeam import cli``; its ``loaded()`` lists the
+    lazy modules imported so far."""
+    prelude = (
+        "import json, sys\n"
+        "from hybeam import cli\n"
+        f"loaded = lambda: [name for name in {_LAZY_MODULES!r} if name in sys.modules]\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["HYBEAM_THREADS"] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestLazyImports:
+    def test_import_loads_no_module_of_one_path(self):
+        assert _fresh("print(json.dumps(loaded()))") == []
+
+    def test_serial_run_loads_no_pool(self, tmp_path):
+        argv = ["run", "fig2", *RUN_FAST, "--outdir", str(tmp_path)]
+        loaded = _fresh(f"assert cli.main({argv!r}) == 0\nprint(json.dumps(loaded()))")
+        assert not set(loaded) & set(_POOL_MODULES)
+        assert (tmp_path / "fig2.csv").exists()
+
+    def test_snr_range_parses_to_the_same_grid(self):
+        grid, loaded = _fresh("print(json.dumps([cli.parse_snr_spec('0:20:5'), loaded()]))")
+        assert tuple(grid) == (0.0, 5.0, 10.0, 15.0, 20.0)
+        assert loaded == ["decimal"]
+
+    def test_plot_writes_its_svg(self, tmp_path):
+        csv_path = tmp_path / "one.csv"
+        cli.write_csv(csv_path, [ResultRow("s", "mf", 0.0, "rate", 1.5, 0.0, 1, 1)])
+        argv = ["plot", str(csv_path), "--metric", "rate"]
+        assert _fresh(f"print(json.dumps(cli.main({argv!r})))") == 0
+        assert (tmp_path / "one_rate.svg").read_text().startswith("<svg")
+
+    def test_two_worker_run_gives_the_serial_bytes(self, tmp_path):
+        # two chunks of realizations, so the two-worker run starts a pool
+        outputs = {}
+        for threads in (1, 2):
+            outdir = tmp_path / str(threads)
+            argv = ["run", "fig2", "--realizations", str(2 * experiments.CHUNK), "--snr", "0,10",
+                    "--outdir", str(outdir)]
+            code = f"assert cli.main({argv!r}) == 0\nprint(json.dumps(loaded()))"
+            pooled = set(_fresh(code, threads)) >= set(_POOL_MODULES)
+            assert pooled == (threads == 2)
+            outputs[threads] = (outdir / "fig2.csv").read_bytes()
+        assert outputs[1] == outputs[2]
