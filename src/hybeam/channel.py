@@ -329,9 +329,9 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
     Every in-range (tap, antenna, user) must appear on exactly one line.
     """
     meta: dict = {}
-    entries = []
+    entries = {}
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -341,24 +341,28 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
                         name, _, raw = token.partition("=")
                         meta[name] = _dump_field(path, name, raw)
                 continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ValueError(f"malformed dump line: {line!r}")
-            index = tuple(int(f) for f in fields[:3])
-            entries.append((index, float(fields[3]) + 1j * float(fields[4])))
+            try:
+                tap, antenna, user, real, imag = line.split()
+                index = (int(tap), int(antenna), int(user))
+                value = complex(float(real), float(imag))
+            except ValueError:
+                raise ValueError(f"{path}:{number}: malformed dump line: {line!r}") from None
+            if index in entries:
+                raise ValueError(f"{path}:{number}: duplicate dump entry {index}")
+            entries[index] = value
     for field in _DUMP_COUNTS:
         if field not in meta:
             raise ValueError(f"dump header is missing {field}")
     shape = (meta["taps"], meta["antennas"], meta["users"])
-    taps = np.zeros(shape, dtype=complex)
-    seen = np.zeros(shape, dtype=bool)
-    for index, value in entries:
+    for index in entries:
         if not all(0 <= i < n for i, n in zip(index, shape)):
-            raise ValueError(f"dump entry {index} outside (taps, antennas, users) = {shape}")
-        if seen[index]:
-            raise ValueError(f"duplicate dump entry {index}")
-        seen[index] = True
+            raise ValueError(f"{path}: dump entry {index} outside (taps, antennas, users) = {shape}")
+    # every entry is distinct and in range, so counting them finds a gap
+    # before an array of the declared shape is allocated
+    size = meta["taps"] * meta["antennas"] * meta["users"]
+    if len(entries) < size:
+        raise ValueError(f"{path}: dump lacks {size - len(entries)} of {size} entries")
+    taps = np.zeros(shape, dtype=complex)
+    for index, value in entries.items():
         taps[index] = value
-    if not seen.all():
-        raise ValueError(f"dump lacks {seen.size - int(seen.sum())} of {seen.size} entries")
     return meta, TapSequence(0, taps)

@@ -20,12 +20,11 @@ import numpy as np
 from .channel import _MEMORY_BYTES, SparseChannelConfig
 from .experiments import (
     PRESETS,
-    VALIDATED_SCHEMES,
-    VALIDATED_SWEEP,
     ResultRow,
     Scenario,
     run_scenario,
     validate_closed_forms,
+    validation_run,
 )
 
 EXIT_OK = 0
@@ -266,10 +265,6 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _joined(own: tuple, needed: tuple) -> tuple:
-    return own + tuple(item for item in needed if item not in own)
-
-
 def cmd_run(args) -> int:
     if args.target in PRESETS:
         scenarios = [PRESETS[args.target].scenario]
@@ -280,19 +275,12 @@ def cmd_run(args) -> int:
     scenarios = [_apply_overrides(scenario, args) for scenario in scenarios]
     runs = scenarios
     if args.validate:
-        sparse = [s.name for s in scenarios if s.channel_model != "rich"]
-        if sparse:
-            raise ValueError(
-                f"closed-form validation assumes the rich channel model: {', '.join(sparse)}"
-            )
-        # validation reads these schemes' and sizes' rows; the CSV keeps the section's own
-        runs = [
-            _with_values(s, {
-                "schemes": _joined(s.schemes, VALIDATED_SCHEMES),
-                "antenna_sweep": _joined(s.antenna_sweep, VALIDATED_SWEEP),
-            })
-            for s in scenarios
-        ]
+        # every section's validated run is built before any draw; the CSV keeps
+        # the section's own rows
+        try:
+            runs = [validation_run(scenario) for scenario in scenarios]
+        except ValueError as exc:
+            raise ValueError(f"--validate: {exc}") from None
     os.makedirs(args.outdir, exist_ok=True)
     status = EXIT_OK
     for scenario, run in zip(scenarios, runs):

@@ -25,13 +25,37 @@ ENVELOPE_LOW = 1.0
 ENVELOPE_HIGH = 3.0
 
 
-def _check_column(pdp_column: np.ndarray) -> np.ndarray:
+def _model(model: str, users: int, pdp_column: np.ndarray) -> tuple[float, float, int]:
+    """One user's large-array terms under a combiner model.
+
+    Returns the coherently collected tap power, the leaked stream power in
+    units of the transmit power, and the number of combiner taps that add
+    noise.  The per-tap network collects the squared sum of root tap powers,
+    leaks the other ``U*L - 1`` tap streams and adds noise on all ``L``
+    taps; the single-tap network collects the leading tap, leaks the user's
+    remaining tap power and one unit per other user, and adds noise once.
+    """
     column = np.asarray(pdp_column, dtype=float)
     if column.ndim != 1 or column.size < 1:
         raise ValueError("pdp column must be a nonempty 1-D array")
     if np.any(column < 0.0) or abs(column.sum() - 1.0) > 1e-6:
         raise ValueError("pdp column must be nonnegative and sum to 1")
-    return column
+    if model == MODEL_LTAP:
+        return float(np.sqrt(column).sum()) ** 2, users * column.size - 1, column.size
+    if model == MODEL_1TAP:
+        return column[0], float(column[1:].sum() + users - 1), 1
+    raise ValueError(f"unknown model {model!r}; expected {MODEL_LTAP!r} or {MODEL_1TAP!r}")
+
+
+def _sinr(model: str, link: LinkBudget, antennas: int, users: int, pdp_column) -> float:
+    collected, leaked, noisy_taps = _model(model, users, pdp_column)
+    signal = COHERENT_GAIN * link.transmit_power * antennas * collected
+    return signal / (noisy_taps * link.noise_variance + link.transmit_power * leaked)
+
+
+def _ceiling(model: str, antennas: int, users: int, pdp_column) -> float:
+    collected, leaked, _ = _model(model, users, pdp_column)
+    return COHERENT_GAIN * antennas * collected / leaked
 
 
 def sinr_limit_ltap(
@@ -44,12 +68,7 @@ def sinr_limit_ltap(
     unit of transmit power and each of the ``L`` combiner taps adds one unit
     of noise.
     """
-    column = _check_column(pdp_column)
-    taps = column.size
-    coherent = float(np.sqrt(column).sum()) ** 2
-    signal = COHERENT_GAIN * link.transmit_power * antennas * coherent
-    clutter = taps * link.noise_variance + link.transmit_power * (users * taps - 1)
-    return signal / clutter
+    return _sinr(MODEL_LTAP, link, antennas, users, pdp_column)
 
 
 def sinr_limit_1tap(
@@ -61,28 +80,17 @@ def sinr_limit_1tap(
     power and one unit per other user leak through, with a single unit of
     noise.
     """
-    column = _check_column(pdp_column)
-    signal = COHERENT_GAIN * link.transmit_power * antennas * column[0]
-    clutter = (
-        link.noise_variance
-        + link.transmit_power * column[1:].sum()
-        + link.transmit_power * (users - 1)
-    )
-    return signal / float(clutter)
+    return _sinr(MODEL_1TAP, link, antennas, users, pdp_column)
 
 
 def sinr_ceiling_ltap(antennas: int, users: int, pdp_column: np.ndarray) -> float:
     """Transmit-power-to-infinity limit of ``sinr_limit_ltap``."""
-    column = _check_column(pdp_column)
-    taps = column.size
-    coherent = float(np.sqrt(column).sum()) ** 2
-    return COHERENT_GAIN * antennas * coherent / (users * taps - 1)
+    return _ceiling(MODEL_LTAP, antennas, users, pdp_column)
 
 
 def sinr_ceiling_1tap(antennas: int, users: int, pdp_column: np.ndarray) -> float:
     """Transmit-power-to-infinity limit of ``sinr_limit_1tap``."""
-    column = _check_column(pdp_column)
-    return COHERENT_GAIN * antennas * column[0] / float(column[1:].sum() + users - 1)
+    return _ceiling(MODEL_1TAP, antennas, users, pdp_column)
 
 
 def capacity_limit(
@@ -95,12 +103,8 @@ def capacity_limit(
     root tap powers for the per-tap network, the leading tap power for the
     single-tap network.
     """
-    if model == MODEL_LTAP:
-        collected = np.sqrt(pdp.gains).sum(axis=0) ** 2
-    elif model == MODEL_1TAP:
-        collected = pdp.gains[0]
-    else:
-        raise ValueError(f"unknown model {model!r}; expected {MODEL_LTAP!r} or {MODEL_1TAP!r}")
+    users = pdp.num_users
+    collected = np.array([_model(model, users, pdp.column(u))[0] for u in range(users)])
     gains = link.snr * COHERENT_GAIN * antennas * collected
     return float(np.sum(np.log2(1.0 + gains)))
 
@@ -133,14 +137,11 @@ def predict(
     link: LinkBudget, antennas: int, pdp: PowerDelayProfile, model: str
 ) -> AsymptoticPrediction:
     """Bundle the per-user SINR limits and both rate limits for one model."""
-    capacity = capacity_limit(link, antennas, pdp, model)  # rejects an unknown model
-    per_user = sinr_limit_ltap if model == MODEL_LTAP else sinr_limit_1tap
-    sinr = np.array(
-        [per_user(link, antennas, pdp.num_users, pdp.column(u)) for u in range(pdp.num_users)]
-    )
+    users = pdp.num_users
+    sinr = np.array([_sinr(model, link, antennas, users, pdp.column(u)) for u in range(users)])
     return AsymptoticPrediction(
         model=model,
         sinr=sinr,
         sum_rate=float(np.sum(np.log2(1.0 + sinr))),
-        capacity=capacity,
+        capacity=capacity_limit(link, antennas, pdp, model),
     )

@@ -427,15 +427,13 @@ def _scenario_block(args) -> list:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, a whole number of at least 1, capped
     by the HYBEAM_THREADS variable."""
-    cap = None
-    raw = os.environ.get(WORKER_ENV_VAR)
-    if raw is not None:
+    cap = os.environ.get(WORKER_ENV_VAR)
+    if cap is not None:
         try:
-            cap = int(raw)
+            cap = int(cap)
         except ValueError:
-            raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise ValueError(f"{WORKER_ENV_VAR} must be positive")
+            pass  # ``_integer`` rejects the text itself, naming the variable
+        cap = _integer(WORKER_ENV_VAR, cap, 1)
     if workers is None:
         resolved = cap if cap is not None else 1
     else:
@@ -644,8 +642,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-# The schemes whose rows the closed forms are checked against.
-VALIDATED_SCHEMES = ("rf_1tap", "rf_ltap")
+# The schemes whose rows the closed forms are checked against, each with its
+# closed-form model, in the report's order.
+_VALIDATED_MODELS = {"rf_ltap": MODEL_LTAP, "rf_1tap": MODEL_1TAP}
+VALIDATED_SCHEMES = tuple(_VALIDATED_MODELS)
 # The sweep sizes whose mean delay spreads are checked; each is four times
 # the one before it.
 VALIDATED_SWEEP = (25, 100, 400)
@@ -655,19 +655,43 @@ _LIMIT_RTOL = 0.05
 _RMS_RATIO_BOUNDS = (0.40, 0.62)
 
 
+def _joined(own: tuple, needed: tuple) -> tuple:
+    return own + tuple(item for item in needed if item not in own)
+
+
+def validation_run(scenario: Scenario) -> Scenario:
+    """The run whose rows ``validate_closed_forms`` reads: ``scenario`` with
+    the ``VALIDATED_SCHEMES`` and ``VALIDATED_SWEEP`` sizes it lacks added.
+
+    Closed-form validation assumes the rich channel model, so a scenario of
+    another model is rejected; so is one whose geometry cannot honour the
+    added sizes, as ``Scenario`` rejects it.
+    """
+    if scenario.channel_model != "rich":
+        raise ValueError(
+            f"closed-form validation assumes the rich channel model: {scenario.name} "
+            f"is {scenario.channel_model}"
+        )
+    return replace(
+        scenario,
+        schemes=_joined(scenario.schemes, VALIDATED_SCHEMES),
+        antenna_sweep=_joined(scenario.antenna_sweep, VALIDATED_SWEEP),
+    )
+
+
 def validate_closed_forms(scenario: Scenario, rows) -> ValidationReport:
     """Check a section's own rows against the large-array limits.
 
-    ``rows`` are the scenario's ``ResultRow``s from its run and its
-    ``rms_study``.  They must hold the ``rate`` and ``capacity`` of both
-    constant-modulus combiners (``VALIDATED_SCHEMES``) at every SNR point,
-    which are compared with their limits at a relative tolerance, and the
-    ``rms_mean`` of every swept combiner at each size of ``VALIDATED_SWEEP``,
-    which must fall inside the ``c/sqrt(M)`` envelopes and shrink by about
-    half from one size to the next.  Nothing is simulated here.
+    ``rows`` are the ``ResultRow``s of the scenario's ``validation_run``,
+    its scheme rows and its sweep's.  They must hold the ``rate`` and
+    ``capacity`` of both constant-modulus combiners (``VALIDATED_SCHEMES``)
+    at every SNR point, which are compared with their limits at a relative
+    tolerance, and the ``rms_mean`` of every swept combiner at each size of
+    ``VALIDATED_SWEEP``, which must fall inside the ``c/sqrt(M)`` envelopes
+    and shrink by about half from one size to the next.  Nothing is
+    simulated here.
     """
-    if scenario.channel_model != "rich":
-        raise ValueError("closed-form validation assumes the rich channel model")
+    validation_run(scenario)  # a scenario that has no validated run has no report
     dims = scenario.dims
     pdp = exponential_pdp(dims.taps, dims.users)
     by_key = {(r.scheme, r.metric, r.snr_db): r.value for r in rows}
@@ -688,7 +712,7 @@ def validate_closed_forms(scenario: Scenario, rows) -> ValidationReport:
     checks: list[ClosedFormCheck] = []
     for snr in scenario.snr_db:
         link = LinkBudget.from_snr_db(snr)
-        for scheme, model in (("rf_ltap", MODEL_LTAP), ("rf_1tap", MODEL_1TAP)):
+        for scheme, model in _VALIDATED_MODELS.items():
             target = predict(link, dims.antennas, pdp, model)
             for metric, reference in (("rate", target.sum_rate), ("capacity", target.capacity)):
                 checks.append(

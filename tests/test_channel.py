@@ -384,6 +384,22 @@ class TestSpectrumAndDump:
         with pytest.raises(ValueError, match="lacks 1 of"):
             load_channel_dump(path)
 
+    def test_dump_counts_entries_before_allocating(self, tmp_path):
+        # a header alone, declaring 10**12 antennas: hundreds of TiB of taps
+        path = self._with_header_field(tmp_path, "antennas", str(10**12), entries=False)
+        assert len(path.read_text().splitlines()) == 3
+        size = DIMS.taps * 10**12 * DIMS.users
+        with pytest.raises(ValueError, match=rf"chan\.txt: dump lacks {size} of {size} entries"):
+            load_channel_dump(path)
+
+    def test_dump_names_the_line_of_a_malformed_entry(self, tmp_path):
+        path, lines = self._dump_lines(tmp_path)
+        for bad in ("0 x 0 1 0", "0 0 0 1", "0 0 0 1 0 0", "0 0 0 1 y"):
+            path.write_text("\n".join(lines[:5] + [bad] + lines[5:]) + "\n")
+            message = rf"chan\.txt:6: malformed dump line: '{bad}'"
+            with pytest.raises(ValueError, match=message):
+                load_channel_dump(path)
+
     def _with_header_field(self, tmp_path, field, text, entries=True):
         """A dump whose header sets ``field=text``, with or without its entries."""
         path, lines = self._dump_lines(tmp_path)

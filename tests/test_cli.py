@@ -284,7 +284,7 @@ class TestRunCommand:
         # them.  At M=25 the run's own size is one of the swept sizes
         cases = (
             ("fig3", 16, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
-            ("fig5", 16, ("rf_1tap", "rf_ltap"), PRESETS["fig5"].scenario.antenna_sweep),
+            ("fig5", 16, experiments.VALIDATED_SCHEMES, PRESETS["fig5"].scenario.antenna_sweep),
             ("fig3", 25, ("mf", "rf_1tap", "rf_ltap"), VALIDATED_SWEEP),
         )
         for target, antennas, schemes, grid in cases:
@@ -375,7 +375,9 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_scenario", never_run)
         outdir = tmp_path / "res"
         assert run_cli("run", "fig8", "--validate", "--outdir", str(outdir)) == 2
-        assert "rich" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: --validate: closed-form validation assumes the rich channel model: fig8 is sparse"
+        )
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
@@ -538,14 +540,26 @@ class TestConfigFiles:
             config.write_text(f"[x]\nM = 16\nU = 2\nschemes = capacity\nantenna_sweep = {sweep}\n")
             assert run_cli("run", str(config), "--outdir", str(tmp_path / "res")) == 2
             assert message in capsys.readouterr().err
-        # a user-count override that pushes fig5's sweep, or the sizes that
-        # validation adds to fig3's, below the users
+        # a user count that pushes fig5's sweep, or the sizes that validation
+        # adds to fig3's or to a section's, below the users
+        config = tmp_path / "users.ini"
+        config.write_text("[x]\nM = 64\nU = 30\nschemes = capacity\n")
         for argv, message in (
-            (("fig5",), "antenna_sweep of fig5 has sizes below its 30 users: [20, 25]"),
-            (("fig3", "--validate"), "antenna_sweep of fig3 has sizes below its 30 users: [25]"),
+            (
+                ("fig5", "--U", "30"),
+                "error: --U/--users: antenna_sweep of fig5 has sizes below its 30 users: [20, 25]",
+            ),
+            (
+                ("fig3", "--validate", "--U", "30"),
+                "error: --validate: antenna_sweep of fig3 has sizes below its 30 users: [25]",
+            ),
+            (
+                (str(config), "--validate"),
+                "error: --validate: antenna_sweep of x has sizes below its 30 users: [25]",
+            ),
         ):
-            assert run_cli("run", *argv, "--U", "30", "--outdir", str(tmp_path / "res")) == 2
-            assert message in capsys.readouterr().err
+            assert run_cli("run", *argv, "--outdir", str(tmp_path / "res")) == 2
+            assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_sparse_values_a_draw_cannot_honour_rejected_before_any_draw(

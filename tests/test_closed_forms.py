@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybeam.channel import PowerDelayProfile, exponential_pdp, stream
 from hybeam.closed_forms import (
@@ -163,3 +165,59 @@ class TestEnvelopesAndPredict:
     def test_predict_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             predict(LinkBudget(), 100, exponential_pdp(4, 4), "mf")
+
+
+@st.composite
+def profiles(draw):
+    """A profile of 1 to 16 users over 1 to 8 taps, whose columns may hold zero taps."""
+    taps = draw(st.integers(1, 8))
+    users = draw(st.integers(1, 16))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=taps, max_size=taps).filter(any)
+    columns = [np.array(draw(weights)) for _ in range(users)]
+    return PowerDelayProfile(np.stack([w / w.sum() for w in columns], axis=1))
+
+
+class TestOracle:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        pdp=profiles(),
+        antennas=st.integers(1, 10_000),
+        power=st.floats(1e-3, 1e3),
+        noise=st.floats(1e-3, 1e3),
+    )
+    def test_every_closed_form_matches_its_expression(self, pdp, antennas, power, noise):
+        # the limits written out per user.  log2(1 + g) at a tiny g turns
+        # the last bit of g into a large relative error, so each gain g is
+        # formed in the module's order: for the single-tap network it is then
+        # the same number, and the per-tap network collects at least 1
+        link = LinkBudget(transmit_power=power, noise_variance=noise)
+        taps, users = pdp.gains.shape
+        gain = math.pi / 4.0 * antennas
+        collected = {MODEL_LTAP: [], MODEL_1TAP: []}
+        for u in range(users):
+            p = pdp.column(u)
+            coherent = math.fsum(math.sqrt(x) for x in p) ** 2
+            tail = math.fsum(p[1:])
+            collected[MODEL_LTAP].append(coherent)
+            collected[MODEL_1TAP].append(p[0])
+            ltap = gain * power * coherent / (taps * noise + power * (users * taps - 1))
+            one_tap = gain * power * p[0] / (noise + power * (tail + users - 1))
+            assert sinr_limit_ltap(link, antennas, users, p) == pytest.approx(ltap, rel=1e-14)
+            assert sinr_limit_1tap(link, antennas, users, p) == pytest.approx(one_tap, rel=1e-14)
+            if users * taps > 1:
+                expected = gain * coherent / (users * taps - 1)
+                assert sinr_ceiling_ltap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
+            if tail + users - 1 > 0:
+                expected = gain * p[0] / (tail + users - 1)
+                assert sinr_ceiling_1tap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
+        per_user = {MODEL_LTAP: sinr_limit_ltap, MODEL_1TAP: sinr_limit_1tap}
+        for model, powers in collected.items():
+            capacity = math.fsum(
+                math.log2(1.0 + link.snr * (math.pi / 4.0) * antennas * c) for c in powers
+            )
+            assert capacity_limit(link, antennas, pdp, model) == pytest.approx(capacity, rel=1e-14)
+            bundle = predict(link, antennas, pdp, model)
+            assert bundle.capacity == capacity_limit(link, antennas, pdp, model)
+            assert list(bundle.sinr) == [
+                per_user[model](link, antennas, users, pdp.column(u)) for u in range(users)
+            ]

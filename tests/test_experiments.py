@@ -788,9 +788,10 @@ class TestRunScenario:
         monkeypatch.setenv("HYBEAM_THREADS", "lots")
         with pytest.raises(ValueError, match="HYBEAM_THREADS"):
             resolve_workers(None)
-        monkeypatch.setenv("HYBEAM_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
+        for text in ("0", "-1", "2.5"):
+            monkeypatch.setenv("HYBEAM_THREADS", text)
+            with pytest.raises(ValueError, match="HYBEAM_THREADS"):
+                resolve_workers(None)
 
 
 ZF_SCHEMES = ("zf", "mf+zf", "rf_1tap+zf", "rf_ltap+zf", "heuristic_1tap+zf", "bank_2L+zf")
@@ -997,10 +998,9 @@ class TestRmsStudy:
 
 
 def validation_rows(scenario):
-    """The rows a validated run holds: the scenario's own run of the RF schemes
-    and its delay-spread sweep at the validated sizes."""
-    run = run_scenario(replace(scenario, schemes=experiments.VALIDATED_SCHEMES))
-    return list(run.rows) + rms_study(experiments.VALIDATED_SWEEP, scenario)
+    """The rows of the scenario's validated run: its schemes' and its sweep's."""
+    run = run_scenario(experiments.validation_run(scenario))
+    return list(run.rows) + list(run.sweep)
 
 
 class TestValidation:
