@@ -44,8 +44,9 @@ class CombinerIR:
         if self.constant_modulus:
             if self.modulus is None or not self.modulus > 0.0:
                 raise ValueError("constant-modulus combiner needs a positive modulus")
-            mags = np.abs(self.taps.taps)
-            if np.max(np.abs(mags - self.modulus)) > _MODULUS_TOL:
+            deviation = np.abs(self.taps.taps)
+            deviation -= self.modulus
+            if np.max(np.abs(deviation, out=deviation)) > _MODULUS_TOL:
                 raise ValueError("tap entries violate the constant-modulus contract")
 
 
@@ -69,16 +70,25 @@ def _phase_only(target: np.ndarray, offset: int) -> CombinerIR:
     trigonometry; an entry ``z = 0`` keeps phase 0.
     """
     root_m = np.sqrt(target.shape[-1])
-    magnitude = np.abs(target)
-    vanished = magnitude == 0.0
-    phases = np.conj(target) / np.where(vanished, 1.0, magnitude)
-    phases[vanished] = 1.0
+    phases = _unit_phases(target)
     phases /= root_m
     return CombinerIR(
         TapSequence(offset, phases),
         constant_modulus=True,
         modulus=1.0 / root_m,
     )
+
+
+def _unit_phases(target: np.ndarray) -> np.ndarray:
+    """``conj(z) / |z|`` of every entry ``z`` of ``target``, 1 where ``z = 0``,
+    built in place in the one array it returns."""
+    phases = np.conj(target)
+    magnitude = np.abs(target)
+    vanished = magnitude == 0.0
+    magnitude[vanished] = 1.0
+    phases /= magnitude
+    phases[vanished] = 1.0
+    return phases
 
 
 def rf_ltap(channel: ChannelRealization) -> CombinerIR:
@@ -170,7 +180,8 @@ class EffectiveChannel:
     the combiner's adjoint taps ``W_n^H`` (``gram_of_lags``), whose
     response is ``W(-k)^H``, read at ``-k mod K``, so it forms no spectrum.
     Taps with leading axes (the effective channels of a stacked channel)
-    give every view the same leading axes.
+    give every view the same leading axes.  Deleting a view (``del
+    effective.spectrum``) frees it; a later read computes it again.
     """
 
     combiner: CombinerIR

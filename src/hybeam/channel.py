@@ -254,8 +254,11 @@ def draw_sparse(
     """Clustered sparse draw: each ``(l, u)`` column is a sum of steered paths.
 
     Path gains are complex Gaussian with variance ``pdp.gains[l, u]``; arrival
-    angles are a uniform cluster center plus Laplacian offsets.  Columns are
-    scaled so the expected power matches the rich model.
+    angles are a uniform cluster center plus Laplacian offsets.  The sum of
+    the ``P`` unit-norm steered paths is scaled by ``sqrt(M / (L * P))``, so
+    every entry of tap ``l`` of user ``u`` has expected power
+    ``pdp.gains[l, u] / L`` and the column ``M * pdp.gains[l, u] / L``:
+    ``1 / L`` of the rich model's.
     """
     if pdp.gains.shape != (dims.taps, dims.users):
         raise ValueError("profile shape does not match dims")

@@ -55,7 +55,15 @@ def _sinr(model: str, link: LinkBudget, antennas: int, users: int, pdp_column) -
 
 def _ceiling(model: str, antennas: int, users: int, pdp_column) -> float:
     collected, leaked, _ = _model(model, users, pdp_column)
+    if not leaked:
+        # no interference bounds a lone stream: its SINR grows without limit
+        return np.inf
     return COHERENT_GAIN * antennas * collected / leaked
+
+
+def _log2_1p(x):
+    """``log2(1 + x)``, accurate at small ``x``, where forming ``1 + x`` would round ``x`` away."""
+    return np.log1p(x) / np.log(2.0)
 
 
 def sinr_limit_ltap(
@@ -84,12 +92,13 @@ def sinr_limit_1tap(
 
 
 def sinr_ceiling_ltap(antennas: int, users: int, pdp_column: np.ndarray) -> float:
-    """Transmit-power-to-infinity limit of ``sinr_limit_ltap``."""
+    """Transmit-power-to-infinity limit of ``sinr_limit_ltap``; ``inf`` for one user on one tap."""
     return _ceiling(MODEL_LTAP, antennas, users, pdp_column)
 
 
 def sinr_ceiling_1tap(antennas: int, users: int, pdp_column: np.ndarray) -> float:
-    """Transmit-power-to-infinity limit of ``sinr_limit_1tap``."""
+    """Transmit-power-to-infinity limit of ``sinr_limit_1tap``; ``inf`` for one user whose
+    power is all on its leading tap."""
     return _ceiling(MODEL_1TAP, antennas, users, pdp_column)
 
 
@@ -106,7 +115,7 @@ def capacity_limit(
     users = pdp.num_users
     collected = np.array([_model(model, users, pdp.column(u))[0] for u in range(users)])
     gains = link.snr * COHERENT_GAIN * antennas * collected
-    return float(np.sum(np.log2(1.0 + gains)))
+    return float(np.sum(_log2_1p(gains)))
 
 
 def delay_spread_envelopes(antenna_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +151,6 @@ def predict(
     return AsymptoticPrediction(
         model=model,
         sinr=sinr,
-        sum_rate=float(np.sum(np.log2(1.0 + sinr))),
+        sum_rate=float(np.sum(_log2_1p(sinr))),
         capacity=capacity_limit(link, antennas, pdp, model),
     )

@@ -63,12 +63,15 @@ from .metrics import (
     whiten,
 )
 from .numerics import (
+    LDL_MAX_ORDER,
     SingularMatrixError,
     TapSequence,
     Tridiagonal,
+    _lower_entries,
     first_rank_deficient,
     gram_of_lags,
     lag_products,
+    tridiagonalize,
 )
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
@@ -274,12 +277,27 @@ def _metrics(scheme: str) -> tuple[str, ...]:
 def _gram_reduction(lags: list[np.ndarray], num_subcarriers: int) -> Tridiagonal:
     """``hermitian_reduction`` of the Grams of ``lags`` (``lag_products`` that
     share their leading axes and column count), stacked on a new first axis.
-    Each Gram is written into its slot of one array, which is freed on return."""
+
+    The Grams are formed one at a time.  Up to ``LDL_MAX_ORDER`` each leaves
+    only its lower triangle, copied into contiguous entries that
+    ``tridiagonalize`` consumes and frees as it reduces them, so no stack of
+    whole Grams sits beside the reduction's temporaries; above, each is
+    written into its slot of one array for ``eigvalsh``.
+    """
     lead, cols = lags[0].shape[:-3], lags[0].shape[-1]
-    grams = np.empty((len(lags), *lead, num_subcarriers, cols, cols), dtype=complex)
-    for products, gram in zip(lags, grams):
-        gram_of_lags(products, num_subcarriers, out=gram)
-    return hermitian_reduction(grams)
+    shape = (len(lags), *lead, num_subcarriers)
+    if cols > LDL_MAX_ORDER:
+        grams = np.empty((*shape, cols, cols), dtype=complex)
+        for products, gram in zip(lags, grams):
+            gram_of_lags(products, num_subcarriers, out=gram)
+        return hermitian_reduction(grams)
+    entries = {}
+    for slot, products in enumerate(lags):
+        for key, entry in _lower_entries(gram_of_lags(products, num_subcarriers)).items():
+            if not slot:
+                entries[key] = np.empty(shape, dtype=entry.dtype)
+            entries[key][slot] = entry
+    return tridiagonalize(entries)
 
 
 def _tap_whitened(effective: EffectiveChannel) -> tuple[TapSequence, np.ndarray]:
@@ -293,9 +311,10 @@ def _tap_whitened(effective: EffectiveChannel) -> tuple[TapSequence, np.ndarray]
 
 
 def _evaluate_chunk(
-    scenario: Scenario, channels: list[ChannelRealization], spreads: bool = False
+    scenario: Scenario, stacked: ChannelRealization, spreads: bool = False
 ) -> list[tuple[dict, dict | None]]:
-    """Per channel draw: per scheme, its ``(len(_metrics(scheme)), len(snr_db))``
+    """Per channel draw of ``stacked``, whose taps hold a chunk's draws on a
+    leading axis: per scheme, its ``(len(_metrics(scheme)), len(snr_db))``
     values, or ``None`` on a draw where the scheme fails; and, if ``spreads``
     is set, the RMS delay spreads of the swept combiners and ``siso``, else
     ``None``.
@@ -322,9 +341,9 @@ def _evaluate_chunk(
     k = scenario.dims.subcarriers
     snrs = [LinkBudget.from_snr_db(s).snr for s in scenario.snr_db]
     scale = 1.0 / np.sqrt(scenario.dims.antennas)
-    raw = TapSequence.stack([channel.taps for channel in channels])
-    stacked = replace(channels[0], taps=raw)
-    no_failures = np.zeros(len(channels), dtype=bool)
+    raw = stacked.taps
+    draws = raw.taps.shape[0]
+    no_failures = np.zeros(draws, dtype=bool)
 
     @cache
     def raw_lags() -> np.ndarray:
@@ -379,10 +398,12 @@ def _evaluate_chunk(
             rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
         else:
             rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
+            # nothing else reads the spectra: free them before the next scheme
+            del effective.spectrum, effective.noise_cov_spectrum
         rank = first_rank_deficient(effective.taps, k, screen[base])
         return [rates], (rank >= 0) | np.isnan(rates[0])
 
-    outcomes: list[dict] = [{} for _ in channels]
+    outcomes: list[dict] = [{} for _ in range(draws)]
     for scheme in scenario.schemes:
         series, failed = evaluate(scheme)
         values = np.stack(series)
@@ -391,12 +412,29 @@ def _evaluate_chunk(
     if not spreads:
         return [(outcome, None) for outcome in outcomes]
     swept = {base: delay_spread_report(pdp(base))[1] for base in _RMS_COMBINERS}
+    # no reader is left for the combiners and effective channels
+    build.cache_clear()
+    pdp.cache_clear()
     power = np.moveaxis(np.abs(raw.taps) ** 2, -3, -1)
-    swept["siso"] = delay_moments(power, raw.offset)[1].reshape(len(channels), -1)
+    swept["siso"] = delay_moments(power, raw.offset)[1].reshape(draws, -1)
     return [
         (outcome, {name: values[draw] for name, values in swept.items()})
         for draw, outcome in enumerate(outcomes)
     ]
+
+
+def _draw_chunk(scenario: Scenario, chunk: list[int], dump_dir: str | None) -> ChannelRealization:
+    """The draws of the indices of ``chunk`` as one realization whose taps
+    stack them on a leading axis, each draw dumped to ``dump_dir`` if one is
+    given.  The draws' own taps are freed once stacked."""
+    taps = []
+    for index in chunk:
+        channel = draw_realization(scenario, index)
+        if dump_dir is not None:
+            path = os.path.join(dump_dir, f"{scenario.name}_r{index:04d}.txt")
+            dump_channel(channel, path, realization_seed(scenario, index), scenario.channel_model)
+        taps.append(channel.taps)
+    return replace(channel, taps=TapSequence.stack(taps))
 
 
 def _scenario_block(args) -> list:
@@ -410,16 +448,7 @@ def _scenario_block(args) -> list:
     out = []
     for _, group in groupby(indices, key=lambda index: index // CHUNK):
         chunk = list(group)
-        channels = []
-        for index in chunk:
-            channel = draw_realization(scenario, index)
-            if dump_dir is not None:
-                path = os.path.join(dump_dir, f"{scenario.name}_r{index:04d}.txt")
-                dump_channel(
-                    channel, path, realization_seed(scenario, index), scenario.channel_model
-                )
-            channels.append(channel)
-        evaluated = _evaluate_chunk(scenario, channels, spreads)
+        evaluated = _evaluate_chunk(scenario, _draw_chunk(scenario, chunk, dump_dir), spreads)
         out += [(index, *pair) for index, pair in zip(chunk, evaluated)]
     return out
 
@@ -454,18 +483,20 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_blocks(task, payloads: list, workers: int) -> list:
+def _run_blocks(task, payloads: list, workers: int):
     """Run work payloads serially or across one process pool of at most one
-    worker per payload; one result per payload, in order.
+    worker per payload; yields one result per payload, in order, as each
+    comes back, so a caller can fold it in and drop it before the next.
 
     The pool class is the module attribute at call time, so a class set on
     the module after import (as perfbench's span tracer sets one) is used.
     """
     if workers <= 1 or len(payloads) <= 1:
-        return [task(p) for p in payloads]
+        yield from map(task, payloads)
+        return
     pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     with pool_class(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(task, payloads))
+        yield from pool.map(task, payloads)
 
 
 def _split_indices(count: int, workers: int) -> list[range]:
@@ -513,36 +544,59 @@ def run_scenario(
         for antennas, sub in sized.items()
         for block in blocks
     ]
-    results = _run_blocks(_scenario_block, payloads, workers)
-    samples: dict[str, list[np.ndarray]] = {scheme: [] for scheme in scenario.schemes}
-    spreads: dict[int, list[dict]] = {antennas: [] for antennas in grid}
+    # each block is folded in as it comes back, and each of its entries is
+    # freed once folded: a scheme's samples fill one (cell, realization)
+    # array, each swept spread one (realization, ...) array per size, and a
+    # size's sweep rows are read, and its spreads freed, once its last block is in
+    samples = {
+        scheme: np.empty((len(_metrics(scheme)) * len(scenario.snr_db), scenario.realizations))
+        for scheme in scenario.schemes
+    }
+    drawn = {scheme: np.zeros(scenario.realizations, dtype=bool) for scheme in scenario.schemes}
+    spreads: dict[int, dict[str, np.ndarray]] = {antennas: {} for antennas in grid}
+    blocks_left = dict.fromkeys(grid, len(blocks))
+    sweep: dict[int, list[ResultRow]] = {}
     failures = 0
-    for (sub, *_), block in zip(payloads, results):
-        for _, outcome, swept in block:
+    # the results are read first, so the pool is shut down once the last is in
+    results = _run_blocks(_scenario_block, payloads, workers)
+    for block, (sub, _, _, swept_here) in zip(results, payloads):
+        antennas = sub.dims.antennas
+        while block:
+            index, outcome, swept = block.pop()
             failures += any(values is None for values in outcome.values())
             for scheme, values in outcome.items():
                 if values is not None:
-                    samples[scheme].append(values)
-            if swept is not None:
-                spreads[sub.dims.antennas].append(swept)
-    empty = [scheme for scheme, drawn in samples.items() if not drawn]
+                    samples[scheme][:, index] = values.reshape(-1)
+                    drawn[scheme][index] = True
+            for name, values in (swept or {}).items():
+                if name not in spreads[antennas]:
+                    spreads[antennas][name] = np.empty((scenario.realizations, *values.shape))
+                spreads[antennas][name][index] = values
+        if swept_here:
+            blocks_left[antennas] -= 1
+            if not blocks_left[antennas]:
+                sweep[antennas] = _sweep_rows(scenario, antennas, spreads.pop(antennas))
+    empty = [scheme for scheme, ok in drawn.items() if not ok.any()]
     if empty:
         raise SingularMatrixError(
             f"all {scenario.realizations} realizations of {scenario.name} failed "
             f"for {', '.join(empty)}"
         )
     rows = []
-    for scheme, drawn in samples.items():
-        # one row per (metric, snr) cell, each cell's samples contiguous
-        cells = np.stack(drawn, axis=-1).reshape(-1, len(drawn))
+    for scheme, ok in drawn.items():
+        # one row per (metric, snr) cell, its samples contiguous in realization
+        # order (a mask index, samples[scheme][:, ok], would lay them out by
+        # column, and its means would be summed in another order)
+        cells = samples[scheme].compress(ok, axis=-1)
+        count = cells.shape[-1]
         keys = [(metric, snr) for metric in _metrics(scheme) for snr in scenario.snr_db]
         for (metric, snr), mean, err in zip(keys, cells.mean(axis=-1), _stderr(cells)):
-            rows.append(_row(scenario, scheme, snr, metric, mean, err, len(drawn)))
+            rows.append(_row(scenario, scheme, snr, metric, mean, err, count))
     return RunResult(
         rows=tuple(rows),
         realizations=scenario.realizations,
         failures=failures,
-        sweep=_sweep_rows(scenario, spreads),
+        sweep=tuple(row for antennas in grid for row in sweep[antennas]),
     )
 
 
@@ -559,25 +613,25 @@ def _row(scenario: Scenario, scheme: str, snr_db: float, metric: str, value, err
     )
 
 
-def _sweep_rows(scenario: Scenario, spreads: dict[int, list[dict]]) -> tuple[ResultRow, ...]:
-    """Per array size and swept combiner, the ``rms_mean`` over realizations
-    and the quantiles of the per-user spreads pooled over them."""
+def _sweep_rows(scenario: Scenario, antennas: int, swept: dict[str, np.ndarray]) -> list[ResultRow]:
+    """At one array size, per swept combiner, the ``rms_mean`` over
+    realizations and the quantiles of the per-user spreads pooled over them;
+    ``swept`` holds each combiner's ``(realization, ...)`` spreads."""
     rows = []
-    for antennas, draws in spreads.items():
-        for scheme in _RMS_COMBINERS + ("siso",):
-            per_draw = np.stack([swept[scheme] for swept in draws])
-            means = per_draw.mean(axis=-1)
-            # the means are read, so the quantiles may partition the stack in
-            # place instead of a copy: the same order statistics, the same bytes
-            quantiles = np.percentile(per_draw, _RMS_QUANTILES, overwrite_input=True)
-            cells = [("rms_mean", means.mean(), _stderr(means))] + [
-                (f"rms_cdf_q{q:02d}", value, 0.0) for q, value in zip(_RMS_QUANTILES, quantiles)
-            ]
-            rows += [
-                _row(scenario, scheme, antennas, metric, value, err, scenario.realizations)
-                for metric, value, err in cells
-            ]
-    return tuple(rows)
+    for scheme in _RMS_COMBINERS + ("siso",):
+        per_draw = swept[scheme]
+        means = per_draw.mean(axis=-1)
+        # the means are read, so the quantiles may partition the spreads in
+        # place instead of a copy: the same order statistics, the same bytes
+        quantiles = np.percentile(per_draw, _RMS_QUANTILES, overwrite_input=True)
+        cells = [("rms_mean", means.mean(), _stderr(means))] + [
+            (f"rms_cdf_q{q:02d}", value, 0.0) for q, value in zip(_RMS_QUANTILES, quantiles)
+        ]
+        rows += [
+            _row(scenario, scheme, antennas, metric, value, err, scenario.realizations)
+            for metric, value, err in cells
+        ]
+    return rows
 
 
 def rms_study(

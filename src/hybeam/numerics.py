@@ -237,8 +237,8 @@ class Tridiagonal:
         index = (slice(None), *(index if isinstance(index, tuple) else (index,)))
         return Tridiagonal(self.diag[index], self.off2[index])
 
-    def _pivots(self, scale, shift) -> list[np.ndarray]:
-        """Pivots of ``shift * I + scale * T``, one array per row.
+    def _pivots(self, scale, shift):
+        """Pivots of ``shift * I + scale * T``, one array per row, made one at a time.
 
         ``scale`` and ``shift`` broadcast against the leading axes, which
         they may extend on the left.  The recurrence is
@@ -247,17 +247,18 @@ class Tridiagonal:
         and after one that is not the rest are meaningless.
         """
         scale = np.asarray(scale, dtype=float)
-        d = [shift + scale * self.diag[0]]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, len(self.diag)):
-                d.append(shift + scale * self.diag[i] - (scale * scale) * self.off2[i - 1] / d[-1])
-        return d
+        d = shift + scale * self.diag[0]
+        for i in range(1, len(self.diag)):
+            yield d
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                d = shift + scale * self.diag[i] - (scale * scale) * self.off2[i - 1] / d
+        yield d
 
     def positive_definite(self, shift) -> np.ndarray:
         """Whether ``T + shift * I`` is positive definite: all its pivots are positive."""
-        d = self._pivots(1.0, shift)
-        positive = d[0] > 0.0
-        for pivot in d[1:]:
+        pivots = self._pivots(1.0, shift)
+        positive = next(pivots) > 0.0
+        for pivot in pivots:
             positive &= pivot > 0.0
         return positive
 
@@ -267,7 +268,7 @@ class Tridiagonal:
         The determinant is the product of the pivots (``_log2_product``).
         """
         snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
-        return _log2_product(self._pivots(snr, 1.0))
+        return _log2_product(lambda: self._pivots(snr, 1.0))
 
     def log2dets_of_square(self, snrs) -> np.ndarray:
         """``log2 det(I + snr * T^2)`` for every linear SNR: ``(len(snrs), ...)``.
@@ -281,34 +282,43 @@ class Tridiagonal:
         recurrence cannot break down.
         """
         snr = np.asarray(snrs, dtype=float).reshape(-1, *(1,) * (self.diag.ndim - 1))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = np.sqrt(snr) * self.diag[:, None]
-            x, y = 1.0, scaled[0]
-            magnitudes = [1.0 + y * y]
+
+        def magnitudes():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                root = np.sqrt(snr)
+                x, y = 1.0, root * self.diag[0]
+                magnitude = 1.0 + y * y
             for i in range(1, len(self.diag)):
-                # snr b^2 / d = gain * (x - i y) for gain = snr b^2 / |d|^2
-                gain = snr * self.off2[i - 1] / magnitudes[-1]
-                x, y = 1.0 + gain * x, scaled[i] - gain * y
-                magnitudes.append(x * x + y * y)
+                yield magnitude
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    # snr b^2 / d = gain * (x - i y) for gain = snr b^2 / |d|^2
+                    gain = snr * self.off2[i - 1] / magnitude
+                    x, y = 1.0 + gain * x, root * self.diag[i] - gain * y
+                    magnitude = x * x + y * y
+            yield magnitude
+
         return _log2_product(magnitudes)
 
 
-def _log2_product(factors: list[np.ndarray]) -> np.ndarray:
-    """``log2`` of the product of positive ``factors``, the pivots of a determinant.
+def _log2_product(factors) -> np.ndarray:
+    """``log2`` of the product of the positive factors that ``factors()`` makes,
+    the pivots of a determinant.
 
-    One ``log2`` per matrix reads the product.  A matrix whose product is
+    The factors are multiplied as they are made, so none outlives its use,
+    and one ``log2`` per matrix reads the product.  A matrix whose product is
     not finite (it overflows, or a factor is NaN) takes the sum of the
-    ``log2`` of its factors instead, so every result depends on its own
-    matrix alone.
+    ``log2`` of its factors instead, which ``factors()`` makes again, so
+    every result depends on its own matrix alone.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dets = factors[0]
-        for factor in factors[1:]:
+        made = factors()
+        dets = next(made)
+        for factor in made:
             dets = dets * factor
         dets = np.log2(dets)
         spoiled = ~np.isfinite(dets)
         if np.any(spoiled):
-            dets[spoiled] = sum(np.log2(factor[spoiled]) for factor in factors)
+            dets[spoiled] = sum(np.log2(factor[spoiled]) for factor in factors())
     return dets
 
 
@@ -316,12 +326,16 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
+def tridiagonalize(mat) -> Tridiagonal:
     """The tridiagonal ``T = Q^H A Q`` of every Hermitian matrix of a ``(..., n, n)`` stack.
 
     Householder reflections, one per column ``k < n - 2``, read ``A``
     through its lower triangle, unrolled over the entries: every step is
-    one operation on the whole stack.  ``Q`` is unitary, so
+    one operation on the whole stack.  ``mat`` may also be that lower
+    triangle itself, the dict of ``_lower_entries``: then no matrix stack is
+    held, and the reduction consumes the dict, replacing each entry as it
+    updates it and removing each column once reduced, so every entry is
+    freed after its last read.  ``Q`` is unitary, so
     ``T`` has the eigenvalues, the determinant and the inertia of ``A``, and
     it does not depend on any SNR: ``det(I + snr A)`` is ``det(I + snr T)``
     for the whole grid.  Reflection ``k`` maps the
@@ -331,35 +345,37 @@ def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
     backward stable: ``T`` is exactly similar to ``A + E`` with
     ``||E|| = O(n^2 * eps * ||A||)``.
     """
-    m = np.asarray(mat)
-    n = m.shape[-1]
-    a = _lower_entries(m)
+    a = mat if isinstance(mat, dict) else _lower_entries(np.asarray(mat))
+    n = max(i for i, _ in a) + 1
+    lead = a[0, 0].shape
     diag, off2 = [], []
     with np.errstate(all="ignore"):
         for k in range(n - 2):
             trail = range(k + 1, n)
-            x0 = a[k + 1, k]
-            tail = sum(_abs2(a[i, k]) for i in range(k + 2, n))
+            diag.append(a.pop((k, k)))
+            x = {i: a.pop((i, k)) for i in trail}
+            x0 = x[k + 1]
+            tail = sum(_abs2(x[i]) for i in range(k + 2, n))
             size0 = np.abs(x0)
             norm2 = size0 * size0 + tail
             norm = np.sqrt(norm2)
-            diag.append(a[k, k])
             off2.append(norm2)
             # H = I - tau v v^H for v = x + phase(x0) ||x|| e_1, H x = -phase(x0) ||x|| e_1
             v = {k + 1: x0 + np.where(size0 > 0.0, x0 / size0, 1.0) * norm}
-            v.update((i, a[i, k]) for i in range(k + 2, n))
+            v.update((i, x[i]) for i in range(k + 2, n))
             tau = np.where(tail > 0.0, 1.0 / (norm * (norm + size0)), 0.0)
             vc = {i: np.conj(v[i]) for i in trail}
             # H A H = A - v w^H - w v^H for p = tau A v and w = p - (tau/2)(v^H p) v
-            p = {}
+            w = {}
             for i in trail:
                 acc = a[i, i] * v[i]
                 for j in trail:
                     if j != i:
                         acc = acc + (a[i, j] if j < i else np.conj(a[j, i])) * v[j]
-                p[i] = tau * acc
-            half = 0.5 * tau * sum((vc[i] * p[i]).real for i in trail)
-            w = {i: p[i] - half * v[i] for i in trail}
+                w[i] = tau * acc
+            half = 0.5 * tau * sum((vc[i] * w[i]).real for i in trail)
+            for i in trail:
+                w[i] -= half * v[i]
             wc = {i: np.conj(w[i]) for i in trail}
             for i in trail:
                 a[i, i] = a[i, i] - 2.0 * (v[i] * wc[i]).real
@@ -369,7 +385,7 @@ def tridiagonalize(mat: np.ndarray) -> Tridiagonal:
         diag.append(a[n - 2, n - 2])
         off2.append(_abs2(a[n - 1, n - 2]))
     diag.append(a[n - 1, n - 1])
-    off2 = np.stack(off2) if off2 else np.empty((0, *m.shape[:-2]))
+    off2 = np.stack(off2) if off2 else np.empty((0, *lead))
     return Tridiagonal(np.stack(diag), off2)
 
 

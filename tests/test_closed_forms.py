@@ -1,5 +1,6 @@
 """Closed-form limits: worked values, oracles, monotonicity, consistency."""
 
+import decimal
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from hybeam.channel import PowerDelayProfile, exponential_pdp, stream
 from hybeam.closed_forms import (
+    COHERENT_GAIN,
     MODEL_1TAP,
     MODEL_LTAP,
+    _model,
     capacity_limit,
     delay_spread_envelopes,
     predict,
@@ -87,6 +90,15 @@ class TestSinrLimits:
             sinr_ceiling_1tap(100, 4, col), rel=1e-9
         )
 
+    def test_ceilings_of_a_lone_stream_are_infinite(self):
+        # one user on one tap leaks nothing under either model, and a lone
+        # user whose power is all on its leading tap nothing to the
+        # single-tap network: each ceiling is inf, without a warning
+        for ceiling in (sinr_ceiling_ltap, sinr_ceiling_1tap):
+            assert ceiling(100, 1, [1.0]) == math.inf
+        assert sinr_ceiling_1tap(100, 1, [1.0, 0.0]) == math.inf
+        assert math.isfinite(sinr_ceiling_ltap(100, 1, [1.0, 0.0]))
+
     def test_column_validation(self):
         link = LinkBudget()
         with pytest.raises(ValueError):
@@ -162,6 +174,22 @@ class TestEnvelopesAndPredict:
             link, 100, pdp, MODEL_1TAP
         ).capacity
 
+    @pytest.mark.parametrize("model", [MODEL_LTAP, MODEL_1TAP])
+    def test_rates_to_2_ulp_at_low_snr(self, model):
+        # log2(1 + x) against a 50-digit decimal reference on the same float
+        # SINRs and gains: forming 1 + x would lose ulp(1) / x relative
+        link = LinkBudget.from_snr_db(-30.0)
+        pdp = exponential_pdp(4, 4)
+        bundle = predict(link, 100, pdp, model)
+        collected = np.array([_model(model, 4, pdp.column(u))[0] for u in range(4)])
+        gains = link.snr * COHERENT_GAIN * 100 * collected
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            ln2 = decimal.Decimal(2).ln()
+            for got, xs in ((bundle.sum_rate, bundle.sinr), (bundle.capacity, gains)):
+                exact = float(sum((1 + decimal.Decimal(float(x))).ln() / ln2 for x in xs))
+                assert abs(got - exact) <= 2 * math.ulp(exact), (got, exact)
+
     def test_predict_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             predict(LinkBudget(), 100, exponential_pdp(4, 4), "mf")
@@ -204,16 +232,18 @@ class TestOracle:
             one_tap = gain * power * p[0] / (noise + power * (tail + users - 1))
             assert sinr_limit_ltap(link, antennas, users, p) == pytest.approx(ltap, rel=1e-14)
             assert sinr_limit_1tap(link, antennas, users, p) == pytest.approx(one_tap, rel=1e-14)
-            if users * taps > 1:
-                expected = gain * coherent / (users * taps - 1)
-                assert sinr_ceiling_ltap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
-            if tail + users - 1 > 0:
-                expected = gain * p[0] / (tail + users - 1)
-                assert sinr_ceiling_1tap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
+            # a ceiling with nothing leaked is infinite
+            leaked = users * taps - 1
+            expected = gain * coherent / leaked if leaked else math.inf
+            assert sinr_ceiling_ltap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
+            leaked = tail + users - 1
+            expected = gain * p[0] / leaked if leaked else math.inf
+            assert sinr_ceiling_1tap(antennas, users, p) == pytest.approx(expected, rel=1e-14)
         per_user = {MODEL_LTAP: sinr_limit_ltap, MODEL_1TAP: sinr_limit_1tap}
         for model, powers in collected.items():
             capacity = math.fsum(
-                math.log2(1.0 + link.snr * (math.pi / 4.0) * antennas * c) for c in powers
+                math.log1p(link.snr * (math.pi / 4.0) * antennas * c) / math.log(2.0)
+                for c in powers
             )
             assert capacity_limit(link, antennas, pdp, model) == pytest.approx(capacity, rel=1e-14)
             bundle = predict(link, antennas, pdp, model)

@@ -1,7 +1,9 @@
 """Scenario runner: reproducibility, aggregation, presets, validation."""
 
+import gc
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,10 +43,15 @@ from hybeam.numerics import TapSequence
 SMALL_DIMS = SystemDims(antennas=24, users=3, taps=4, subcarriers=32)
 
 
+def stack(channels):
+    """The draws of ``channels`` as one realization, stacked as a chunk is."""
+    return replace(channels[0], taps=TapSequence.stack([ch.taps for ch in channels]))
+
+
 def evaluate_draw(scenario, channel):
     """Per scheme, its ``(metric, snr)`` values for one channel draw (a chunk
     of one), or ``None`` where it fails."""
-    outcome = _evaluate_chunk(scenario, [channel])[0][0]
+    outcome = _evaluate_chunk(scenario, stack([channel]))[0][0]
     return {
         scheme: None if values is None else {
             (metric, snr): float(value)
@@ -264,13 +271,17 @@ class TestRunScenario:
 
             return counted
 
+        def counted_reduction(entries):
+            # the reduction takes the lower triangle of an (..., n, n) stack
+            order = sum(i == j for i, j in entries)
+            reductions.append((*entries[0, 0].shape, order, order))
+            return numerics.tridiagonalize(entries)
+
         def no_convolution(*args, **kwargs):
             raise AssertionError("the runner convolved a combiner with the channel")
 
         monkeypatch.setattr(experiments, "gram_of_lags", counting(numerics.gram_of_lags, grams))
-        monkeypatch.setattr(
-            experiments, "hermitian_reduction", counting(experiments.hermitian_reduction, reductions)
-        )
+        monkeypatch.setattr(experiments, "tridiagonalize", counted_reduction)
         monkeypatch.setattr(beamforming, "circular_convolve", no_convolution)
         chunk = experiments.CHUNK
         s = small_scenario(realizations=chunk + 3, schemes=PRESETS["fig2"].scenario.schemes)
@@ -295,9 +306,9 @@ class TestRunScenario:
         monkeypatch.setattr(experiments, "sinr_sum_rates", capturing)
         s = small_scenario(schemes=("mf",), channel_model=model)
         channels = [draw_realization(s, index) for index in range(3)]
-        outcomes = _evaluate_chunk(s, channels)
-        raw = TapSequence.stack([ch.taps for ch in channels])
-        stacked = replace(channels[0], taps=raw)
+        stacked = stack(channels)
+        outcomes = _evaluate_chunk(s, stacked)
+        raw = stacked.taps
         k = SMALL_DIMS.subcarriers
         expected = numerics.circular_convolve(beamforming.mf_combiner(stacked).taps, raw, k)
         power = np.moveaxis(np.abs(expected.taps) ** 2, -3, -1)
@@ -328,7 +339,7 @@ class TestRunScenario:
 
         for name in ("mf_combiner", "combiner_noise_power", "spectral_rates"):
             monkeypatch.setattr(experiments, name, forbidden)
-        outcomes = _evaluate_chunk(s, channels, spreads=True)
+        outcomes = _evaluate_chunk(s, stack(channels), spreads=True)
         monkeypatch.undo()
         snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
         for ch, (values, spreads) in zip(channels, outcomes):
@@ -388,17 +399,18 @@ class TestRunScenario:
 
     def test_rows_are_the_mean_and_stderr_of_each_draws_values(self, monkeypatch):
         # each row reads its own (metric, snr) cell of the draws that kept
-        # the scheme, with the arithmetic of a 1-D sample: bit for bit
+        # the scheme, with the arithmetic of a 1-D sample: bit for bit, also
+        # where more than 8 samples are summed pairwise
         self._degenerate_even_draws(monkeypatch)
-        s = small_scenario(realizations=11, schemes=("capacity", "rf_ltap", "rf_ltap+zf"))
-        per_draw = [evaluate_draw(s, experiments.draw_realization(s, i)) for i in range(11)]
+        s = small_scenario(realizations=43, schemes=("capacity", "rf_ltap", "rf_ltap+zf"))
+        per_draw = [evaluate_draw(s, experiments.draw_realization(s, i)) for i in range(43)]
         for row in run_scenario(s, workers=1).rows:
             data = np.array([
                 values[row.scheme][(row.metric, row.snr_db)]
                 for values in per_draw
                 if values[row.scheme] is not None
             ])
-            assert row.realizations == data.size == (5 if row.scheme.endswith("zf") else 11)
+            assert row.realizations == data.size == (21 if row.scheme.endswith("zf") else 43)
             assert row.value == data.mean()
             assert row.stderr == np.std(data, ddof=1) / np.sqrt(data.size)
 
@@ -778,7 +790,7 @@ class TestRunScenario:
 
         monkeypatch.delenv("HYBEAM_THREADS", raising=False)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        assert experiments._run_blocks(abs, [-1, -2, -3], 50) == [1, 2, 3]
+        assert list(experiments._run_blocks(abs, [-1, -2, -3], 50)) == [1, 2, 3]
         s = small_scenario(realizations=experiments.CHUNK + 3)
         serial = run_scenario(s, workers=1)
         assert run_scenario(s, workers=10**6) == serial
@@ -822,6 +834,61 @@ def one_draw_scenarios(draw):
 ONE_TAP_ZF = ("rf_1tap+zf", "heuristic_1tap+zf")
 
 
+def traced_peak(work) -> int:
+    """The ``tracemalloc`` peak of ``work()`` above what is traced before it,
+    after one untraced call has filled every cache it reads."""
+    work()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize(
+        "preset, antennas, spreads, measured",
+        [
+            # the Grams' reduction; the raw lag products of the sweep-only chunk
+            ("fig8", 100, False, 2_275_627),
+            ("fig5", 400, True, 1_679_120),
+        ],
+    )
+    def test_chunk_peak(self, preset, antennas, spreads, measured):
+        # one chunk's evaluation over its drawn channel, its peak measured
+        # with numpy 2.4 on x86-64, plus 10%: each of its arrays is freed
+        # after its last reader, and no per-draw taps sit beside the stack
+        s = PRESETS[preset].scenario
+        s = replace(s, dims=replace(s.dims, antennas=antennas), antenna_sweep=())
+        stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
+        peak = traced_peak(lambda: experiments._evaluate_chunk(s, stacked, spreads))
+        assert peak <= 1.1 * measured
+
+    def test_a_block_leaves_only_its_results(self):
+        # after two fig8 chunks the traced memory is back at its baseline,
+        # apart from the results the block returns
+        s = replace(PRESETS["fig8"].scenario, realizations=2 * experiments.CHUNK)
+        payload = (s, range(s.realizations), None, False)
+        experiments._scenario_block(payload)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = experiments._scenario_block(payload)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del out
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert left <= 8 * 1024
+        # each realization's rows: five schemes' (metric, SNR) values
+        assert held - left <= 4 * 1024 * s.realizations
+
+
 class TestTapWhitenedZf:
     """A one-tap combiner's noise covariance ``W_0 W_0^H`` is the same on every
     subcarrier, so the runner whitens its effective taps once per draw."""
@@ -846,7 +913,7 @@ class TestTapWhitenedZf:
             raise AssertionError("a one-tap ZF scheme was whitened per subcarrier")
 
         monkeypatch.setattr(experiments, "spectral_rates", per_subcarrier)
-        outcomes = _evaluate_chunk(s, channels)
+        outcomes = _evaluate_chunk(s, stack(channels))
         monkeypatch.undo()
         snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
         for ch, (values, _) in zip(channels, outcomes):
@@ -870,7 +937,7 @@ class TestTapWhitenedZf:
         taps = channels[1].taps.taps.copy()
         taps[0, :, 1] = 2.0 * taps[0, :, 0]
         channels[1] = replace(channels[1], taps=TapSequence(0, taps))
-        alone = [_evaluate_chunk(s, [ch])[0][0] for ch in channels]
+        alone = [_evaluate_chunk(s, stack([ch]))[0][0] for ch in channels]
         for unscreened in (False, True):
             if unscreened:
                 monkeypatch.setattr(
@@ -878,7 +945,7 @@ class TestTapWhitenedZf:
                     "first_rank_deficient",
                     lambda seq, k, reduced=None: np.full(seq.taps.shape[:-3], -1),
                 )
-            outcomes = [values for values, _ in _evaluate_chunk(s, channels)]
+            outcomes = [values for values, _ in _evaluate_chunk(s, stack(channels))]
             for draw, values in enumerate(outcomes):
                 for scheme, got in values.items():
                     assert (got is None) == (draw == 1 and scheme == "rf_1tap+zf"), (draw, scheme)

@@ -354,7 +354,7 @@ class TestPivotsAndWhitening:
         base = b @ adjoint(b) + 0.5 * np.eye(n)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
         if form == "plain":
-            mats, dets = gram[None], np.prod(tridiagonalize(gram)._pivots(1.0, 0.0), axis=0)[None]
+            mats, dets = gram[None], np.prod(list(tridiagonalize(gram)._pivots(1.0, 0.0)), axis=0)[None]
         elif form == "identity base":
             mats = np.eye(n) + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
             dets = np.exp2(tridiagonalize(gram).log2dets(snrs))
@@ -509,6 +509,28 @@ class TestTridiagonal:
         expected = np.sum(np.log2(1.0 + np.array([1.0, 10.0])[:, None, None] * diag), axis=1)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         np.testing.assert_array_equal(got[:, 1], reduced[1].log2dets([1.0, 10.0]))
+
+    def test_streamed_product_is_the_product_of_the_pivot_list(self):
+        # log2dets multiplies the pivots as it makes them: the same bits as
+        # the product of the whole list, and where that product overflows (a
+        # fourth matrix, of pivots 1e200), the sum of the list's log2
+        a = complex_normal(stream(735), (3, 8, 4))
+        reduced = tridiagonalize(adjoint(a) @ a)
+        reduced = Tridiagonal(
+            np.concatenate([reduced.diag, np.full((4, 1), 1e200)], axis=1),
+            np.concatenate([reduced.off2, np.zeros((3, 1))], axis=1),
+        )
+        snrs = np.array([0.1, 1.0, 1e3])
+        pivots = list(reduced._pivots(snrs[:, None], 1.0))
+        with np.errstate(over="ignore"):
+            product = pivots[0]
+            for pivot in pivots[1:]:
+                product = product * pivot
+        expected = np.log2(product)
+        spoiled = ~np.isfinite(expected)
+        assert spoiled[:, 3].all() and not spoiled[:, :3].any()
+        expected[spoiled] = sum(np.log2(pivot[spoiled]) for pivot in pivots)
+        np.testing.assert_array_equal(reduced.log2dets(snrs), expected)
 
     @pytest.mark.parametrize("n", [2, 4, LDL_MAX_ORDER])
     def test_rank_deficient_gram(self, n):
