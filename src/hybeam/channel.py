@@ -328,8 +328,9 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
     """Read a dump back as (header fields, tap sequence).
 
     The header holds the counts ``antennas``, ``users`` and ``taps`` (each at
-    least 1), an integer ``seed`` and the ``model`` name, and nothing else.
-    Every in-range (tap, antenna, user) must appear on exactly one line.
+    least 1), an integer ``seed`` and the ``model`` name, each once, and
+    nothing else.  Every in-range (tap, antenna, user) must appear on exactly
+    one line.
     """
     meta: dict = {}
     entries = {}
@@ -342,6 +343,8 @@ def load_channel_dump(path) -> tuple[dict, TapSequence]:
                 for token in line[1:].split():
                     if "=" in token:
                         name, _, raw = token.partition("=")
+                        if name in meta:
+                            raise ValueError(f"{path}: dump header field {name} given twice")
                         meta[name] = _dump_field(path, name, raw)
                 continue
             try:

@@ -165,11 +165,13 @@ def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key
 
     A value rejected as it parses or where it lands raises ``ValueError`` as
     ``<where><name(key)>: reason``, naming the first key without which the
-    other values are accepted on ``scenario``.  When no key passes there,
-    and the values also fail together on ``scenario`` with one user and one
-    tap, which conflict with no geometry, the key is the first without which
-    the others pass on that base.  Otherwise it is the first key that
-    ``scenario`` rejects on its own, with its own reason.
+    other values are accepted on ``scenario`` and still have schemes or an
+    antenna sweep to run (a run of neither keeps nothing, so no realization
+    count is too large for it).  When no key passes there, and the values
+    also fail together on ``scenario`` with one user and one tap, which
+    conflict with no geometry, the key is the first without which the others
+    pass on that base.  Otherwise it is the first key that ``scenario``
+    rejects on its own, with its own reason.
     """
 
     def build(base: Scenario, keys) -> Scenario:
@@ -178,10 +180,11 @@ def _configure(scenario: Scenario, texts: dict, where: str, name=lambda key: key
     def blamed(base: Scenario):
         for key in texts:
             try:
-                build(base, [other for other in texts if other != key])
+                rest = build(base, [other for other in texts if other != key])
             except ValueError:
                 continue
-            return key
+            if rest.schemes or rest.antenna_sweep:
+                return key
 
     try:
         return build(scenario, texts)

@@ -15,7 +15,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import groupby
 
 import numpy as np
 
@@ -132,8 +131,9 @@ class Scenario:
     Every check a run needs is made here, before any draw.  The sweep's
     sizes are distinct integers, none below the user count, each a valid
     array size of ``dims``.  A sparse scenario's steering phase ramp must be
-    finite on its largest array, its own or a swept one.  The samples of all
-    realizations at every SNR point must fit in physical memory.
+    finite on its largest array, its own or a swept one.  What a run keeps
+    of all realizations, every scheme's samples and the delay spreads of its
+    largest swept size, must fit in physical memory.
     """
 
     name: str
@@ -161,11 +161,6 @@ class Scenario:
         if unusable:
             raise ValueError(f"SNR grid has non-finite or zero linear SNRs: {', '.join(unusable)}")
         _reject_repeats("SNR grid", self.snr_db)
-        if 8 * self.realizations * len(self.snr_db) > _MEMORY_BYTES:
-            raise ValueError(
-                f"{self.realizations} realizations x {len(self.snr_db)} SNR points of 8-byte "
-                f"samples need more than the {_MEMORY_BYTES} bytes of memory"
-            )
         _reject_repeats("scheme list", self.schemes)
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
@@ -182,6 +177,13 @@ class Scenario:
         if self.sparse is not None:
             # the steepest ramp of any draw: cos(angle) = 1 on the largest array
             steering_vector(max((self.dims.antennas, *sweep)), 0.0, self.sparse.spacing_ratio)
+        # a run keeps its schemes' record fields and one size's spreads at a time
+        kept = max(_record(self, m).itemsize for m in (self.dims.antennas, *sweep))
+        if self.realizations * kept > _MEMORY_BYTES:
+            raise ValueError(
+                f"{self.realizations} realizations x {kept} bytes of kept samples need "
+                f"more than the {_MEMORY_BYTES} bytes of memory"
+            )
 
 
 @dataclass(frozen=True)
@@ -274,6 +276,32 @@ def _metrics(scheme: str) -> tuple[str, ...]:
     return ("rate", "capacity")
 
 
+def _failed(scheme: str) -> str:
+    """The record field that flags the draws where ``scheme`` fails."""
+    return f"{scheme} failed"
+
+
+def _spread(name: str) -> str:
+    """The record field of a swept combiner's or ``siso``'s delay spreads;
+    ``mf``, ``rf_1tap`` and ``rf_ltap`` name schemes too."""
+    return f"{name} spread"
+
+
+def _record(scenario: Scenario, antennas: int) -> np.dtype:
+    """One draw's record at array size ``antennas``: per scheme, its
+    ``_metrics`` values at every SNR point, metric-major as its rows are
+    keyed, and its failure flag; and, if the scenario sweeps that size, the
+    delay spreads of each user per swept combiner and of each (antenna,
+    user) pair for ``siso``."""
+    points, users = len(scenario.snr_db), scenario.dims.users
+    fields = [(s, float, (len(_metrics(s)) * points,)) for s in scenario.schemes]
+    fields += [(_failed(s), bool) for s in scenario.schemes]
+    if antennas in scenario.antenna_sweep:
+        fields += [(_spread(name), float, (users,)) for name in _RMS_COMBINERS]
+        fields.append((_spread("siso"), float, (antennas * users,)))
+    return np.dtype(fields)
+
+
 def _gram_reduction(lags: list[np.ndarray], num_subcarriers: int) -> Tridiagonal:
     """``hermitian_reduction`` of the Grams of ``lags`` (``lag_products`` that
     share their leading axes and column count), stacked on a new first axis.
@@ -310,14 +338,10 @@ def _tap_whitened(effective: EffectiveChannel) -> tuple[TapSequence, np.ndarray]
     return TapSequence(effective.taps.offset, white), np.any(singular, axis=-1)
 
 
-def _evaluate_chunk(
-    scenario: Scenario, stacked: ChannelRealization, spreads: bool = False
-) -> list[tuple[dict, dict | None]]:
-    """Per channel draw of ``stacked``, whose taps hold a chunk's draws on a
-    leading axis: per scheme, its ``(len(_metrics(scheme)), len(snr_db))``
-    values, or ``None`` on a draw where the scheme fails; and, if ``spreads``
-    is set, the RMS delay spreads of the swept combiners and ``siso``, else
-    ``None``.
+def _evaluate_chunk(scenario: Scenario, stacked: ChannelRealization) -> np.ndarray:
+    """One ``_record`` at the scenario's own size per channel draw of
+    ``stacked``, whose taps hold a chunk's draws on a leading axis; a failed
+    draw's values are never read.
 
     Everything after the draws is one stacked computation over the chunk,
     and each scheme is evaluated once.  Every log-det rate reads the whole
@@ -343,7 +367,6 @@ def _evaluate_chunk(
     scale = 1.0 / np.sqrt(scenario.dims.antennas)
     raw = stacked.taps
     draws = raw.taps.shape[0]
-    no_failures = np.zeros(draws, dtype=bool)
 
     @cache
     def raw_lags() -> np.ndarray:
@@ -377,10 +400,11 @@ def _evaluate_chunk(
     if {"zf", "mf+zf"} & set(scenario.schemes):
         raw_failed = first_rank_deficient(raw, k, screen[None]) >= 0
 
-    def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray]:
-        """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of failed draws."""
+    def evaluate(scheme: str) -> tuple[list[np.ndarray], np.ndarray | bool]:
+        """``_metrics(scheme)``'s ``(len(snrs), draws)`` values, and the mask of
+        failed draws, ``False`` for a scheme that cannot fail."""
         if scheme == "capacity":
-            return [white[None]], no_failures
+            return [white[None]], False
         if scheme in ("zf", "mf+zf"):
             return [white[None]], raw_failed
         # every link of the grid has unit noise variance: its transmit power is its SNR
@@ -388,12 +412,12 @@ def _evaluate_chunk(
             # the MF's taps summed as combiner_noise_power sums them, in its tap order
             noise = np.sum(np.abs(scale * raw.taps[..., ::-1, :, :]) ** 2, axis=(-3, -2))
             squared = squared_rates(screen[None], [snr / scenario.dims.antennas for snr in snrs])
-            return [sinr_sum_rates(pdp("mf"), noise, snrs), squared], no_failures
+            return [sinr_sum_rates(pdp("mf"), noise, snrs), squared], False
         base = scheme.removesuffix("+zf")
         effective = build(base)
         if base == scheme:
             noise = combiner_noise_power(effective.combiner, 1.0)
-            return [sinr_sum_rates(pdp(base), noise, snrs), white[base]], no_failures
+            return [sinr_sum_rates(pdp(base), noise, snrs), white[base]], False
         if base in tap_whitened:
             rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
         else:
@@ -403,24 +427,24 @@ def _evaluate_chunk(
         rank = first_rank_deficient(effective.taps, k, screen[base])
         return [rates], (rank >= 0) | np.isnan(rates[0])
 
-    outcomes: list[dict] = [{} for _ in range(draws)]
+    # each record field's values for all draws; the records are allocated
+    # last, so they sit beside none of the chunk's temporaries
+    columns = {}
     for scheme in scenario.schemes:
-        series, failed = evaluate(scheme)
-        values = np.stack(series)
-        for draw, outcome in enumerate(outcomes):
-            outcome[scheme] = None if failed[draw] else values[..., draw]
-    if not spreads:
-        return [(outcome, None) for outcome in outcomes]
-    swept = {base: delay_spread_report(pdp(base))[1] for base in _RMS_COMBINERS}
-    # no reader is left for the combiners and effective channels
-    build.cache_clear()
-    pdp.cache_clear()
-    power = np.moveaxis(np.abs(raw.taps) ** 2, -3, -1)
-    swept["siso"] = delay_moments(power, raw.offset)[1].reshape(draws, -1)
-    return [
-        (outcome, {name: values[draw] for name, values in swept.items()})
-        for draw, outcome in enumerate(outcomes)
-    ]
+        series, columns[_failed(scheme)] = evaluate(scheme)
+        columns[scheme] = np.stack(series).reshape(-1, draws).T
+    if scenario.dims.antennas in scenario.antenna_sweep:
+        for base in _RMS_COMBINERS:
+            columns[_spread(base)] = delay_spread_report(pdp(base))[1]
+        # no reader is left for the combiners and effective channels
+        build.cache_clear()
+        pdp.cache_clear()
+        power = np.moveaxis(np.abs(raw.taps) ** 2, -3, -1)
+        columns[_spread("siso")] = delay_moments(power, raw.offset)[1].reshape(draws, -1)
+    records = np.empty(draws, dtype=_record(scenario, scenario.dims.antennas))
+    for name, column in columns.items():
+        records[name] = column
+    return records
 
 
 def _draw_chunk(scenario: Scenario, chunk: list[int], dump_dir: str | None) -> ChannelRealization:
@@ -437,19 +461,20 @@ def _draw_chunk(scenario: Scenario, chunk: list[int], dump_dir: str | None) -> C
     return replace(channel, taps=TapSequence.stack(taps))
 
 
-def _scenario_block(args) -> list:
+def _scenario_block(args) -> np.ndarray:
     """Worker entry: evaluate a block of realization indices, chunk by chunk.
 
-    ``args`` is ``(scenario, indices, dump_dir, spreads)``; the result holds
-    one ``(index, outcome, spreads)`` per realization, as ``_evaluate_chunk``
-    returns them.
+    ``args`` is ``(scenario, indices, dump_dir)``, where ``indices`` are
+    consecutive and start a chunk; the result holds one ``_evaluate_chunk``
+    record per index, in index order, each chunk's records written into one
+    array allocated once for the block.
     """
-    scenario, indices, dump_dir, spreads = args
-    out = []
-    for _, group in groupby(indices, key=lambda index: index // CHUNK):
-        chunk = list(group)
-        evaluated = _evaluate_chunk(scenario, _draw_chunk(scenario, chunk, dump_dir), spreads)
-        out += [(index, *pair) for index, pair in zip(chunk, evaluated)]
+    scenario, indices, dump_dir = args
+    out = np.empty(len(indices), dtype=_record(scenario, scenario.dims.antennas))
+    for start in range(0, len(indices), CHUNK):
+        out[start : start + CHUNK] = _evaluate_chunk(
+            scenario, _draw_chunk(scenario, list(indices[start : start + CHUNK]), dump_dir)
+        )
     return out
 
 
@@ -530,64 +555,55 @@ def run_scenario(
     evaluated by the same worker entry, in the same process pool, so every
     (size, realization) pair is drawn once.  Output is identical for any
     worker count.
+
+    Each block comes back as one record per realization (``_scenario_block``).
+    A record field is a strided view, so as each block comes back its fields
+    are copied into one contiguous ``(realization, ...)`` array per size and
+    field, and the block is freed: the failure flags give ``failures`` and
+    each scheme's samples, and a size's spreads give its sweep rows once its
+    last block, which ends at the last realization, is in.
     """
     workers = resolve_workers(workers)
     grid = scenario.antenna_sweep
     own = scenario.dims.antennas
     sized = {own: scenario} if scenario.schemes or own in grid else {}
-    for antennas in grid:
-        dims = replace(scenario.dims, antennas=antennas)
-        sized.setdefault(antennas, replace(scenario, dims=dims, schemes=(), antenna_sweep=()))
+    for m in grid:
+        dims = replace(scenario.dims, antennas=m)
+        sized.setdefault(m, replace(scenario, dims=dims, schemes=(), antenna_sweep=(m,)))
     blocks = _split_indices(scenario.realizations, workers)
     payloads = [
-        (sub, block, dump_dir if sub.schemes else None, antennas in grid)
-        for antennas, sub in sized.items()
+        (sub, block, dump_dir if sub.schemes else None)
+        for sub in sized.values()
         for block in blocks
     ]
-    # each block is folded in as it comes back, and each of its entries is
-    # freed once folded: a scheme's samples fill one (cell, realization)
-    # array, each swept spread one (realization, ...) array per size, and a
-    # size's sweep rows are read, and its spreads freed, once its last block is in
-    samples = {
-        scheme: np.empty((len(_metrics(scheme)) * len(scenario.snr_db), scenario.realizations))
-        for scheme in scenario.schemes
-    }
-    drawn = {scheme: np.zeros(scenario.realizations, dtype=bool) for scheme in scenario.schemes}
-    spreads: dict[int, dict[str, np.ndarray]] = {antennas: {} for antennas in grid}
-    blocks_left = dict.fromkeys(grid, len(blocks))
+    fields: dict[int, dict[str, np.ndarray]] = {}
     sweep: dict[int, list[ResultRow]] = {}
-    failures = 0
     # the results are read first, so the pool is shut down once the last is in
     results = _run_blocks(_scenario_block, payloads, workers)
-    for block, (sub, _, _, swept_here) in zip(results, payloads):
+    for records, (sub, block, _) in zip(results, payloads):
         antennas = sub.dims.antennas
-        while block:
-            index, outcome, swept = block.pop()
-            failures += any(values is None for values in outcome.values())
-            for scheme, values in outcome.items():
-                if values is not None:
-                    samples[scheme][:, index] = values.reshape(-1)
-                    drawn[scheme][index] = True
-            for name, values in (swept or {}).items():
-                if name not in spreads[antennas]:
-                    spreads[antennas][name] = np.empty((scenario.realizations, *values.shape))
-                spreads[antennas][name][index] = values
-        if swept_here:
-            blocks_left[antennas] -= 1
-            if not blocks_left[antennas]:
-                sweep[antennas] = _sweep_rows(scenario, antennas, spreads.pop(antennas))
-    empty = [scheme for scheme, ok in drawn.items() if not ok.any()]
+        store = fields.setdefault(antennas, {})
+        for name in records.dtype.names:
+            if name not in store:
+                store[name] = np.empty(scenario.realizations, records.dtype[name])
+            store[name][block.start : block.stop] = records[name]
+        del records  # before the next block is evaluated, on a serial run
+        if antennas in grid and block.stop == scenario.realizations:
+            sweep[antennas] = _sweep_rows(scenario, antennas, store)
+    store = fields.get(own, {})
+    failed = {scheme: store[_failed(scheme)] for scheme in scenario.schemes}
+    empty = [scheme for scheme, lost in failed.items() if lost.all()]
     if empty:
         raise SingularMatrixError(
             f"all {scenario.realizations} realizations of {scenario.name} failed "
             f"for {', '.join(empty)}"
         )
     rows = []
-    for scheme, ok in drawn.items():
+    for scheme, lost in failed.items():
         # one row per (metric, snr) cell, its samples contiguous in realization
-        # order (a mask index, samples[scheme][:, ok], would lay them out by
+        # order (a mask index, store[scheme][~lost].T, would lay them out by
         # column, and its means would be summed in another order)
-        cells = samples[scheme].compress(ok, axis=-1)
+        cells = store[scheme].T.compress(~lost, axis=-1)
         count = cells.shape[-1]
         keys = [(metric, snr) for metric in _metrics(scheme) for snr in scenario.snr_db]
         for (metric, snr), mean, err in zip(keys, cells.mean(axis=-1), _stderr(cells)):
@@ -595,7 +611,7 @@ def run_scenario(
     return RunResult(
         rows=tuple(rows),
         realizations=scenario.realizations,
-        failures=failures,
+        failures=int(np.count_nonzero(np.any(list(failed.values()), axis=0))),
         sweep=tuple(row for antennas in grid for row in sweep[antennas]),
     )
 
@@ -613,13 +629,14 @@ def _row(scenario: Scenario, scheme: str, snr_db: float, metric: str, value, err
     )
 
 
-def _sweep_rows(scenario: Scenario, antennas: int, swept: dict[str, np.ndarray]) -> list[ResultRow]:
+def _sweep_rows(scenario: Scenario, antennas: int, store: dict[str, np.ndarray]) -> list[ResultRow]:
     """At one array size, per swept combiner, the ``rms_mean`` over
     realizations and the quantiles of the per-user spreads pooled over them;
-    ``swept`` holds each combiner's ``(realization, ...)`` spreads."""
+    each combiner's ``(realization, ...)`` spreads are popped from ``store``
+    under their record field's name."""
     rows = []
     for scheme in _RMS_COMBINERS + ("siso",):
-        per_draw = swept[scheme]
+        per_draw = store.pop(_spread(scheme))
         means = per_draw.mean(axis=-1)
         # the means are read, so the quantiles may partition the spreads in
         # place instead of a copy: the same order statistics, the same bytes

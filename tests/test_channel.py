@@ -423,6 +423,25 @@ class TestSpectrumAndDump:
         with pytest.raises(ValueError, match=r"chan\.txt: unknown dump header field 'extra'"):
             load_channel_dump(path)
 
+    def test_dump_rejects_a_header_field_given_twice(self, tmp_path):
+        # a later header line would otherwise silently win: 1 antenna, then 2
+        path = tmp_path / "chan.txt"
+        path.write_text(
+            "# hybeam channel dump\n"
+            "# antennas=1 users=1 taps=1 seed=3 model=rich\n"
+            "# antennas=2\n"
+            "0 0 0 1 0\n"
+        )
+        with pytest.raises(ValueError, match=r"chan\.txt: dump header field antennas given twice"):
+            load_channel_dump(path)
+        # on one line too, whether the two values differ or not
+        for field in ("seed", "model"):
+            path, lines = self._dump_lines(tmp_path)
+            value = re.search(rf"\b{field}=\S+", lines[1]).group()
+            path.write_text("\n".join([lines[0], f"{lines[1]} {value}", *lines[2:]]) + "\n")
+            with pytest.raises(ValueError, match=rf"chan\.txt: dump header field {field} given twice"):
+                load_channel_dump(path)
+
     def test_dump_rejects_non_integer_header_field(self, tmp_path):
         for field, text in (("antennas", "16.0"), ("users", "x"), ("seed", "")):
             path = self._with_header_field(tmp_path, field, text)

@@ -646,7 +646,7 @@ class TestConfigFiles:
             ("M = 8\nantennas = 8\n", "[x] antennas given twice"),
             (
                 "snr = 0, 10\nrealizations = 1000000000000\n",
-                "[x] realizations: 1000000000000 realizations x 2 SNR points of 8-byte samples",
+                "[x] realizations: 1000000000000 realizations x 17 bytes of kept samples need more than",
             ),
         ],
     )
@@ -729,7 +729,7 @@ class TestConfigFiles:
             (("--snr", "0:10"), "--snr: SNR range must be start:stop:step"),
             (
                 ("--realizations", "1000000000000"),
-                "--realizations: 1000000000000 realizations x 7 SNR points of 8-byte samples",
+                "--realizations: 1000000000000 realizations x 227 bytes of kept samples need more than",
             ),
         ],
     )

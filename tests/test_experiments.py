@@ -41,6 +41,8 @@ from hybeam.metrics import (
 from hybeam.numerics import TapSequence
 
 SMALL_DIMS = SystemDims(antennas=24, users=3, taps=4, subcarriers=32)
+# every name whose delay spreads a record holds where its size is swept
+SWEPT = experiments._RMS_COMBINERS + ("siso",)
 
 
 def stack(channels):
@@ -48,10 +50,32 @@ def stack(channels):
     return replace(channels[0], taps=TapSequence.stack([ch.taps for ch in channels]))
 
 
+def draw_outcomes(scenario, records):
+    """Per record of ``records``, as ``_evaluate_chunk`` or ``_scenario_block``
+    return them: per scheme, its ``(len(_metrics(scheme)), len(snr_db))``
+    values, or ``None`` where it fails; and the swept spreads by name, or
+    ``None`` if the records hold none."""
+    swept = experiments._spread("siso") in records.dtype.names
+    outcomes = []
+    for record in records:
+        values = {}
+        for scheme in scenario.schemes:
+            if not record[experiments._failed(scheme)]:
+                shape = (len(_metrics(scheme)), len(scenario.snr_db))
+                values[scheme] = record[scheme].reshape(shape)
+            else:
+                values[scheme] = None
+        spreads = None
+        if swept:
+            spreads = {name: record[experiments._spread(name)] for name in SWEPT}
+        outcomes.append((values, spreads))
+    return outcomes
+
+
 def evaluate_draw(scenario, channel):
     """Per scheme, its ``(metric, snr)`` values for one channel draw (a chunk
     of one), or ``None`` where it fails."""
-    outcome = _evaluate_chunk(scenario, stack([channel]))[0][0]
+    outcome = draw_outcomes(scenario, _evaluate_chunk(scenario, stack([channel])))[0][0]
     return {
         scheme: None if values is None else {
             (metric, snr): float(value)
@@ -122,13 +146,36 @@ class TestScenarioValidation:
             raise AssertionError("a channel was drawn")
 
         monkeypatch.setattr(experiments, "draw_realization", never_draw)
-        # 8 bytes per realization and SNR point: half the memory passes at 2 points
-        fits = channel._MEMORY_BYTES // 16
-        assert small_scenario(realizations=fits, schemes=()).realizations == fits
-        with pytest.raises(ValueError, match=r"realizations x 2 SNR points .* bytes of memory"):
+        # capacity, rf_ltap and rf_ltap+zf keep 1, 2 and 1 values at each of 2
+        # SNR points and one failure flag each: 67 bytes a realization
+        fits = channel._MEMORY_BYTES // 67
+        assert small_scenario(realizations=fits).realizations == fits
+        message = rf"^{fits + 1} realizations x 67 bytes of kept samples need more than the "
+        with pytest.raises(ValueError, match=message + r"\d+ bytes of memory$"):
             small_scenario(realizations=fits + 1)
         with pytest.raises(ValueError, match="1000000000000 realizations"):
             run_scenario(replace(small_scenario(), realizations=10**12))
+
+    def test_kept_samples_and_largest_sweep_counted_against_memory(self, monkeypatch):
+        # fig3 keeps 2 metrics x 7 SNR points of 3 schemes and their flags, 339
+        # bytes a realization, so the count that 8 bytes a point admits is
+        # rejected; fig5 keeps the spreads of one size at a time, U (3 + M)
+        # floats at its largest, M = 500, and not those of its whole sweep
+        def never_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(experiments, "draw_realization", never_draw)
+        memory = channel._MEMORY_BYTES
+        fig3, fig5 = PRESETS["fig3"].scenario, PRESETS["fig5"].scenario
+        assert replace(fig3, realizations=memory // 339).realizations == memory // 339
+        with pytest.raises(ValueError, match=rf"^{memory // 56} realizations x 339 bytes"):
+            run_scenario(replace(fig3, realizations=memory // 56))
+        largest = 8 * 4 * (3 + 500)
+        assert sum(8 * 4 * (3 + m) for m in fig5.antenna_sweep) * (memory // largest) > memory
+        assert replace(fig5, realizations=memory // largest).realizations == memory // largest
+        beyond = memory // largest + 1
+        with pytest.raises(ValueError, match=rf"^{beyond} realizations x {largest} bytes"):
+            run_scenario(replace(fig5, realizations=beyond))
 
     def test_huge_counts_split_without_a_per_chunk_array(self):
         blocks = experiments._split_indices(10**12, 3)
@@ -240,9 +287,9 @@ class TestRunScenario:
             schemes=PRESETS["fig8"].scenario.schemes,
             channel_model="sparse",
         )
-        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
-        assert [index for index, _, _ in out] == list(range(chunk + 3))
-        assert all(v is not None for _, values, _ in out for v in values.values())
+        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        assert len(out) == chunk + 3
+        assert all(v is not None for values, _ in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
         assert dfts == [(chunk, users, users), (3, users, users)]
         per_chunk = [(antennas, users)] + [(users, users)] * 3 + [(antennas, users)]
@@ -285,11 +332,47 @@ class TestRunScenario:
         monkeypatch.setattr(beamforming, "circular_convolve", no_convolution)
         chunk = experiments.CHUNK
         s = small_scenario(realizations=chunk + 3, schemes=PRESETS["fig2"].scenario.schemes)
-        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
-        assert all(v is not None for _, values, _ in out for v in values.values())
+        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        assert all(v is not None for values, _ in out for v in values.values())
         users, taps, k = SMALL_DIMS.users, SMALL_DIMS.taps, SMALL_DIMS.subcarriers
         assert grams == [(draws, 2 * taps - 1, users, users) for draws in (chunk, 3)]
         assert reductions == [(1, draws, k, users, users) for draws in (chunk, 3)]
+
+    def test_a_block_holds_one_record_per_index_in_order(self):
+        # a whole chunk and a partial one, with schemes and the own size's
+        # spreads: the block's records are each chunk's, evaluated alone
+        chunk = experiments.CHUNK
+        s = small_scenario(
+            realizations=chunk + 3, schemes=experiments.SCHEMES, antenna_sweep=(24, 40)
+        )
+        out = experiments._scenario_block((s, range(chunk + 3), None))
+        assert len(out) == chunk + 3
+        alone = [
+            _evaluate_chunk(s, experiments._draw_chunk(s, list(indices), None))
+            for indices in (range(chunk), range(chunk, chunk + 3))
+        ]
+        assert out.dtype == alone[0].dtype
+        for name in out.dtype.names:
+            np.testing.assert_array_equal(out[name], np.concatenate([a[name] for a in alone]))
+
+    def test_scheme_and_spread_fields_of_one_combiner_stay_apart(self):
+        # mf, rf_1tap and rf_ltap are schemes and swept combiners alike: in a
+        # fig3 chunk that sweeps its own size, mf's values and mf's spreads are
+        # each what they are when computed alone
+        fig3 = PRESETS["fig3"].scenario
+        s = replace(fig3, antenna_sweep=(fig3.dims.antennas,))
+        stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
+        records = _evaluate_chunk(s, stacked)
+        values = _evaluate_chunk(replace(fig3, schemes=("mf",)), stacked)
+        spreads = _evaluate_chunk(replace(s, schemes=()), stacked)
+        assert values.dtype.names == ("mf", "mf failed")
+        np.testing.assert_array_equal(records["mf"], values["mf"])
+        np.testing.assert_array_equal(records["mf failed"], values["mf failed"])
+        assert records["mf"].shape == (experiments.CHUNK, 2 * len(s.snr_db))
+        assert records["mf spread"].shape == (experiments.CHUNK, s.dims.users)
+        for name in SWEPT:
+            field = experiments._spread(name)
+            np.testing.assert_array_equal(records[field], spreads[field])
 
     @pytest.mark.parametrize("model", ["rich", "sparse"])
     def test_mf_taps_and_capacity_come_from_the_raw_lag_products(self, monkeypatch, model):
@@ -307,7 +390,7 @@ class TestRunScenario:
         s = small_scenario(schemes=("mf",), channel_model=model)
         channels = [draw_realization(s, index) for index in range(3)]
         stacked = stack(channels)
-        outcomes = _evaluate_chunk(s, stacked)
+        outcomes = draw_outcomes(s, _evaluate_chunk(s, stacked))
         raw = stacked.taps
         k = SMALL_DIMS.subcarriers
         expected = numerics.circular_convolve(beamforming.mf_combiner(stacked).taps, raw, k)
@@ -331,6 +414,7 @@ class TestRunScenario:
             snr_db=(-10.0, 10.0, 30.0),
             schemes=("capacity", "zf", "mf", "mf+zf"),
             channel_model=model,
+            antenna_sweep=(SMALL_DIMS.antennas,),
         )
         channels = [draw_realization(s, index) for index in range(3)]
 
@@ -339,7 +423,7 @@ class TestRunScenario:
 
         for name in ("mf_combiner", "combiner_noise_power", "spectral_rates"):
             monkeypatch.setattr(experiments, name, forbidden)
-        outcomes = _evaluate_chunk(s, stack(channels), spreads=True)
+        outcomes = draw_outcomes(s, _evaluate_chunk(s, stack(channels)))
         monkeypatch.undo()
         snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
         for ch, (values, spreads) in zip(channels, outcomes):
@@ -471,13 +555,13 @@ class TestRunScenario:
             realizations=chunk + 3,
             schemes=("capacity", "zf", "rf_ltap", "rf_ltap+zf", "mf+zf"),
         )
-        out = experiments._scenario_block((s, list(range(chunk + 3)), None, False))
-        assert [index for index, _, _ in out] == list(range(chunk + 3))
+        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        assert len(out) == chunk + 3
         # per chunk, zf and mf+zf share the raw check and rf_ltap+zf has its
         # own; only rf_ltap+zf rates bin by bin
         assert checked == [chunk] * 2 + [3] * 2
         assert rated == [chunk] + [3]
-        for index, values, _ in out:
+        for index, (values, _) in enumerate(out):
             for scheme, keyed in values.items():
                 failed = index % 2 == 0 and scheme.endswith("zf")
                 assert (keyed is None) == failed, (index, scheme)
@@ -862,16 +946,17 @@ class TestChunkMemory:
         # with numpy 2.4 on x86-64, plus 10%: each of its arrays is freed
         # after its last reader, and no per-draw taps sit beside the stack
         s = PRESETS[preset].scenario
-        s = replace(s, dims=replace(s.dims, antennas=antennas), antenna_sweep=())
+        sweep = (antennas,) if spreads else ()
+        s = replace(s, dims=replace(s.dims, antennas=antennas), antenna_sweep=sweep)
         stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
-        peak = traced_peak(lambda: experiments._evaluate_chunk(s, stacked, spreads))
+        peak = traced_peak(lambda: experiments._evaluate_chunk(s, stacked))
         assert peak <= 1.1 * measured
 
     def test_a_block_leaves_only_its_results(self):
         # after two fig8 chunks the traced memory is back at its baseline,
         # apart from the results the block returns
         s = replace(PRESETS["fig8"].scenario, realizations=2 * experiments.CHUNK)
-        payload = (s, range(s.realizations), None, False)
+        payload = (s, range(s.realizations), None)
         experiments._scenario_block(payload)
         gc.collect()
         tracemalloc.start()
@@ -913,7 +998,7 @@ class TestTapWhitenedZf:
             raise AssertionError("a one-tap ZF scheme was whitened per subcarrier")
 
         monkeypatch.setattr(experiments, "spectral_rates", per_subcarrier)
-        outcomes = _evaluate_chunk(s, stack(channels))
+        outcomes = draw_outcomes(s, _evaluate_chunk(s, stack(channels)))
         monkeypatch.undo()
         snrs = [LinkBudget.from_snr_db(snr).snr for snr in s.snr_db]
         for ch, (values, _) in zip(channels, outcomes):
@@ -937,7 +1022,7 @@ class TestTapWhitenedZf:
         taps = channels[1].taps.taps.copy()
         taps[0, :, 1] = 2.0 * taps[0, :, 0]
         channels[1] = replace(channels[1], taps=TapSequence(0, taps))
-        alone = [_evaluate_chunk(s, stack([ch]))[0][0] for ch in channels]
+        alone = [draw_outcomes(s, _evaluate_chunk(s, stack([ch])))[0][0] for ch in channels]
         for unscreened in (False, True):
             if unscreened:
                 monkeypatch.setattr(
@@ -945,7 +1030,8 @@ class TestTapWhitenedZf:
                     "first_rank_deficient",
                     lambda seq, k, reduced=None: np.full(seq.taps.shape[:-3], -1),
                 )
-            outcomes = [values for values, _ in _evaluate_chunk(s, stack(channels))]
+            records = _evaluate_chunk(s, stack(channels))
+            outcomes = [values for values, _ in draw_outcomes(s, records)]
             for draw, values in enumerate(outcomes):
                 for scheme, got in values.items():
                     assert (got is None) == (draw == 1 and scheme == "rf_1tap+zf"), (draw, scheme)
