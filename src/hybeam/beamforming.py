@@ -9,7 +9,6 @@ the composite response concentrates at delay 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -172,27 +171,26 @@ class EffectiveChannel:
 
     ``taps`` holds the ``(U x U)`` composite impulse response of ``combiner``
     and the channel on a ``num_subcarriers``-point grid.  Its frequency-domain
-    views are computed on first read and kept, so each is computed at most
-    once and only when a metric reads it: ``spectrum`` is the ``(K, U, U)``
-    DFT ``G(k)`` of the taps, and ``noise_cov_spectrum`` the per-subcarrier
-    covariance of the combined noise, ``W(k) W(k)^H`` for the combiner's
-    frequency response ``W(k)``.  The covariance comes from lag products of
-    the combiner's adjoint taps ``W_n^H`` (``gram_of_lags``), whose
-    response is ``W(-k)^H``, read at ``-k mod K``, so it forms no spectrum.
-    Taps with leading axes (the effective channels of a stacked channel)
-    give every view the same leading axes.  Deleting a view (``del
-    effective.spectrum``) frees it; a later read computes it again.
+    views are computed on each read and not kept, so only a metric that
+    reads one pays for it and nothing is left to free: ``spectrum`` is the
+    ``(K, U, U)`` DFT ``G(k)`` of the taps, and ``noise_cov_spectrum`` the
+    per-subcarrier covariance of the combined noise, ``W(k) W(k)^H`` for the
+    combiner's frequency response ``W(k)``.  The covariance comes from lag
+    products of the combiner's adjoint taps ``W_n^H`` (``gram_of_lags``),
+    whose response is ``W(-k)^H``, read at ``-k mod K``, so it forms no
+    spectrum.  Taps with leading axes (the effective channels of a stacked
+    channel) give every view the same leading axes.
     """
 
     combiner: CombinerIR
     taps: TapSequence
     num_subcarriers: int
 
-    @cached_property
+    @property
     def spectrum(self) -> np.ndarray:
         return dft_of_taps(self.taps, self.num_subcarriers)
 
-    @cached_property
+    @property
     def noise_cov_spectrum(self) -> np.ndarray:
         taps = self.combiner.taps
         adjoint = TapSequence(taps.offset, np.conj(np.swapaxes(taps.taps, -1, -2)))

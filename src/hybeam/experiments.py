@@ -62,15 +62,11 @@ from .metrics import (
     whiten,
 )
 from .numerics import (
-    LDL_MAX_ORDER,
     SingularMatrixError,
     TapSequence,
-    Tridiagonal,
-    _lower_entries,
     first_rank_deficient,
     gram_of_lags,
     lag_products,
-    tridiagonalize,
 )
 
 WORKER_ENV_VAR = "HYBEAM_THREADS"
@@ -302,32 +298,6 @@ def _record(scenario: Scenario, antennas: int) -> np.dtype:
     return np.dtype(fields)
 
 
-def _gram_reduction(lags: list[np.ndarray], num_subcarriers: int) -> Tridiagonal:
-    """``hermitian_reduction`` of the Grams of ``lags`` (``lag_products`` that
-    share their leading axes and column count), stacked on a new first axis.
-
-    The Grams are formed one at a time.  Up to ``LDL_MAX_ORDER`` each leaves
-    only its lower triangle, copied into contiguous entries that
-    ``tridiagonalize`` consumes and frees as it reduces them, so no stack of
-    whole Grams sits beside the reduction's temporaries; above, each is
-    written into its slot of one array for ``eigvalsh``.
-    """
-    lead, cols = lags[0].shape[:-3], lags[0].shape[-1]
-    shape = (len(lags), *lead, num_subcarriers)
-    if cols > LDL_MAX_ORDER:
-        grams = np.empty((*shape, cols, cols), dtype=complex)
-        for products, gram in zip(lags, grams):
-            gram_of_lags(products, num_subcarriers, out=gram)
-        return hermitian_reduction(grams)
-    entries = {}
-    for slot, products in enumerate(lags):
-        for key, entry in _lower_entries(gram_of_lags(products, num_subcarriers)).items():
-            if not slot:
-                entries[key] = np.empty(shape, dtype=entry.dtype)
-            entries[key][slot] = entry
-    return tridiagonalize(entries)
-
-
 def _tap_whitened(effective: EffectiveChannel) -> tuple[TapSequence, np.ndarray]:
     """The effective taps of a one-tap combiner ``W_0``, whitened against the
     noise covariance ``C = W_0 W_0^H`` that all its subcarriers share, and
@@ -394,7 +364,7 @@ def _evaluate_chunk(scenario: Scenario, stacked: ChannelRealization) -> np.ndarr
     }
     lags.update((f"{base}+zf", lag_products(taps)) for base, (taps, _) in tap_whitened.items())
     if lags:
-        reduced = _gram_reduction(list(lags.values()), k)
+        reduced = hermitian_reduction((gram_of_lags(lag, k) for lag in lags.values()), len(lags))
         white = dict(zip(lags, np.swapaxes(reduced_rates(reduced, snrs), 0, 1)))
         screen = {key: reduced[i] for i, key in enumerate(lags)}
     if {"zf", "mf+zf"} & set(scenario.schemes):
@@ -422,8 +392,6 @@ def _evaluate_chunk(scenario: Scenario, stacked: ChannelRealization) -> np.ndarr
             rates = np.where(tap_whitened[base][1], np.nan, white[scheme])
         else:
             rates = spectral_rates(effective.spectrum, effective.noise_cov_spectrum, snrs)
-            # nothing else reads the spectra: free them before the next scheme
-            del effective.spectrum, effective.noise_cov_spectrum
         rank = first_rank_deficient(effective.taps, k, screen[base])
         return [rates], (rank >= 0) | np.isnan(rates[0])
 
@@ -545,8 +513,7 @@ def run_scenario(
     sample from it, so each row's ``realizations`` is its own scheme's sample
     count; ``failures`` counts the realizations in which any scheme failed,
     and the caller decides how many are tolerable.  A scheme left without a
-    single sample raises.  ``dump_dir`` receives the channels the schemes
-    are evaluated on.
+    single sample raises.
 
     The scenario's ``antenna_sweep`` adds the delay-spread study of
     ``rms_study`` at those array sizes to the same pass, as
@@ -556,12 +523,16 @@ def run_scenario(
     (size, realization) pair is drawn once.  Output is identical for any
     worker count.
 
-    Each block comes back as one record per realization (``_scenario_block``).
-    A record field is a strided view, so as each block comes back its fields
-    are copied into one contiguous ``(realization, ...)`` array per size and
-    field, and the block is freed: the failure flags give ``failures`` and
-    each scheme's samples, and a size's spreads give its sweep rows once its
-    last block, which ends at the last realization, is in.
+    A pool takes one block of chunks per worker and size; a serial run takes
+    one chunk at a time, so it holds one chunk's records beside the samples
+    it keeps.  Each block comes back as one record per realization
+    (``_scenario_block``).  A record field is a strided view, so as each
+    block comes back its fields are copied into one contiguous
+    ``(realization, ...)`` array per size and field, and the block is freed:
+    the failure flags give ``failures`` and each scheme's samples, and a
+    size's spreads give its sweep rows once its last block, which ends at
+    the last realization, is in.  ``dump_dir`` receives the draws of the
+    scenario's own size alone, whatever its schemes.
     """
     workers = resolve_workers(workers)
     grid = scenario.antenna_sweep
@@ -570,17 +541,23 @@ def run_scenario(
     for m in grid:
         dims = replace(scenario.dims, antennas=m)
         sized.setdefault(m, replace(scenario, dims=dims, schemes=(), antenna_sweep=(m,)))
-    blocks = _split_indices(scenario.realizations, workers)
-    payloads = [
-        (sub, block, dump_dir if sub.schemes else None)
-        for sub in sized.values()
-        for block in blocks
-    ]
+    indices = range(scenario.realizations)
+
+    def payloads():
+        # a swept size's dumps would take the own size's file names
+        for sub in sized.values():
+            if workers > 1:
+                blocks = _split_indices(len(indices), workers)
+            else:
+                blocks = (indices[start : start + CHUNK] for start in indices[::CHUNK])
+            for block in blocks:
+                yield sub, block, dump_dir if sub is scenario else None
+
     fields: dict[int, dict[str, np.ndarray]] = {}
     sweep: dict[int, list[ResultRow]] = {}
     # the results are read first, so the pool is shut down once the last is in
-    results = _run_blocks(_scenario_block, payloads, workers)
-    for records, (sub, block, _) in zip(results, payloads):
+    results = _run_blocks(_scenario_block, list(payloads()) if workers > 1 else payloads(), workers)
+    for records, (sub, block, _) in zip(results, payloads()):
         antennas = sub.dims.antennas
         store = fields.setdefault(antennas, {})
         for name in records.dtype.names:

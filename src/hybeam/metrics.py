@@ -2,12 +2,15 @@
 
 Every spectral rate has the form ``mean_k log2 det(I + snr * G(k))`` with an
 SNR-independent Hermitian ``G(k)``, so one kernel serves all of them:
-``hermitian_reduction`` reduces each ``G(k)`` once, and the whole SNR grid
-is read from the reduction (``reduced_rates``).  Up to ``LDL_MAX_ORDER``
-the reduction is ``numerics.tridiagonalize``'s tridiagonal ``T``, whose
-``det(I + snr * T)`` is the product of the pivots of an ``O(n)``
-recurrence; larger orders take the eigenvalues of one ``eigvalsh`` per
-matrix.  The same reduction of a Hermitian ``G(k)`` also gives the rates of
+``hermitian_reduction``, the one entry point of every reduction and the only
+reader of ``LDL_MAX_ORDER``, reduces each ``G(k)`` once, and the whole SNR
+grid is read from the reduction (``reduced_rates``).  Up to
+``LDL_MAX_ORDER`` the reduction is ``numerics.tridiagonalize``'s
+tridiagonal ``T``, whose ``det(I + snr * T)`` is the product of the pivots
+of an ``O(n)`` recurrence; larger orders take the eigenvalues of one
+``eigvalsh`` per matrix.  It reduces one stack, or the Grams that a caller
+makes one at a time (a chunk's, in the runner) on a new first axis.  The
+same reduction of a Hermitian ``G(k)`` also gives the rates of
 ``G(k)^2`` (``squared_rates``), the Gram of the matched filter's effective
 channel when ``G(k)`` is the raw one's.  Colored noise of covariance ``C``
 is whitened first, in one place, ``whiten``, by LAPACK's Cholesky factor of
@@ -31,7 +34,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .beamforming import EffectiveChannel
-from .numerics import LDL_MAX_ORDER, SingularMatrixError, Tridiagonal, tridiagonalize
+from .numerics import LDL_MAX_ORDER, SingularMatrixError, Tridiagonal, _lower_entries, tridiagonalize
 
 
 def _adjoint(mats: np.ndarray) -> np.ndarray:
@@ -58,17 +61,45 @@ class LinkBudget:
         return cls(10.0 ** (snr_db / 10.0) * noise_variance, noise_variance)
 
 
-def hermitian_reduction(mat: np.ndarray) -> Tridiagonal:
-    """The SNR-independent form of a ``(..., n, n)`` Hermitian stack that every rate reads.
+def hermitian_reduction(grams, count: int | None = None) -> Tridiagonal:
+    """The SNR-independent form of Hermitian ``(..., n, n)`` matrices that every rate reads.
 
-    Up to ``LDL_MAX_ORDER`` it is ``numerics.tridiagonalize``'s tridiagonal;
-    above, the eigenvalues from ``eigvalsh`` on the diagonal, with zeros off
-    it.  Either has the determinants and the inertia of the stack.
+    ``grams`` is one such stack; or, given their ``count``, an iterable that
+    makes ``count`` stacks of one shape one at a time, whose forms are
+    stacked on a new first axis.  Up to ``LDL_MAX_ORDER`` the form is
+    ``numerics.tridiagonalize``'s tridiagonal; above, the eigenvalues from
+    ``eigvalsh`` on the diagonal, with zeros off it.  Either has the
+    determinants and the inertia of the matrices.  Of each made stack only
+    its lower triangle (``_lower_entries``), copied into contiguous entries
+    that ``tridiagonalize`` consumes and frees as it reduces them, or its
+    eigenvalues are kept, and it is freed before the next is made: no
+    stack of whole matrices sits beside the reduction.
     """
-    m = np.asarray(mat)
-    if m.shape[-1] <= LDL_MAX_ORDER:
-        return tridiagonalize(m)
-    eigs = np.moveaxis(np.linalg.eigvalsh(m), -1, 0)
+    if count is None:
+        stack = np.asarray(grams)
+        if stack.shape[-1] <= LDL_MAX_ORDER:
+            return tridiagonalize(_lower_entries(stack))
+        eigs = np.linalg.eigvalsh(stack)
+    else:
+        made, kept = iter(grams), {}
+        for slot in range(count):
+            gram = next(made)
+            # up to the bound its lower entries, keyed (i, j); above, key None
+            if gram.shape[-1] <= LDL_MAX_ORDER:
+                own = _lower_entries(gram)
+            else:
+                own = {None: np.linalg.eigvalsh(gram)}
+            for key, part in own.items():
+                if not slot:
+                    kept[key] = np.empty((count, *part.shape), dtype=part.dtype)
+                kept[key][slot] = part
+            # nothing, an enumerate's reused tuple included, holds this Gram
+            # while the next is made
+            del gram, own, part
+        if None not in kept:
+            return tridiagonalize(kept)
+        eigs = kept[None]
+    eigs = np.moveaxis(eigs, -1, 0)
     return Tridiagonal(eigs, np.zeros_like(eigs[1:]))
 
 

@@ -49,15 +49,16 @@ SINGULARITY_RTOL = 1e-10
 # ``k = 0``) the lag-formed Gram is roundoff of size ``eps * s``, and its
 # ``lambda_min`` can pass against a ``lambda_max`` of the same size.
 GRAM_SCREEN_RTOL = 1e-8
-# Largest matrix order that ``metrics.hermitian_reduction`` reduces with the
-# unrolled ``tridiagonalize``; larger orders take the eigenvalues of
-# ``eigvalsh``.  Both read the whole SNR grid from one reduction per matrix,
-# but the unrolled one costs ``O(n^3)`` Python-level steps on the whole
-# stack.  Timed on fig2 and fig8 at U = 6..12 (and fig2 at 14, 16 and 20), it
-# was faster at every order, by a margin that narrows from about 45% to 10%
-# at U = 20, so no crossover was found.  The bound is 12, the largest order
-# timed on both presets, so that nothing above it takes the unrolled path
-# untimed on fig8; the kernel's property tests run every order up to it.
+# Largest matrix order that ``metrics.hermitian_reduction``, the only code
+# that reads this bound, reduces with the unrolled ``tridiagonalize``; larger
+# orders take the eigenvalues of ``eigvalsh``.  Both read the whole SNR grid
+# from one reduction per matrix, but the unrolled one costs ``O(n^3)``
+# Python-level steps on the whole stack.  Timed on fig2 and fig8 at
+# U = 6..12 (and fig2 at 14, 16 and 20), it was faster at every order, by a
+# margin that narrows from about 45% to 10% at U = 20, so no crossover was
+# found.  The bound is 12, the largest order timed on both presets, so that
+# nothing above it takes the unrolled path untimed on fig8; the kernel's
+# property tests run every order up to it.
 LDL_MAX_ORDER = 12
 
 
@@ -326,26 +327,23 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def tridiagonalize(mat) -> Tridiagonal:
+def tridiagonalize(a: dict) -> Tridiagonal:
     """The tridiagonal ``T = Q^H A Q`` of every Hermitian matrix of a ``(..., n, n)`` stack.
 
-    Householder reflections, one per column ``k < n - 2``, read ``A``
-    through its lower triangle, unrolled over the entries: every step is
-    one operation on the whole stack.  ``mat`` may also be that lower
-    triangle itself, the dict of ``_lower_entries``: then no matrix stack is
-    held, and the reduction consumes the dict, replacing each entry as it
-    updates it and removing each column once reduced, so every entry is
-    freed after its last read.  ``Q`` is unitary, so
-    ``T`` has the eigenvalues, the determinant and the inertia of ``A``, and
-    it does not depend on any SNR: ``det(I + snr A)`` is ``det(I + snr T)``
-    for the whole grid.  Reflection ``k`` maps the
-    sub-column ``x`` of column ``k`` onto its first entry, so the squared
-    off-diagonal entry is ``||x||^2``; a sub-column already on its first
-    entry (a zero one included) is left as it is.  The reduction is
-    backward stable: ``T`` is exactly similar to ``A + E`` with
-    ``||E|| = O(n^2 * eps * ||A||)``.
+    ``a`` is the stack's lower triangle, the dict of ``_lower_entries``, and
+    no matrix stack is held: the reduction consumes the dict, replacing each
+    entry as it updates it and removing each column once reduced, so every
+    entry is freed after its last read.  Householder reflections, one per
+    column ``k < n - 2``, are unrolled over the entries: every step is one
+    operation on the whole stack.  ``Q`` is unitary, so ``T`` has the
+    eigenvalues, the determinant and the inertia of ``A``, and it does not
+    depend on any SNR: ``det(I + snr A)`` is ``det(I + snr T)`` for the
+    whole grid.  Reflection ``k`` maps the sub-column ``x`` of column ``k``
+    onto its first entry, so the squared off-diagonal entry is ``||x||^2``;
+    a sub-column already on its first entry (a zero one included) is left
+    as it is.  The reduction is backward stable: ``T`` is exactly similar to
+    ``A + E`` with ``||E|| = O(n^2 * eps * ||A||)``.
     """
-    a = mat if isinstance(mat, dict) else _lower_entries(np.asarray(mat))
     n = max(i for i, _ in a) + 1
     lead = a[0, 0].shape
     diag, off2 = [], []

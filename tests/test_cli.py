@@ -245,6 +245,31 @@ class TestRunCommand:
             assert meta["seed"] == realization_seed(scenario, index)
             np.testing.assert_array_equal(taps.taps, draw_realization(scenario, index).taps.taps)
 
+    def test_dump_channels_of_a_sweep_only_section(self, tmp_path, monkeypatch):
+        # fig5 has no schemes, and its own size, M = 100, is one of its swept
+        # sizes: its own draws are dumped, and no other size's, whose files
+        # would take the same names
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        dumped = []
+        original_dump = experiments.dump_channel
+
+        def dump(channel, path, seed, model):
+            dumped.append(channel.dims.antennas)
+            original_dump(channel, path, seed, model)
+
+        monkeypatch.setattr(experiments, "dump_channel", dump)
+        outdir = tmp_path / "res"
+        code = run_cli("run", "fig5", "--realizations", "8", "--dump-channels", "--outdir", str(outdir))
+        assert code == 0
+        assert dumped == [100] * 8
+        dumps = sorted((outdir / "fig5_channels").iterdir())
+        assert [p.name for p in dumps] == [f"fig5_r{index:04d}.txt" for index in range(8)]
+        scenario = replace(PRESETS["fig5"].scenario, realizations=8)
+        for index, path in enumerate(dumps):
+            meta, taps = load_channel_dump(path)
+            assert meta["seed"] == realization_seed(scenario, index)
+            np.testing.assert_array_equal(taps.taps, draw_realization(scenario, index).taps.taps)
+
     def test_validate_appends_report(self, tmp_path, capsys):
         outdir = tmp_path / "res"
         code = run_cli(

@@ -318,17 +318,25 @@ class TestRunScenario:
 
             return counted
 
-        def counted_reduction(entries):
-            # the reduction takes the lower triangle of an (..., n, n) stack
-            order = sum(i == j for i, j in entries)
-            reductions.append((*entries[0, 0].shape, order, order))
-            return numerics.tridiagonalize(entries)
+        def counted_reduction(made, count):
+            # the chunk's Grams, made one at a time, and the shape of each slot
+            slots = []
+            reductions.append(slots)
+
+            def recorded():
+                for gram in made:
+                    slots.append(gram.shape)
+                    yield gram
+
+            reduced = metrics.hermitian_reduction(recorded(), count)
+            assert len(slots) == count
+            return reduced
 
         def no_convolution(*args, **kwargs):
             raise AssertionError("the runner convolved a combiner with the channel")
 
         monkeypatch.setattr(experiments, "gram_of_lags", counting(numerics.gram_of_lags, grams))
-        monkeypatch.setattr(experiments, "tridiagonalize", counted_reduction)
+        monkeypatch.setattr(experiments, "hermitian_reduction", counted_reduction)
         monkeypatch.setattr(beamforming, "circular_convolve", no_convolution)
         chunk = experiments.CHUNK
         s = small_scenario(realizations=chunk + 3, schemes=PRESETS["fig2"].scenario.schemes)
@@ -336,7 +344,28 @@ class TestRunScenario:
         assert all(v is not None for values, _ in out for v in values.values())
         users, taps, k = SMALL_DIMS.users, SMALL_DIMS.taps, SMALL_DIMS.subcarriers
         assert grams == [(draws, 2 * taps - 1, users, users) for draws in (chunk, 3)]
-        assert reductions == [(1, draws, k, users, users) for draws in (chunk, 3)]
+        assert reductions == [[(draws, k, users, users)] for draws in (chunk, 3)]
+
+    def test_the_chunk_reduction_follows_the_order_bound_of_metrics(self, monkeypatch):
+        # hermitian_reduction alone reads LDL_MAX_ORDER: set below a fig2
+        # chunk's U = 4, it sends the chunk's Grams to eigvalsh, and every
+        # value moves by at most 1e-12 relative
+        s = PRESETS["fig2"].scenario
+        stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
+        pivots = experiments._evaluate_chunk(s, stacked)
+        eigvalsh, eigen = np.linalg.eigvalsh, []
+
+        def counted(mats):
+            eigen.append(mats.shape)
+            return eigvalsh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(metrics, "LDL_MAX_ORDER", 3)
+        patched = experiments._evaluate_chunk(s, stacked)
+        users, k = s.dims.users, s.dims.subcarriers
+        assert eigen == [(experiments.CHUNK, k, users, users)]
+        for name in pivots.dtype.names:
+            np.testing.assert_allclose(patched[name], pivots[name], rtol=1e-12, atol=0.0)
 
     def test_a_block_holds_one_record_per_index_in_order(self):
         # a whole chunk and a partial one, with schemes and the own size's
@@ -951,6 +980,26 @@ class TestChunkMemory:
         stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
         peak = traced_peak(lambda: experiments._evaluate_chunk(s, stacked))
         assert peak <= 1.1 * measured
+
+    def test_chunk_peak_above_the_order_bound(self):
+        # fig6 at U = 13 reduces its five Grams by eigvalsh, each as it is
+        # made: no stack of whole Grams (2.77 MB each) is held.  Peak
+        # measured with numpy 2.4 on x86-64, plus 10% (a stack of them
+        # peaked at 16.1 MB)
+        s = PRESETS["fig6"].scenario
+        s = replace(s, dims=replace(s.dims, antennas=30, users=numerics.LDL_MAX_ORDER + 1))
+        stacked = experiments._draw_chunk(s, list(range(experiments.CHUNK)), None)
+        peak = traced_peak(lambda: experiments._evaluate_chunk(s, stacked))
+        assert peak <= 1.1 * 4_623_639
+
+    def test_a_serial_run_holds_its_samples_and_one_chunk(self):
+        # fig5 at M = 500 keeps 12.9 MB of spreads for 800 realizations; a
+        # serial run folds each chunk into them before drawing the next, so
+        # no whole-run block of records sits beside them.  Peak measured with
+        # numpy 2.4 on x86-64, plus 10% (a whole-run block peaked at 25.8 MB)
+        s = replace(PRESETS["fig5"].scenario, antenna_sweep=(500,), realizations=800)
+        peak = traced_peak(lambda: run_scenario(s, workers=1))
+        assert peak <= 1.1 * 16_323_708
 
     def test_a_block_leaves_only_its_results(self):
         # after two fig8 chunks the traced memory is back at its baseline,

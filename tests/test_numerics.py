@@ -24,6 +24,7 @@ from hybeam.numerics import (
     gram_of_lags,
     lag_products,
     Tridiagonal,
+    _lower_entries,
     tridiagonalize,
 )
 
@@ -301,7 +302,7 @@ def spectrum_seq(stack, offset=0):
 
 def lag_screen(seq, k):
     """The rank screen the runner passes: the reduction of the lag-formed Grams."""
-    return tridiagonalize(gram_of_lags(lag_products(seq), k))
+    return tridiagonalize(_lower_entries(gram_of_lags(lag_products(seq), k)))
 
 
 def rank_verdict(seq, k, screen):
@@ -354,10 +355,11 @@ class TestPivotsAndWhitening:
         base = b @ adjoint(b) + 0.5 * np.eye(n)
         snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
         if form == "plain":
-            mats, dets = gram[None], np.prod(list(tridiagonalize(gram)._pivots(1.0, 0.0)), axis=0)[None]
+            pivots = tridiagonalize(_lower_entries(gram))._pivots(1.0, 0.0)
+            mats, dets = gram[None], np.prod(list(pivots), axis=0)[None]
         elif form == "identity base":
             mats = np.eye(n) + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
-            dets = np.exp2(tridiagonalize(gram).log2dets(snrs))
+            dets = np.exp2(tridiagonalize(_lower_entries(gram)).log2dets(snrs))
         else:
             mats = base + snrs[(...,) + (None,) * (len(lead) + 2)] * gram
             # a signal S with S S^H = gram, whitened against the base
@@ -365,7 +367,7 @@ class TestPivotsAndWhitening:
             signal = np.concatenate([adjoint(a), root], axis=-1)
             white, singular = whiten(signal, base)
             assert not np.any(singular)
-            dets = np.exp2(tridiagonalize(white @ adjoint(white)).log2dets(snrs))
+            dets = np.exp2(tridiagonalize(_lower_entries(white @ adjoint(white))).log2dets(snrs))
             dets = dets * np.exp(np.linalg.slogdet(base)[1])
         assert dets.shape == mats.shape[:-2]
         sign, logabs = np.linalg.slogdet(mats)
@@ -433,7 +435,7 @@ class TestTridiagonal:
             a = complex_normal(rng, (*lead, n + extra_rows, n))
             white = adjoint(a) @ a
             expected = log2det(np.eye(n) + grid * white)
-        got = tridiagonalize(white).log2dets(snrs)
+        got = tridiagonalize(_lower_entries(white)).log2dets(snrs)
         assert got.shape == (len(snrs), *lead)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -453,7 +455,7 @@ class TestTridiagonal:
         g = b + adjoint(b)
         grid = snrs[(...,) + (None,) * (len(lead) + 2)]
         expected = log2det(np.eye(n) + grid * (g @ g))
-        got = tridiagonalize(g).log2dets_of_square(snrs)
+        got = tridiagonalize(_lower_entries(g)).log2dets_of_square(snrs)
         assert got.shape == (len(snrs), *lead)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
         # a diagonal of eigenvalues gives sum log2(1 + snr * lambda^2)
@@ -473,7 +475,7 @@ class TestTridiagonal:
         gram = np.zeros((2, 4, 4), dtype=complex)
         gram[:, 0, 0] = 2.0
         gram[:, 1:, 1:] = adjoint(a) @ a
-        reduced = tridiagonalize(gram)
+        reduced = tridiagonalize(_lower_entries(gram))
         assert np.all(reduced.diag[0] == 2.0) and np.all(reduced.off2[0] == 0.0)
         np.testing.assert_array_equal(reduced.diag[:, 0], reduced.diag[:, 1])
         snrs = [0.1, 10.0]
@@ -495,7 +497,7 @@ class TestTridiagonal:
         blocks = np.zeros((5, 5), dtype=complex)
         blocks[:2, :2] = adjoint(a) @ a
         blocks[2:, 2:] = adjoint(b) @ b
-        reduced = tridiagonalize(blocks)
+        reduced = tridiagonalize(_lower_entries(blocks))
         assert reduced.off2[1] == 0.0
         expected = log2det(np.eye(5) + np.asarray(snrs)[:, None, None] * blocks)
         np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
@@ -515,7 +517,7 @@ class TestTridiagonal:
         # the product of the whole list, and where that product overflows (a
         # fourth matrix, of pivots 1e200), the sum of the list's log2
         a = complex_normal(stream(735), (3, 8, 4))
-        reduced = tridiagonalize(adjoint(a) @ a)
+        reduced = tridiagonalize(_lower_entries(adjoint(a) @ a))
         reduced = Tridiagonal(
             np.concatenate([reduced.diag, np.full((4, 1), 1e200)], axis=1),
             np.concatenate([reduced.off2, np.zeros((3, 1))], axis=1),
@@ -542,7 +544,7 @@ class TestTridiagonal:
         gram = adjoint(a) @ a
         snrs = [0.1, 1.0, 1e3]
         expected = log2det(np.eye(n) + np.asarray(snrs)[:, None, None, None] * gram)
-        reduced = tridiagonalize(gram)
+        reduced = tridiagonalize(_lower_entries(gram))
         np.testing.assert_allclose(reduced.log2dets(snrs), expected, rtol=1e-12)
         shift = 1e-8 * np.trace(gram, axis1=-2, axis2=-1).real
         smallest = np.linalg.eigvalsh(gram - shift[:, None, None] * np.eye(n))[..., 0]
@@ -564,8 +566,10 @@ class TestTridiagonal:
             warnings.simplefilter("error")
             white, singular = whiten(signal, cov)
             alone = [whiten(signal[i], cov[i]) for i in range(4)]
-            rates = tridiagonalize(adjoint(white) @ white).log2dets(snrs)
-            alone_rates = [tridiagonalize(adjoint(w) @ w).log2dets(snrs) for w, _ in alone]
+            rates = tridiagonalize(_lower_entries(adjoint(white) @ white)).log2dets(snrs)
+            alone_rates = [
+                tridiagonalize(_lower_entries(adjoint(w) @ w)).log2dets(snrs) for w, _ in alone
+            ]
         assert singular.tolist() == [[False, False], [True, False], [True, False], [False, False]]
         assert np.all(white[1:3, 0] == 0.0)
         for i in (0, 3):
@@ -677,7 +681,7 @@ class TestRankCheck:
             gram = gram_of_lags(lag_products(seq), 8)
             lam = np.linalg.eigvalsh(gram)
             fooled += lam[0, 0] > GRAM_SCREEN_RTOL * lam[0, -1]
-            assert rank_verdict(seq, 8, tridiagonalize(gram)) == 0
+            assert rank_verdict(seq, 8, tridiagonalize(_lower_entries(gram))) == 0
         assert fooled > 0
 
     def test_response_vanished_to_roundoff_is_rejected(self):
