@@ -66,20 +66,29 @@ def write_csv(path, rows, trailer: str | None = None) -> None:
 
 
 def read_csv(path) -> list[ResultRow]:
-    """Read rows written by ``write_csv``; comment lines are skipped."""
+    """Read rows written by ``write_csv``; comment lines are skipped, and a
+    malformed row is named by its file and line."""
     with open(path, newline="", encoding="ascii") as fh:
-        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
+        numbered = [
+            (n, line) for n, line in enumerate(fh, 1) if line.strip() and not line.lstrip().startswith("#")
+        ]
+    if not numbered:
         raise ValueError(f"{path}: no data rows")
+    numbers, lines = zip(*numbered)
     reader = csv.reader(lines)
     header = tuple(next(reader))
     if header != CSV_FIELDS:
         raise ValueError(f"{path}: unexpected header {header}")
     rows = []
     for record in reader:
+        # the reader's line count is the index of the record's last line
+        message = f"{path}:{numbers[reader.line_num - 1]}: malformed row {record}"
         if len(record) != len(CSV_FIELDS):
-            raise ValueError(f"{path}: malformed row {record}")
-        rows.append(ResultRow(*(parse(text) for parse, text in zip(_CSV_COLUMNS.values(), record))))
+            raise ValueError(message)
+        try:
+            rows.append(ResultRow(*(parse(text) for parse, text in zip(_CSV_COLUMNS.values(), record))))
+        except ValueError as exc:
+            raise ValueError(f"{message}: {exc}") from None
     return rows
 
 

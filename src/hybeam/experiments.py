@@ -5,16 +5,18 @@ antenna sweep, and is checked whole when it is built; the runner draws
 independent realizations from per-realization derived seeds, evaluates
 every scheme on the shared draw, and aggregates means and standard errors.
 Realizations are evaluated in fixed chunks of ``CHUNK`` consecutive
-indices, which workers never split, so the runner can fan them out across
-processes without changing a single output bit.
+indices, one chunk per task whatever the worker count, so the runner can
+fan them out across processes without changing a single output bit.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -415,7 +417,7 @@ def _evaluate_chunk(scenario: Scenario, stacked: ChannelRealization) -> np.ndarr
     return records
 
 
-def _draw_chunk(scenario: Scenario, chunk: list[int], dump_dir: str | None) -> ChannelRealization:
+def _draw_chunk(scenario: Scenario, chunk: Sequence[int], dump_dir: str | None) -> ChannelRealization:
     """The draws of the indices of ``chunk`` as one realization whose taps
     stack them on a leading axis, each draw dumped to ``dump_dir`` if one is
     given.  The draws' own taps are freed once stacked."""
@@ -430,20 +432,14 @@ def _draw_chunk(scenario: Scenario, chunk: list[int], dump_dir: str | None) -> C
 
 
 def _scenario_block(args) -> np.ndarray:
-    """Worker entry: evaluate a block of realization indices, chunk by chunk.
+    """Worker entry: one ``_evaluate_chunk`` record per realization of one
+    chunk, in index order.
 
-    ``args`` is ``(scenario, indices, dump_dir)``, where ``indices`` are
-    consecutive and start a chunk; the result holds one ``_evaluate_chunk``
-    record per index, in index order, each chunk's records written into one
-    array allocated once for the block.
+    ``args`` is ``(scenario, chunk, dump_dir)``, where ``chunk`` holds the
+    consecutive indices of one chunk.
     """
-    scenario, indices, dump_dir = args
-    out = np.empty(len(indices), dtype=_record(scenario, scenario.dims.antennas))
-    for start in range(0, len(indices), CHUNK):
-        out[start : start + CHUNK] = _evaluate_chunk(
-            scenario, _draw_chunk(scenario, list(indices[start : start + CHUNK]), dump_dir)
-        )
-    return out
+    scenario, chunk, dump_dir = args
+    return _evaluate_chunk(scenario, _draw_chunk(scenario, chunk, dump_dir))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -476,30 +472,32 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_blocks(task, payloads: list, workers: int):
-    """Run work payloads serially or across one process pool of at most one
-    worker per payload; yields one result per payload, in order, as each
-    comes back, so a caller can fold it in and drop it before the next.
+def _run_blocks(task, payloads, workers: int):
+    """Run ``task`` on each of ``payloads``, an iterable read once, and yield
+    each payload with its result, in order, as each comes back, so a caller
+    can fold the result in and drop it before the next.
+
+    One worker, or a single payload, runs serially.  Otherwise one process
+    pool of at most one worker per payload runs them, with at most ``2 *
+    workers`` payloads submitted and not yet yielded: the pool stays busy
+    while the caller folds, and neither payloads nor results pile up.
 
     The pool class is the module attribute at call time, so a class set on
     the module after import (as perfbench's span tracer sets one) is used.
     """
-    if workers <= 1 or len(payloads) <= 1:
-        yield from map(task, payloads)
+    payloads = iter(payloads)
+    ahead = list(islice(payloads, 2 * workers)) if workers > 1 else []
+    if len(ahead) <= 1:
+        for payload in chain(ahead, payloads):
+            yield payload, task(payload)
         return
     pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    with pool_class(max_workers=min(workers, len(payloads))) as pool:
-        yield from pool.map(task, payloads)
-
-
-def _split_indices(count: int, workers: int) -> list[range]:
-    """At most ``workers`` ranges of consecutive indices, each a union of whole
-    chunks; the first ``chunks % blocks`` of them hold one chunk more."""
-    chunks = -(-count // CHUNK)
-    blocks = min(workers, chunks)
-    size, extra = divmod(chunks, blocks)
-    bounds = [CHUNK * (i * size + min(i, extra)) for i in range(blocks + 1)]
-    return [range(start, min(stop, count)) for start, stop in zip(bounds, bounds[1:])]
+    with pool_class(max_workers=min(workers, len(ahead))) as pool:
+        pending = deque((payload, pool.submit(task, payload)) for payload in ahead)
+        while pending:
+            payload, future = pending.popleft()
+            pending.extend((later, pool.submit(task, later)) for later in islice(payloads, 1))
+            yield payload, future.result()
 
 
 def run_scenario(
@@ -523,16 +521,16 @@ def run_scenario(
     (size, realization) pair is drawn once.  Output is identical for any
     worker count.
 
-    A pool takes one block of chunks per worker and size; a serial run takes
-    one chunk at a time, so it holds one chunk's records beside the samples
-    it keeps.  Each block comes back as one record per realization
-    (``_scenario_block``).  A record field is a strided view, so as each
-    block comes back its fields are copied into one contiguous
-    ``(realization, ...)`` array per size and field, and the block is freed:
-    the failure flags give ``failures`` and each scheme's samples, and a
-    size's spreads give its sweep rows once its last block, which ends at
-    the last realization, is in.  ``dump_dir`` receives the draws of the
-    scenario's own size alone, whatever its schemes.
+    Every size's realizations go out one chunk at a time, on a serial run
+    and a pooled one alike (``_run_blocks``), and each chunk comes back as
+    one record per realization (``_scenario_block``).  A record field is a
+    strided view, so as each chunk comes back its fields are copied into one
+    contiguous ``(realization, ...)`` array per size and field, and the
+    chunk's records are freed: a run holds the samples it keeps beside a
+    bounded number of chunks.  The failure flags give ``failures`` and each
+    scheme's samples, and a size's spreads give its sweep rows once its last
+    chunk, which ends at the last realization, is in.  ``dump_dir`` receives
+    the draws of the scenario's own size alone, whatever its schemes.
     """
     workers = resolve_workers(workers)
     grid = scenario.antenna_sweep
@@ -546,26 +544,20 @@ def run_scenario(
     def payloads():
         # a swept size's dumps would take the own size's file names
         for sub in sized.values():
-            if workers > 1:
-                blocks = _split_indices(len(indices), workers)
-            else:
-                blocks = (indices[start : start + CHUNK] for start in indices[::CHUNK])
-            for block in blocks:
-                yield sub, block, dump_dir if sub is scenario else None
+            for start in indices[::CHUNK]:
+                yield sub, indices[start : start + CHUNK], dump_dir if sub is scenario else None
 
     fields: dict[int, dict[str, np.ndarray]] = {}
     sweep: dict[int, list[ResultRow]] = {}
-    # the results are read first, so the pool is shut down once the last is in
-    results = _run_blocks(_scenario_block, list(payloads()) if workers > 1 else payloads(), workers)
-    for records, (sub, block, _) in zip(results, payloads()):
+    for (sub, chunk, _), records in _run_blocks(_scenario_block, payloads(), workers):
         antennas = sub.dims.antennas
         store = fields.setdefault(antennas, {})
         for name in records.dtype.names:
             if name not in store:
                 store[name] = np.empty(scenario.realizations, records.dtype[name])
-            store[name][block.start : block.stop] = records[name]
-        del records  # before the next block is evaluated, on a serial run
-        if antennas in grid and block.stop == scenario.realizations:
+            store[name][chunk.start : chunk.stop] = records[name]
+        del records  # before the next chunk is evaluated, on a serial run
+        if antennas in grid and chunk.stop == scenario.realizations:
             sweep[antennas] = _sweep_rows(scenario, antennas, store)
     store = fields.get(own, {})
     failed = {scheme: store[_failed(scheme)] for scheme in scenario.schemes}

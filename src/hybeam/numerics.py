@@ -170,23 +170,21 @@ def lag_products(seq: TapSequence) -> np.ndarray:
     return lags
 
 
-def gram_of_lags(lags: np.ndarray, num_subcarriers: int, out: np.ndarray | None = None) -> np.ndarray:
+def gram_of_lags(lags: np.ndarray, num_subcarriers: int) -> np.ndarray:
     """The Gram ``sum_d R_d exp(-2j*pi*d*k/K)`` on every subcarrier, from ``lag_products``.
 
     ``lags`` is ``(..., 2S - 1, cols, cols)`` and the result
     ``(..., num_subcarriers, cols, cols)``.  The sum samples a trigonometric
     polynomial, so it is exact on any grid, one shorter than the sequence
-    included.  A C-contiguous ``out`` of the result's shape receives it in
-    place.
+    included.
     """
     k = int(num_subcarriers)
     if k < 1:
         raise ValueError("num_subcarriers must be positive")
     *lead, count, cols, _ = lags.shape
     flat = lags.reshape(*lead, count, cols * cols)
-    target = None if out is None else out.reshape(*lead, k, cols * cols)
     phases = _lag_phases(k, (count + 1) // 2)
-    return np.matmul(phases, flat, out=target).reshape(*lead, k, cols, cols)
+    return np.matmul(phases, flat).reshape(*lead, k, cols, cols)
 
 
 def circular_convolve(a: TapSequence, b: TapSequence, num_subcarriers: int) -> TapSequence:

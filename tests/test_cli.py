@@ -911,6 +911,24 @@ class TestPlotCommand:
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("plot", str(tmp_path / "none.csv"), "--metric", "rate") == 2
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("s,mf,0,rate,abc,0,1,1", "could not convert string to float: 'abc'"),
+            ("s,mf,0,rate,1.5,0,2.5,1", "invalid literal for int() with base 10: '2.5'"),
+            ("s,mf,0,rate,1.5,0,1", None),
+        ],
+    )
+    def test_malformed_row_names_its_file_and_line(self, tmp_path, capsys, bad, reason):
+        # the row's line in the file, counting the comment and blank lines skipped
+        path = tmp_path / "bad.csv"
+        good = "s,mf,-10,rate,1.0,0,1,1"
+        path.write_text("# a comment\n" + ",".join(cli.CSV_FIELDS) + f"\n{good}\n\n{bad}\n{good}\n")
+        assert run_cli("plot", str(path), "--metric", "rate") == 2
+        err = capsys.readouterr().err.strip()
+        expected = f"error: {path}:5: malformed row {bad.split(',')}"
+        assert err == (expected if reason is None else f"{expected}: {reason}")
+
     def test_single_point_series(self, tmp_path):
         path = tmp_path / "one.csv"
         cli.write_csv(path, [ResultRow("s", "mf", 0.0, "rate", 1.5, 0.0, 1, 1)])

@@ -1,9 +1,11 @@
 """Scenario runner: reproducibility, aggregation, presets, validation."""
 
 import gc
+import itertools
 import re
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +72,41 @@ def draw_outcomes(scenario, records):
             spreads = {name: record[experiments._spread(name)] for name in SWEPT}
         outcomes.append((values, spreads))
     return outcomes
+
+
+def block_outcomes(scenario):
+    """``draw_outcomes`` of every realization of ``scenario``, from one
+    ``_scenario_block`` call per chunk, as ``run_scenario`` hands them out."""
+    indices = range(scenario.realizations)
+    chunks = (indices[start : start + experiments.CHUNK] for start in indices[:: experiments.CHUNK])
+    return [
+        outcome
+        for chunk in chunks
+        for outcome in draw_outcomes(scenario, experiments._scenario_block((scenario, chunk, None)))
+    ]
+
+
+def eager_pool(sizes):
+    """A ``ProcessPoolExecutor`` stand-in that runs each task as it is
+    submitted, so no process starts whatever size is asked for; each pool's
+    size is appended to ``sizes``."""
+
+    class EagerPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, task, payload):
+            future = Future()
+            future.set_result(task(payload))
+            return future
+
+    return EagerPool
 
 
 def evaluate_draw(scenario, channel):
@@ -177,14 +214,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=rf"^{beyond} realizations x {largest} bytes"):
             run_scenario(replace(fig5, realizations=beyond))
 
-    def test_huge_counts_split_without_a_per_chunk_array(self):
-        blocks = experiments._split_indices(10**12, 3)
-        assert [(b.start, b.stop) for b in blocks] == [
-            (0, 333_333_333_336),
-            (333_333_333_336, 666_666_666_672),
-            (666_666_666_672, 10**12),
-        ]
-
     def test_repeated_snr_points_rejected(self):
         for grid in ((0.0, 0.0, 5.0), (5.0, 0.0, 5), (0.0, -0.0)):
             with pytest.raises(ValueError, match="SNR grid repeats"):
@@ -287,7 +316,7 @@ class TestRunScenario:
             schemes=PRESETS["fig8"].scenario.schemes,
             channel_model="sparse",
         )
-        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        out = block_outcomes(s)
         assert len(out) == chunk + 3
         assert all(v is not None for values, _ in out for v in values.values())
         users, antennas = SMALL_DIMS.users, SMALL_DIMS.antennas
@@ -340,7 +369,7 @@ class TestRunScenario:
         monkeypatch.setattr(beamforming, "circular_convolve", no_convolution)
         chunk = experiments.CHUNK
         s = small_scenario(realizations=chunk + 3, schemes=PRESETS["fig2"].scenario.schemes)
-        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        out = block_outcomes(s)
         assert all(v is not None for values, _ in out for v in values.values())
         users, taps, k = SMALL_DIMS.users, SMALL_DIMS.taps, SMALL_DIMS.subcarriers
         assert grams == [(draws, 2 * taps - 1, users, users) for draws in (chunk, 3)]
@@ -369,20 +398,19 @@ class TestRunScenario:
 
     def test_a_block_holds_one_record_per_index_in_order(self):
         # a whole chunk and a partial one, with schemes and the own size's
-        # spreads: the block's records are each chunk's, evaluated alone
+        # spreads: each chunk's records are those of its own indices' draws,
+        # stacked in index order
         chunk = experiments.CHUNK
         s = small_scenario(
             realizations=chunk + 3, schemes=experiments.SCHEMES, antenna_sweep=(24, 40)
         )
-        out = experiments._scenario_block((s, range(chunk + 3), None))
-        assert len(out) == chunk + 3
-        alone = [
-            _evaluate_chunk(s, experiments._draw_chunk(s, list(indices), None))
-            for indices in (range(chunk), range(chunk, chunk + 3))
-        ]
-        assert out.dtype == alone[0].dtype
-        for name in out.dtype.names:
-            np.testing.assert_array_equal(out[name], np.concatenate([a[name] for a in alone]))
+        for indices in (range(chunk), range(chunk, chunk + 3)):
+            out = experiments._scenario_block((s, indices, None))
+            drawn = _evaluate_chunk(s, stack([draw_realization(s, i) for i in indices]))
+            assert out.dtype == drawn.dtype
+            assert len(out) == len(indices)
+            for name in out.dtype.names:
+                np.testing.assert_array_equal(out[name], drawn[name])
 
     def test_scheme_and_spread_fields_of_one_combiner_stay_apart(self):
         # mf, rf_1tap and rf_ltap are schemes and swept combiners alike: in a
@@ -584,7 +612,7 @@ class TestRunScenario:
             realizations=chunk + 3,
             schemes=("capacity", "zf", "rf_ltap", "rf_ltap+zf", "mf+zf"),
         )
-        out = draw_outcomes(s, experiments._scenario_block((s, list(range(chunk + 3)), None)))
+        out = block_outcomes(s)
         assert len(out) == chunk + 3
         # per chunk, zf and mf+zf share the raw check and rf_ltap+zf has its
         # own; only rf_ltap+zf rates bin by bin
@@ -811,17 +839,6 @@ class TestRunScenario:
         assert run_scenario(s, workers=2) == serial
         assert run_scenario(s, workers=3) == serial
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(count=st.integers(1, 100), workers=st.integers(1, 8))
-    def test_worker_blocks_are_unions_of_whole_chunks(self, count, workers):
-        chunk = experiments.CHUNK
-        blocks = experiments._split_indices(count, workers)
-        assert 1 <= len(blocks) <= workers
-        assert [index for block in blocks for index in block] == list(range(count))
-        for block in blocks:
-            assert block[0] % chunk == 0
-            assert block[-1] == count - 1 or block[-1] % chunk == chunk - 1
-
     def test_parallel_equals_serial(self):
         s = small_scenario()
         serial = run_scenario(s, workers=1)
@@ -884,30 +901,31 @@ class TestRunScenario:
         assert resolve_workers(np.int64(2)) == 2
 
     def test_pool_holds_at_most_one_worker_per_payload(self, monkeypatch):
-        # a fake executor records its size and maps serially, so no process
-        # starts whatever count is asked for
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, task, payloads):
-                return map(task, payloads)
-
         monkeypatch.delenv("HYBEAM_THREADS", raising=False)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        assert list(experiments._run_blocks(abs, [-1, -2, -3], 50)) == [1, 2, 3]
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", eager_pool(sizes))
+        assert list(experiments._run_blocks(abs, [-1, -2, -3], 50)) == [(-1, 1), (-2, 2), (-3, 3)]
         s = small_scenario(realizations=experiments.CHUNK + 3)
         serial = run_scenario(s, workers=1)
         assert run_scenario(s, workers=10**6) == serial
         assert sizes == [3, 2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_pool_draws_at_most_two_payloads_per_worker_ahead(self, monkeypatch, workers):
+        # from an unbounded stream, a pool has drawn at most k + 2 x workers
+        # payloads once it has yielded k results, each with its payload, in order
+        drawn = []
+
+        def payloads():
+            for index in itertools.count():
+                drawn.append(index)
+                yield index
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", eager_pool([]))
+        results = experiments._run_blocks(lambda index: -index, payloads(), workers)
+        for k, (payload, result) in enumerate(itertools.islice(results, 40), 1):
+            assert (payload, result) == (k - 1, 1 - k)
+            assert len(drawn) <= k + 2 * workers
 
     def test_workers_env_invalid(self, monkeypatch):
         monkeypatch.setenv("HYBEAM_THREADS", "lots")
@@ -966,7 +984,7 @@ class TestChunkMemory:
         "preset, antennas, spreads, measured",
         [
             # the Grams' reduction; the raw lag products of the sweep-only chunk
-            ("fig8", 100, False, 2_275_627),
+            ("fig8", 100, False, 2_040_035),
             ("fig5", 400, True, 1_679_120),
         ],
     )
@@ -1001,10 +1019,20 @@ class TestChunkMemory:
         peak = traced_peak(lambda: run_scenario(s, workers=1))
         assert peak <= 1.1 * 16_323_708
 
+    def test_a_pooled_run_holds_no_more_than_a_serial_one(self, monkeypatch):
+        # the same run on 2 workers: the parent folds each chunk in as it
+        # comes back, with at most 2 x workers chunks in flight, so it stays
+        # within the serial bound (one block of chunks per worker and size
+        # peaked at 25.8 MB)
+        monkeypatch.delenv("HYBEAM_THREADS", raising=False)
+        s = replace(PRESETS["fig5"].scenario, antenna_sweep=(500,), realizations=800)
+        peak = traced_peak(lambda: run_scenario(s, workers=2))
+        assert peak <= 1.1 * 16_323_708
+
     def test_a_block_leaves_only_its_results(self):
-        # after two fig8 chunks the traced memory is back at its baseline,
-        # apart from the results the block returns
-        s = replace(PRESETS["fig8"].scenario, realizations=2 * experiments.CHUNK)
+        # after a fig8 chunk the traced memory is back at its baseline, apart
+        # from the results the block returns
+        s = replace(PRESETS["fig8"].scenario, realizations=experiments.CHUNK)
         payload = (s, range(s.realizations), None)
         experiments._scenario_block(payload)
         gc.collect()
